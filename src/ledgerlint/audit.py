@@ -1,7 +1,8 @@
 """Misuse detection over evaluated workbooks.
 
-Each rule pattern-matches formula ASTs (resolving cell values where needed)
-and yields located findings.  Rules are stateless, skip anything they cannot
+Each rule declares the function names or operators it inspects; one walk per
+formula finds those nodes for the rules, which resolve cell values where needed
+and return located findings.  Rules are stateless, skip anything they cannot
 interpret, and never abort an audit.
 """
 
@@ -12,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
-from .daycount import year_fraction
+from .daycount import DayCountBasis, year_fraction
 from .formula import (
     Binary,
     Call,
@@ -29,7 +30,8 @@ from .formula import (
     Unary,
     evaluate,
 )
-from .formula.ast import column_to_index, format_number
+from .formula.ast import format_number
+from .formula.evaluator import BASIS_CODES
 
 __all__ = [
     "RULE_IDS",
@@ -75,18 +77,26 @@ def _display(value) -> str:
     return str(value)
 
 
-def _walk(node: FormulaNode, ancestors: tuple = ()) -> Iterator[tuple[FormulaNode, tuple]]:
-    yield node, ancestors
-    below = ancestors + (node,)
-    if isinstance(node, Unary):
-        yield from _walk(node.child, below)
-    elif isinstance(node, Binary):
-        yield from _walk(node.left, below)
-        yield from _walk(node.right, below)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            if not isinstance(arg, EmptyArg):
-                yield from _walk(arg, below)
+def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
+    """Pre-order (key, node, additive) for nodes whose call name or operator is a
+    rule trigger; additive is set when a '+' or '-' Binary sits above the node."""
+    found = []
+    stack: list[tuple[FormulaNode, bool]] = [(formula, False)]
+    while stack:
+        node, additive = stack.pop()
+        kind = type(node)
+        if kind is Call:
+            if node.name in _TRIGGER_KEYS:
+                found.append((node.name, node, additive))
+            stack.extend((arg, additive) for arg in reversed(node.args))
+        elif kind is Binary:
+            if node.op in _TRIGGER_KEYS:
+                found.append((node.op, node, additive))
+            below = additive or node.op in ("+", "-")
+            stack += ((node.right, below), (node.left, below))
+        elif kind is Unary:
+            stack.append((node.child, additive))
+    return found
 
 
 def _ref_evidence(sheet: Sheet, *nodes: FormulaNode) -> tuple[tuple[str, str], ...]:
@@ -97,229 +107,203 @@ def _ref_evidence(sheet: Sheet, *nodes: FormulaNode) -> tuple[tuple[str, str], .
     return tuple(pairs)
 
 
-def _resolved_number(sheet: Sheet, node: FormulaNode) -> float | None:
+def _resolved(sheet: Sheet, node: FormulaNode, kind: type):
     value = evaluate(node, sheet)
-    return value if isinstance(value, float) else None
+    return value if isinstance(value, kind) else None
 
 
-def _resolved_date(sheet: Sheet, node: FormulaNode) -> dt.date | None:
-    value = evaluate(node, sheet)
-    return value if isinstance(value, dt.date) else None
+def _rule_r1(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    if additive or len(node.args) < 2:
+        return None  # under '+'/'-' a separate additive term holds the period-0 flow
+    values_arg = node.args[1]
+    if not isinstance(values_arg, RangeRef):
+        return None
+    first = None
+    for address in sheet.range_addresses(values_arg):
+        value = sheet.value(address)
+        if isinstance(value, float):
+            first = (address, value)
+            break
+    if first is None or first[1] >= 0.0:
+        return None
+    source = f"{values_arg.start.address}:{values_arg.end.address}"
+    return Finding(
+        "R1",
+        config.severity("R1"),
+        cell.address,
+        f"NPV range {source} starts with the negative value "
+        f"{format_number(first[1])}; NPV discounts every argument by one "
+        "period, so an initial investment fed into the call is discounted "
+        "too - keep the period-0 flow outside: value0 + NPV(rate, later "
+        "flows)",
+        evidence=((first[0], _display(first[1])),),
+    )
 
 
-def _rule_r1(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, ancestors in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name == "NPV" and len(node.args) >= 2):
-            continue
-        if any(isinstance(a, Binary) and a.op in ("+", "-") for a in ancestors):
-            continue  # a separate additive term holds the period-0 flow
-        values_arg = node.args[1]
-        if not isinstance(values_arg, RangeRef):
-            continue
-        first = None
-        for address in sheet.range_addresses(values_arg):
-            value = sheet.value(address)
-            if isinstance(value, float):
-                first = (address, value)
-                break
-        if first is None or first[1] >= 0.0:
-            continue
-        source = f"{values_arg.start.address}:{values_arg.end.address}"
-        yield Finding(
-            "R1",
-            config.severity("R1"),
-            cell.address,
-            f"NPV range {source} starts with the negative value "
-            f"{format_number(first[1])}; NPV discounts every argument by one "
-            "period, so an initial investment fed into the call is discounted "
-            "too - keep the period-0 flow outside: value0 + NPV(rate, later "
-            "flows)",
-            evidence=((first[0], _display(first[1])),),
-        )
+def _rule_r2(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    if not node.args:
+        return None
+    rate_arg = node.args[RATE_POSITIONS[node.name]]
+    if not (
+        isinstance(rate_arg, Binary)
+        and rate_arg.op == "/"
+        and isinstance(rate_arg.right, NumberLit)
+        and rate_arg.right.value == 12.0
+    ):
+        return None
+    return Finding(
+        "R2",
+        config.severity("R2"),
+        cell.address,
+        f"rate argument of {node.name} is written as X/12; dividing an "
+        "annual rate by 12 is only right for nominal quotes - for an "
+        "effective annual rate convert with NOMINAL(rate,12)/12 or "
+        "(1+rate)^(1/12)-1",
+    )
 
 
-def _rule_r2(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name in ("NPV", "PMT") and node.args):
-            continue
-        rate_arg = node.args[RATE_POSITIONS[node.name]]
-        if (
-            isinstance(rate_arg, Binary)
-            and rate_arg.op == "/"
-            and isinstance(rate_arg.right, NumberLit)
-            and rate_arg.right.value == 12.0
-        ):
-            yield Finding(
-                "R2",
-                config.severity("R2"),
-                cell.address,
-                f"rate argument of {node.name} is written as X/12; dividing an "
-                "annual rate by 12 is only right for nominal quotes - for an "
-                "effective annual rate convert with NOMINAL(rate,12)/12 or "
-                "(1+rate)^(1/12)-1",
-            )
+def _rule_r3(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    if len(node.args) < 4:
+        return None
+    settlement = _resolved(sheet, node.args[0], dt.date)
+    maturity = _resolved(sheet, node.args[1], dt.date)
+    if settlement is None or maturity is None:
+        return None
+    basis = DayCountBasis.US_30_360
+    if len(node.args) > 4 and not isinstance(node.args[4], EmptyArg):
+        code = _resolved(sheet, node.args[4], float)
+        if code is None or code != int(code) or int(code) not in BASIS_CODES:
+            return None
+        basis = BASIS_CODES[int(code)]
+    try:
+        span = year_fraction(settlement, maturity, basis)
+    except ValueError:
+        return None
+    if span <= config.threshold("R3"):
+        return None
+    return Finding(
+        "R3",
+        config.severity("R3"),
+        cell.address,
+        f"INTRATE spans {span:.2f} years; it computes simple interest "
+        "only, so over multi-year spans it is not the compound "
+        "equivalent yield",
+        evidence=_ref_evidence(sheet, node.args[0], node.args[1]),
+    )
 
 
-def _rule_r3(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    from .formula.evaluator import BASIS_CODES
-    from .daycount import DayCountBasis
-
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name == "INTRATE" and len(node.args) >= 4):
-            continue
-        settlement = _resolved_date(sheet, node.args[0])
-        maturity = _resolved_date(sheet, node.args[1])
-        if settlement is None or maturity is None:
-            continue
-        basis = DayCountBasis.US_30_360
-        if len(node.args) > 4 and not isinstance(node.args[4], EmptyArg):
-            code = _resolved_number(sheet, node.args[4])
-            if code is None or code != int(code) or int(code) not in BASIS_CODES:
-                continue
-            basis = BASIS_CODES[int(code)]
-        try:
-            span = year_fraction(settlement, maturity, basis)
-        except ValueError:
-            continue
-        if span > config.threshold("R3"):
-            yield Finding(
-                "R3",
-                config.severity("R3"),
-                cell.address,
-                f"INTRATE spans {span:.2f} years; it computes simple interest "
-                "only, so over multi-year spans it is not the compound "
-                "equivalent yield",
-                evidence=_ref_evidence(sheet, node.args[0], node.args[1]),
-            )
+def _rule_r4(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    if len(node.args) < 5 or isinstance(node.args[4], EmptyArg):
+        return None
+    month_arg = node.args[4]
+    month = _resolved(sheet, month_arg, float)
+    if month is None or month >= 12.0:
+        return None
+    return Finding(
+        "R4",
+        config.severity("R4"),
+        cell.address,
+        f"DB with month={format_number(month)} takes a partial first year; "
+        "the schedule needs an extra final period (life+1 rows) or total "
+        "depreciation will not reconcile with cost minus salvage",
+        evidence=_ref_evidence(sheet, month_arg),
+    )
 
 
-def _rule_r4(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name == "DB" and len(node.args) >= 5):
-            continue
-        month_arg = node.args[4]
-        if isinstance(month_arg, EmptyArg):
-            continue
-        month = _resolved_number(sheet, month_arg)
-        if month is None or month >= 12.0:
-            continue
-        yield Finding(
-            "R4",
-            config.severity("R4"),
-            cell.address,
-            f"DB with month={format_number(month)} takes a partial first year; "
-            "the schedule needs an extra final period (life+1 rows) or total "
-            "depreciation will not reconcile with cost minus salvage",
-            evidence=_ref_evidence(sheet, month_arg),
-        )
+def _rule_r5(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    index = RATE_POSITIONS[node.name]
+    if len(node.args) <= index or isinstance(node.args[index], EmptyArg):
+        return None
+    rate = _resolved(sheet, node.args[index], float)
+    if rate is None or rate < config.threshold("R5"):
+        return None
+    return Finding(
+        "R5",
+        config.severity("R5"),
+        cell.address,
+        f"rate argument of {node.name} resolves to {format_number(rate)}; "
+        "rates are fractions, so this reads as "
+        f"{format_number(rate * 100)}% - a percentage was probably entered "
+        "at a hundred times the value intended",
+        evidence=_ref_evidence(sheet, node.args[index]),
+    )
 
 
-def _rule_r5(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name in RATE_POSITIONS):
-            continue
-        index = RATE_POSITIONS[node.name]
-        if len(node.args) <= index or isinstance(node.args[index], EmptyArg):
-            continue
-        rate = _resolved_number(sheet, node.args[index])
-        if rate is None or rate < config.threshold("R5"):
-            continue
-        yield Finding(
-            "R5",
-            config.severity("R5"),
-            cell.address,
-            f"rate argument of {node.name} resolves to {format_number(rate)}; "
-            "rates are fractions, so this reads as "
-            f"{format_number(rate * 100)}% - a percentage was probably entered "
-            "at a hundred times the value intended",
-            evidence=_ref_evidence(sheet, node.args[index]),
-        )
+def _rule_r6(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    inner = node.left
+    if not (isinstance(inner, Binary) and inner.op == "/"):
+        return None
+    parts = (inner.left, inner.right, node.right)
+    if not all(isinstance(p, NumberLit) for p in parts):
+        return None
+    day, month, year = (p.value for p in parts)
+    if any(v != int(v) for v in (day, month, year)):
+        return None
+    if not (1 <= day <= 31 and 1 <= month <= 12 and (0 <= year <= 99 or 1900 <= year <= 2199)):
+        return None
+    chain = f"{format_number(day)}/{format_number(month)}/{format_number(year)}"
+    result = evaluate(node, sheet)
+    return Finding(
+        "R6",
+        config.severity("R6"),
+        cell.address,
+        f"{chain} is a division chain evaluating to {_display(result)}, "
+        "not a date; dates typed into formulas become arithmetic - put an "
+        "ISO date (YYYY-MM-DD) in a cell and reference it",
+    )
 
 
-def _plausible_year(value: float) -> bool:
-    return 0 <= value <= 99 or 1900 <= value <= 2199
+def _rule_r7(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    index = BASIS_POSITIONS[node.name]
+    if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
+        return None
+    parameter = "method" if node.name == "DAYS360" else "basis"
+    return Finding(
+        "R7",
+        config.severity("R7"),
+        cell.address,
+        f"{node.name} call omits the {parameter} argument, silently "
+        "defaulting to US (NASD) 30/360; state the day-count convention "
+        "explicitly if European 30/360 or actual-day counting was meant",
+    )
 
 
-def _rule_r6(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Binary) and node.op == "/"):
-            continue
-        inner = node.left
-        if not (isinstance(inner, Binary) and inner.op == "/"):
-            continue
-        parts = (inner.left, inner.right, node.right)
-        if not all(isinstance(p, NumberLit) for p in parts):
-            continue
-        day, month, year = (p.value for p in parts)
-        if any(v != int(v) for v in (day, month, year)):
-            continue
-        if not (1 <= day <= 31 and 1 <= month <= 12 and _plausible_year(year)):
-            continue
-        chain = f"{format_number(day)}/{format_number(month)}/{format_number(year)}"
-        result = evaluate(node, sheet)
-        yield Finding(
-            "R6",
-            config.severity("R6"),
-            cell.address,
-            f"{chain} is a division chain evaluating to {_display(result)}, "
-            "not a date; dates typed into formulas become arithmetic - put an "
-            "ISO date (YYYY-MM-DD) in a cell and reference it",
-        )
-
-
-def _rule_r7(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (isinstance(node, Call) and node.name in BASIS_POSITIONS):
-            continue
-        index = BASIS_POSITIONS[node.name]
-        if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
-            continue
-        parameter = "method" if node.name == "DAYS360" else "basis"
-        yield Finding(
-            "R7",
-            config.severity("R7"),
-            cell.address,
-            f"{node.name} call omits the {parameter} argument, silently "
-            "defaulting to US (NASD) 30/360; state the day-count convention "
-            "explicitly if European 30/360 or actual-day counting was meant",
-        )
-
-
-def _rule_r8(cell: Cell, sheet: Sheet, config: "RuleConfig") -> Iterator[Finding]:
-    for node, _ in _walk(cell.formula):
-        if not (
-            isinstance(node, Binary)
-            and node.op == "/"
-            and isinstance(node.right, NumberLit)
-            and node.right.value == 360.0
-        ):
-            continue
-        numerator = node.left
-        if not (isinstance(numerator, Binary) and numerator.op == "-"):
-            continue
-        left_date = _resolved_date(sheet, numerator.left)
-        right_date = _resolved_date(sheet, numerator.right)
-        if left_date is None or right_date is None:
-            continue
-        yield Finding(
-            "R8",
-            config.severity("R8"),
-            cell.address,
-            "actual-day difference divided by a literal 360 mixes conventions; "
-            "a full year counts about 365/360 = 1.4% extra interest, a known "
-            "revenue-inflating pattern - divide by 365 or use one basis "
-            "throughout",
-            evidence=_ref_evidence(sheet, numerator.left, numerator.right),
-        )
+def _rule_r8(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+    numerator = node.left
+    if not (
+        isinstance(node.right, NumberLit)
+        and node.right.value == 360.0
+        and isinstance(numerator, Binary)
+        and numerator.op == "-"
+    ):
+        return None
+    left_date = _resolved(sheet, numerator.left, dt.date)
+    right_date = _resolved(sheet, numerator.right, dt.date)
+    if left_date is None or right_date is None:
+        return None
+    return Finding(
+        "R8",
+        config.severity("R8"),
+        cell.address,
+        "actual-day difference divided by a literal 360 mixes conventions; "
+        "a full year counts about 365/360 = 1.4% extra interest, a known "
+        "revenue-inflating pattern - divide by 365 or use one basis "
+        "throughout",
+        evidence=_ref_evidence(sheet, numerator.left, numerator.right),
+    )
 
 
 @dataclass(frozen=True)
 class _RuleSpec:
+    """check takes each node whose call name or operator is in triggers, and
+    whether a '+' or '-' Binary sits above it; it returns a finding or None."""
+
     rule_id: str
     title: str
     default_severity: Severity
     explanation: str
-    check: Callable[[Cell, Sheet, "RuleConfig"], Iterator[Finding]]
+    triggers: frozenset[str]
+    check: Callable[[FormulaNode, bool, Cell, Sheet, "RuleConfig"], Finding | None]
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -337,6 +321,7 @@ _RULES: dict[str, _RuleSpec] = {
             "rule is a heuristic: a genuinely negative period-1 flow at the "
             "head of the range looks identical and is a known false-positive "
             "shape.",
+            frozenset({"NPV"}),
             _rule_r1,
         ),
         _RuleSpec(
@@ -350,6 +335,7 @@ _RULES: dict[str, _RuleSpec] = {
             "EFFECT(nominal, 12) compounds a nominal quote to effective, "
             "NOMINAL(effective, 12) does the reverse, and the true monthly "
             "equivalent of an effective rate is (1+rate)^(1/12)-1.",
+            frozenset({"NPV", "PMT"}),
             _rule_r2,
         ),
         _RuleSpec(
@@ -362,6 +348,7 @@ _RULES: dict[str, _RuleSpec] = {
             "yield; 100 growing to 125 over two years is 12.5% simple but "
             "only about 11.8% compounded.  For multi-year spans use a "
             "compound-equivalent rate instead.",
+            frozenset({"INTRATE"}),
             _rule_r3,
         ),
         _RuleSpec(
@@ -372,6 +359,7 @@ _RULES: dict[str, _RuleSpec] = {
             "the remaining months of depreciation into an extra period after "
             "the asset's stated life.  Schedules must include life+1 rows or "
             "total depreciation will not reconcile with cost minus salvage.",
+            frozenset({"DB"}),
             _rule_r4,
         ),
         _RuleSpec(
@@ -382,6 +370,7 @@ _RULES: dict[str, _RuleSpec] = {
             "argument of 1 or more in a rate position almost always means a "
             "percentage was entered as a whole number, making the rate a "
             "hundred times the value intended.",
+            frozenset(RATE_POSITIONS),
             _rule_r5,
         ),
         _RuleSpec(
@@ -392,6 +381,7 @@ _RULES: dict[str, _RuleSpec] = {
             "division chain and evaluates to a small number (0.0125), not a "
             "date.  Store dates as ISO YYYY-MM-DD cell values and reference "
             "the cell; never type slash dates inside formulas.",
+            frozenset({"/"}),
             _rule_r6,
         ),
         _RuleSpec(
@@ -404,6 +394,7 @@ _RULES: dict[str, _RuleSpec] = {
             "actual/365 count real days; results can differ by several days "
             "of interest.  Pass the basis explicitly so the convention in "
             "force is visible.",
+            frozenset(BASIS_POSITIONS),
             _rule_r7,
         ),
         _RuleSpec(
@@ -415,12 +406,14 @@ _RULES: dict[str, _RuleSpec] = {
             "extra interest per year.  The mixed basis is a known "
             "revenue-inflating pattern; divide actual days by 365, or use a "
             "single day-count basis on both sides.",
+            frozenset({"/"}),
             _rule_r8,
         ),
     ]
 }
 
 RULE_IDS = tuple(_RULES)
+_TRIGGER_KEYS = frozenset().union(*(spec.triggers for spec in _RULES.values()))
 
 
 @dataclass(frozen=True)
@@ -482,14 +475,19 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule)."""
     if config is None:
         config = RuleConfig()
+    specs = [_RULES[rule_id] for rule_id in RULE_IDS if rule_id in config.enabled]
     findings: list[Finding] = []
-    ordered = sorted(sheet.cells.values(), key=lambda c: (c.row, column_to_index(c.column)))
-    for cell in ordered:
+    for address in sheet.addresses():
+        cell = sheet.cells[address]
         if cell.formula is None:
             continue
-        for rule_id in RULE_IDS:
-            if rule_id in config.enabled:
-                findings.extend(_RULES[rule_id].check(cell, sheet, config))
+        found = _trigger_nodes(cell.formula)
+        for spec in specs:
+            for key, node, additive in found:
+                if key in spec.triggers:
+                    finding = spec.check(node, additive, cell, sheet, config)
+                    if finding is not None:
+                        findings.append(finding)
     return findings
 
 

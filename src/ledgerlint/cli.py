@@ -7,6 +7,7 @@ output format: 0 clean, 1 findings or discrepancies, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -100,7 +101,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     for path in args.workbooks:
         try:
             sheet = load_workbook(path)
-        except OSError as exc:
+        except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, oversized
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         findings = run_rules(sheet, config)

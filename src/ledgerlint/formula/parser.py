@@ -36,9 +36,12 @@ __all__ = ["TokenKind", "Token", "ParseError", "tokenize", "parse"]
 
 MAX_NESTING = 64
 
-_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", re.ASCII)
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _REF_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)$")
+# str.isdigit and str.isalpha would also accept characters such as '²' and 'é'
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _TWO_CHAR_OPS = ("<=", ">=", "<>")
 _ONE_CHAR_OPS = "=<>&+-*/^%"
 
@@ -82,7 +85,7 @@ def tokenize(text: str) -> list[Token]:
         if ch in " \t":
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             match = _NUMBER_RE.match(text, i)
             lexeme = match.group()
             tokens.append(Token(TokenKind.NUMBER, lexeme, i, value=float(lexeme)))
@@ -106,7 +109,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             tokens.append(Token(TokenKind.STRING, "".join(parts), start))
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             match = _WORD_RE.match(text, i)
             word = match.group().upper()
             # letters-then-digits is a cell ref unless a call's '(' follows

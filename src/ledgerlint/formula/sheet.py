@@ -76,10 +76,6 @@ class Cell:
     formula: FormulaNode | None = None
     error: ErrorValue | None = None
 
-    @property
-    def is_formula(self) -> bool:
-        return self.raw.startswith("=")
-
 
 def parse_address(address: str) -> tuple[str, int]:
     """Split "B3" into ("B", 3)."""
@@ -145,10 +141,6 @@ class Sheet:
                     cell = Cell(address, column, row_index, text, literal=_classify_literal(text))
                 cells[address] = cell
         return cls(cells, n_rows=len(rows), n_cols=n_cols, name=name)
-
-    def cell(self, address: str) -> Cell | None:
-        column, row = parse_address(address)
-        return self.cells.get(format_address(column, row))
 
     def addresses(self) -> Iterator[str]:
         """Populated addresses in row-major order."""

@@ -151,6 +151,7 @@ def test_audit_fixture_suite():
 FUZZ_SNIPPETS = [
     "1", "-2.5", "2024-01-15", "text", "=A1", "=B2+C3", "=A1:B2", "=SUM(A1:C3)",
     "=NPV(0.1,A1:A4)", "=1/0", "=A1^B1", "=UNKNOWN(1)", "=1+", "=1%+2",
+    "=1+é", "=²", "=.²", "=SUM(A1,١)", "é",
 ]
 
 

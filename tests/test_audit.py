@@ -6,14 +6,17 @@ from pathlib import Path
 import pytest
 
 from ledgerlint.audit import (
+    _RULES,
     RULE_IDS,
     Finding,
     RuleConfig,
     Severity,
     explain_rule,
+    render_text,
     run_rules,
+    to_record,
 )
-from ledgerlint.formula import Sheet, load_workbook
+from ledgerlint.formula import FUNCTION_CATALOG, Binary, Sheet, load_workbook, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +44,30 @@ def test_each_trap_fires_exactly_its_own_rule(filename, rule_id, cell):
 @pytest.mark.parametrize("path", sorted((FIXTURES / "clean").glob("*.csv")))
 def test_clean_corpus_has_zero_findings(path):
     assert run_rules(load_workbook(path)) == []
+
+
+def test_nested_traps_keep_their_finding_order():
+    """Rule-major within a cell, nodes in pre-order within a rule; text and JSON pinned."""
+    traps = FIXTURES / "traps"
+    findings = run_rules(load_workbook(traps / "nested_order.csv"))
+    label = "nested_order.csv"
+    expected_text = (traps / "nested_order.txt").read_text(encoding="utf-8").splitlines()
+    expected_json = (traps / "nested_order.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [render_text(f, label) for f in findings] == expected_text
+    assert [json.dumps(to_record(f, label)) for f in findings] == expected_json
+
+
+def test_every_rule_declares_known_triggers():
+    """A misspelt trigger key would switch its rule off without a finding changing."""
+    for rule_id in RULE_IDS:
+        triggers = _RULES[rule_id].triggers
+        assert triggers, rule_id
+        for key in triggers:
+            if key[0].isalpha():
+                assert key in FUNCTION_CATALOG, (rule_id, key)
+            else:
+                node = parse(f"=1{key}1")
+                assert isinstance(node, Binary) and node.op == key, (rule_id, key)
 
 
 def test_findings_reference_existing_cells():

@@ -105,6 +105,29 @@ class TestAudit:
         assert main(["audit", "no/such/book.csv"]) == 2
         assert "no/such/book.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content,fragment",
+        [
+            ("caf\xe9,=1+1\n".encode("latin-1"), "decode"),
+            (b"x" * 131073 + b"\n", "field larger than field limit"),
+            (b"," * 1_000_000 + b"\n", "exceeds 1000000 cells"),
+        ],
+        ids=["latin1", "long_field", "too_many_cells"],
+    )
+    def test_unreadable_workbook_exits_2(self, tmp_path, capsys, content, fragment):
+        book = tmp_path / "book.csv"
+        book.write_bytes(content)
+        assert main(["audit", str(book)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {book}: ")
+        assert fragment in err
+
+    def test_non_ascii_formula_is_a_parse_cell(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text("=1+é\n", encoding="utf-8")
+        assert main(["audit", str(book)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_rules_flag_disables(self, tmp_path, capsys):
         config = tmp_path / "rules.json"
         config.write_text(json.dumps({"enabled": ["R1", "R2"]}))

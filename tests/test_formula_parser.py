@@ -59,6 +59,15 @@ def test_tokenize_rejects_illegal_character():
     assert "3" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "source,position", [("=1+é", 3), ("=²", 1), ("=.²", 1), ("=1١", 2), ("=Aé1", 2)]
+)
+def test_tokenize_rejects_non_ascii_letters_and_digits(source, position):
+    with pytest.raises(ParseError, match="illegal character") as excinfo:
+        tokenize(source)
+    assert excinfo.value.position == position
+
+
 def test_tokenize_requires_leading_equals():
     with pytest.raises(ParseError):
         tokenize("1+2")
