@@ -15,14 +15,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .daycount import DayCountBasis, year_fraction
+from .daycount import year_fraction
 from .formula import (
     Binary,
     Call,
     Cell,
     CellRef,
     EmptyArg,
-    ErrorValue,
     FormulaNode,
     NumberLit,
     RangeRef,
@@ -31,7 +30,8 @@ from .formula import (
     evaluate,
 )
 from .formula.ast import format_number
-from .formula.evaluator import BASIS_CODES
+from .formula.evaluator import BASIS_CODES, FUNCTION_CATALOG, Role
+from .formula.sheet import format_value
 
 __all__ = [
     "RULE_IDS",
@@ -60,21 +60,21 @@ class Finding:
     evidence: tuple[tuple[str, str], ...] = ()
 
 
-# which argument index of a call is a rate, and which is a day-count basis
-RATE_POSITIONS = {"NPV": 0, "XNPV": 0, "PMT": 0, "EFFECT": 0, "NOMINAL": 0, "ACCRINT": 2}
-BASIS_POSITIONS = {"ACCRINT": 4, "INTRATE": 4, "DAYS360": 2}
+def _positions(*roles: Role) -> dict[str, int]:
+    """Function name -> index of its parameter in one of roles, from the catalog."""
+    return {
+        name: index
+        for name, spec in FUNCTION_CATALOG.items()
+        for index, param in enumerate(spec.params)
+        if param.role in roles
+    }
+
+
+# which argument of a call is a rate, and which sets the day-count convention
+RATE_POSITIONS = _positions(Role.RATE)
+BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
 
 DEFAULT_THRESHOLDS = {"R3": 1.0, "R5": 1.0}
-
-
-def _display(value) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    if isinstance(value, ErrorValue):
-        return value.code
-    return str(value)
 
 
 def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
@@ -103,7 +103,7 @@ def _ref_evidence(sheet: Sheet, *nodes: FormulaNode) -> tuple[tuple[str, str], .
     pairs = []
     for node in nodes:
         if isinstance(node, CellRef):
-            pairs.append((node.address, _display(sheet.value(node.address))))
+            pairs.append((node.address, format_value(sheet.value(node.address))))
     return tuple(pairs)
 
 
@@ -136,7 +136,7 @@ def _rule_r1(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
         "period, so an initial investment fed into the call is discounted "
         "too - keep the period-0 flow outside: value0 + NPV(rate, later "
         "flows)",
-        evidence=((first[0], _display(first[1])),),
+        evidence=((first[0], format_value(first[1])),),
     )
 
 
@@ -169,12 +169,13 @@ def _rule_r3(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
     maturity = _resolved(sheet, node.args[1], dt.date)
     if settlement is None or maturity is None:
         return None
-    basis = DayCountBasis.US_30_360
-    if len(node.args) > 4 and not isinstance(node.args[4], EmptyArg):
-        code = _resolved(sheet, node.args[4], float)
-        if code is None or code != int(code) or int(code) not in BASIS_CODES:
+    index = BASIS_POSITIONS["INTRATE"]
+    basis = FUNCTION_CATALOG["INTRATE"].params[index].default
+    if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
+        code = _resolved(sheet, node.args[index], float)
+        if code not in BASIS_CODES:  # 2.0 is the key 2; None, 2.5 and nan are no key
             return None
-        basis = BASIS_CODES[int(code)]
+        basis = BASIS_CODES[code]
     try:
         span = year_fraction(settlement, maturity, basis)
     except ValueError:
@@ -197,7 +198,7 @@ def _rule_r4(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
         return None
     month_arg = node.args[4]
     month = _resolved(sheet, month_arg, float)
-    if month is None or month >= 12.0:
+    if month is None or not month < 12.0:  # a nan month skips too
         return None
     return Finding(
         "R4",
@@ -215,7 +216,7 @@ def _rule_r5(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
     if len(node.args) <= index or isinstance(node.args[index], EmptyArg):
         return None
     rate = _resolved(sheet, node.args[index], float)
-    if rate is None or rate < config.threshold("R5"):
+    if rate is None or not rate >= config.threshold("R5"):  # a nan rate skips too
         return None
     return Finding(
         "R5",
@@ -247,7 +248,7 @@ def _rule_r6(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "Ru
         "R6",
         config.severity("R6"),
         cell.address,
-        f"{chain} is a division chain evaluating to {_display(result)}, "
+        f"{chain} is a division chain evaluating to {format_value(result)}, "
         "not a date; dates typed into formulas become arithmetic - put an "
         "ISO date (YYYY-MM-DD) in a cell and reference it",
     )
@@ -257,7 +258,7 @@ def _rule_r7(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
     index = BASIS_POSITIONS[node.name]
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
         return None
-    parameter = "method" if node.name == "DAYS360" else "basis"
+    parameter = FUNCTION_CATALOG[node.name].params[index].name
     return Finding(
         "R7",
         config.severity("R7"),
@@ -299,7 +300,6 @@ class _RuleSpec:
     whether a '+' or '-' Binary sits above it; it returns a finding or None."""
 
     rule_id: str
-    title: str
     default_severity: Severity
     explanation: str
     triggers: frozenset[str]
@@ -311,7 +311,6 @@ _RULES: dict[str, _RuleSpec] = {
     for spec in [
         _RuleSpec(
             "R1",
-            "NPV-PERIOD0",
             Severity.WARNING,
             "NPV discounts every value it is given, treating the first as "
             "arriving one period out.  Feeding an entire cash-flow series "
@@ -326,7 +325,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R2",
-            "RATE-DIV-12",
             Severity.INFO,
             "Dividing an annual rate by 12 assumes the quote is nominal "
             "(simple) annual.  If the rate is an effective annual rate, the "
@@ -340,7 +338,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R3",
-            "INTRATE-COMPOUND",
             Severity.WARNING,
             "INTRATE returns (redemption - investment) / investment divided "
             "by the year fraction: simple interest, no compounding.  Over "
@@ -353,7 +350,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R4",
-            "DB-MONTH",
             Severity.WARNING,
             "A DB month argument below 12 pro-rates the first year, pushing "
             "the remaining months of depreciation into an extra period after "
@@ -364,7 +360,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R5",
-            "RATE-MAGNITUDE",
             Severity.ERROR,
             "Financial functions take rates as fractions (0.12 is 12%).  An "
             "argument of 1 or more in a rate position almost always means a "
@@ -375,7 +370,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R6",
-            "DATE-AS-ARITHMETIC",
             Severity.ERROR,
             "A date typed into a numeric context, such as 1/1/80, parses as a "
             "division chain and evaluates to a small number (0.0125), not a "
@@ -386,7 +380,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R7",
-            "BASIS-DEFAULT",
             Severity.INFO,
             "Day-count functions default their basis argument to US (NASD) "
             "30/360 when it is omitted.  The European 30/360 variant rounds "
@@ -399,7 +392,6 @@ _RULES: dict[str, _RuleSpec] = {
         ),
         _RuleSpec(
             "R8",
-            "DIVISOR-360",
             Severity.INFO,
             "Dividing an actual-day difference by 360 mixes an actual-day "
             "numerator with a 360-day year, crediting roughly 365/360 = 1.4% "

@@ -17,7 +17,7 @@ from .audit import RuleConfig, Severity, render_text, run_rules, to_record
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
 from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse
 from .formula.ast import format_number
-from .formula.sheet import parse_address
+from .formula.sheet import format_value, parse_address
 from .loan import LoanSpec, build_schedule, load_published, verify_schedule
 from .rates import PeriodicConvention, parse_rate
 
@@ -28,16 +28,6 @@ _CONVENTIONS = {
     "us": PeriodicConvention.US_NOMINAL_DIVIDE,
 }
 _MODES = {"compat": PrecisionMode.COMPAT, "exact": PrecisionMode.EXACT}
-
-
-def _display(value) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, ErrorValue):
-        return f"{value.code} {value.message}"
-    if hasattr(value, "isoformat"):
-        return value.isoformat()
-    return str(value)
 
 
 def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
@@ -86,7 +76,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             record = {"kind": "date", "value": value.isoformat()}
         print(json.dumps(record))
     else:
-        print(_display(value))
+        print(value if isinstance(value, ErrorValue) else format_value(value))
     return 2 if isinstance(value, ErrorValue) else 0
 
 
@@ -206,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_schedule = subparsers.add_parser(
-        "schedule", parents=[common], help="build or verify a loan schedule"
-    )
+    p_schedule = subparsers.add_parser("schedule", help="build or verify a loan schedule")
     p_schedule.add_argument("--principal", type=float, required=True)
     p_schedule.add_argument(
         "--rate", required=True, help='annual rate, "0.126825" or "12.6825%%"'
@@ -228,9 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("-o", "--output", help="write schedule CSV here (default stdout)")
     p_schedule.set_defaults(func=_cmd_schedule)
 
-    p_depr = subparsers.add_parser(
-        "depr", parents=[common], help="declining-balance depreciation schedule"
-    )
+    p_depr = subparsers.add_parser("depr", help="declining-balance depreciation schedule")
     p_depr.add_argument("--cost", type=float, required=True)
     p_depr.add_argument("--salvage", type=float, required=True)
     p_depr.add_argument("--life", type=int, required=True, help="life in years")

@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 __all__ = [
     "PrecisionMode",
@@ -124,8 +126,7 @@ def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:
     return float(rounded)
 
 
-def _period_depreciation(spec: DepreciationSpec, rate: float) -> list[float]:
-    amounts = []
+def _period_depreciation(spec: DepreciationSpec, rate: float) -> Iterator[float]:
     book = spec.cost
     last = spec.periods
     for period in range(1, last + 1):
@@ -136,8 +137,7 @@ def _period_depreciation(spec: DepreciationSpec, rate: float) -> list[float]:
         else:
             dep = book * rate
         book -= dep
-        amounts.append(dep)
-    return amounts
+        yield dep
 
 
 def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float:
@@ -153,7 +153,8 @@ def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float
             + f"), got {period}"
         )
     rate = db_rate(spec, mode)
-    return _period_depreciation(spec, rate)[period - 1]
+    # stop at period: life can be far larger than the periods anyone asks for
+    return next(islice(_period_depreciation(spec, rate), period - 1, None))
 
 
 def db_schedule(spec: DepreciationSpec, mode: PrecisionMode) -> DepreciationSchedule:

@@ -7,6 +7,7 @@ minimal parentheses needed for the source to reparse to an identical tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -155,7 +156,7 @@ def _precedence(node: FormulaNode) -> int:
 
 def format_number(value: float) -> str:
     """Shortest float form; integral values drop the trailing .0."""
-    if value == int(value) and abs(value) < 1e16:
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 

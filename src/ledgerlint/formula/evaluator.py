@@ -9,8 +9,10 @@ referring cell; only the cells actually on a reference cycle are CYCLE.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Callable, Sequence
 
 from ..cashflow import CashFlowSeries, npv_legacy, pmt, xnpv
 from ..daycount import DayCountBasis, days_between
@@ -27,11 +29,10 @@ from .ast import (
     RangeRef,
     TextLit,
     Unary,
-    format_number,
 )
-from .sheet import CellValue, ErrorKind, ErrorValue, Sheet
+from .sheet import CellValue, ErrorKind, ErrorValue, Sheet, format_value
 
-__all__ = ["evaluate", "FUNCTION_CATALOG", "BASIS_CODES"]
+__all__ = ["evaluate", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
 
 BASIS_CODES = {
     0: DayCountBasis.US_30_360,
@@ -50,12 +51,7 @@ def _type_name(value: CellValue) -> str:
     return "text"
 
 
-def _as_text(value: float | dt.date | str) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return value
+_Args = Sequence[FormulaNode]
 
 
 class _Evaluator:
@@ -94,9 +90,6 @@ class _Evaluator:
             return self.cache[address]
         self.cache[address] = result
         return result
-
-    def range_addresses(self, ref: RangeRef) -> Iterator[str]:
-        return self.sheet.range_addresses(ref)
 
     # expression evaluation
 
@@ -144,7 +137,7 @@ class _Evaluator:
 
     def _binary(self, op: str, left: CellValue, right: CellValue) -> CellValue:
         if op == "&":
-            return _as_text(left) + _as_text(right)
+            return format_value(left) + format_value(right)
         if op in ("=", "<>", "<", ">", "<=", ">="):
             return self._compare(op, left, right)
         both_numbers = isinstance(left, float) and isinstance(right, float)
@@ -211,14 +204,35 @@ class _Evaluator:
         spec = FUNCTION_CATALOG.get(name)
         if spec is None:
             return ErrorValue(ErrorKind.UNKNOWN_FUNCTION, f"unknown function {name}")
-        count = len(node.args)
+        args = node.args
+        count = len(args)
         if count < spec.min_args or (spec.max_args is not None and count > spec.max_args):
             upper = "or more" if spec.max_args is None else f"to {spec.max_args}"
             return ErrorValue(
                 ErrorKind.ARGUMENT,
                 f"{name} takes {spec.min_args} {upper} arguments, got {count}",
             )
-        return spec.handler(self, node.args)
+        values = []
+        for index, pname, coerce, optional, default in spec.steps:
+            if optional and (index >= count or isinstance(args[index], EmptyArg)):
+                values.append(default)
+                continue
+            value = coerce(self, args, index, name, pname)
+            if isinstance(value, ErrorValue):
+                return value
+            values.append(value)
+        try:
+            return spec.compute(*values)
+        except ValueError as exc:
+            return ErrorValue(ErrorKind.ARGUMENT, f"{name}: {exc}")
+        except OverflowError:
+            return ErrorValue(ErrorKind.VALUE, f"{name}: numeric overflow")
+        except ZeroDivisionError:
+            return ErrorValue(ErrorKind.DIV0, f"{name}: division by zero")
+
+    # argument coercion: each role's coercer (see _COERCERS) takes the call's
+    # arguments, the parameter's index, the function name and the parameter
+    # name, and returns the coerced value or an ErrorValue
 
     def scalar(self, node: FormulaNode, fname: str, param: str) -> CellValue:
         if isinstance(node, EmptyArg):
@@ -227,8 +241,8 @@ class _Evaluator:
             return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: '{param}' cannot be a range")
         return self.eval_node(node)
 
-    def number(self, node: FormulaNode, fname: str, param: str) -> float | ErrorValue:
-        value = self.scalar(node, fname, param)
+    def number(self, args: _Args, index: int, fname: str, param: str) -> float | ErrorValue:
+        value = self.scalar(args[index], fname, param)
         if isinstance(value, (ErrorValue, float)):
             return value
         return ErrorValue(
@@ -236,18 +250,18 @@ class _Evaluator:
             f"{fname}: '{param}' must be a number, got {_type_name(value)}",
         )
 
-    def integer(self, node: FormulaNode, fname: str, param: str) -> int | ErrorValue:
-        value = self.number(node, fname, param)
+    def integer(self, args: _Args, index: int, fname: str, param: str) -> int | ErrorValue:
+        value = self.number(args, index, fname, param)
         if isinstance(value, ErrorValue):
             return value
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             return ErrorValue(
                 ErrorKind.ARGUMENT, f"{fname}: '{param}' must be an integer, got {value}"
             )
         return int(value)
 
-    def date(self, node: FormulaNode, fname: str, param: str) -> dt.date | ErrorValue:
-        value = self.scalar(node, fname, param)
+    def date(self, args: _Args, index: int, fname: str, param: str) -> dt.date | ErrorValue:
+        value = self.scalar(args[index], fname, param)
         if isinstance(value, (ErrorValue, dt.date)):
             return value
         return ErrorValue(
@@ -255,11 +269,8 @@ class _Evaluator:
             f"{fname}: '{param}' must be a date, got {_type_name(value)}",
         )
 
-    def basis(self, args: Sequence[FormulaNode], index: int, fname: str) -> DayCountBasis | ErrorValue:
-        """Optional trailing basis code; omitted or empty defaults to US 30/360."""
-        if len(args) <= index or isinstance(args[index], EmptyArg):
-            return DayCountBasis.US_30_360
-        code = self.integer(args[index], fname, "basis")
+    def day_count(self, args: _Args, index: int, fname: str, param: str) -> DayCountBasis | ErrorValue:
+        code = self.integer(args, index, fname, param)
         if isinstance(code, ErrorValue):
             return code
         if code not in BASIS_CODES:
@@ -268,9 +279,13 @@ class _Evaluator:
             )
         return BASIS_CODES[code]
 
-    def flatten_numbers(
-        self, nodes: Sequence[FormulaNode], fname: str, strict: bool = False
-    ) -> list[float] | ErrorValue:
+    def values(self, args: _Args, index: int, fname: str, param: str) -> list[float] | ErrorValue:
+        return self._numbers(args[index:], fname, strict=False)
+
+    def strict_values(self, args: _Args, index: int, fname: str, param: str) -> list[float] | ErrorValue:
+        return self._numbers(args[index:index + 1], fname, strict=True)
+
+    def _numbers(self, nodes: _Args, fname: str, strict: bool) -> list[float] | ErrorValue:
         """Collect numbers from scalars and ranges, row-major within ranges.
 
         Non-numeric cells inside ranges are skipped unless strict.
@@ -280,7 +295,7 @@ class _Evaluator:
             if isinstance(node, EmptyArg):
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if isinstance(node, RangeRef):
-                for address in self.range_addresses(node):
+                for address in self.sheet.range_addresses(node):
                     value = self.cell_value(address)
                     if isinstance(value, ErrorValue):
                         return ErrorValue(
@@ -306,10 +321,11 @@ class _Evaluator:
             values.append(value)
         return values
 
-    def flatten_dates(self, node: FormulaNode, fname: str, param: str) -> list[dt.date] | ErrorValue:
+    def dates(self, args: _Args, index: int, fname: str, param: str) -> list[dt.date] | ErrorValue:
+        node = args[index]
         if isinstance(node, RangeRef):
             dates: list[dt.date] = []
-            for address in self.range_addresses(node):
+            for address in self.sheet.range_addresses(node):
                 value = self.cell_value(address)
                 if isinstance(value, ErrorValue):
                     return ErrorValue(
@@ -322,222 +338,150 @@ class _Evaluator:
                     )
                 dates.append(value)
             return dates
-        value = self.date(node, fname, param)
+        value = self.date(args, index, fname, param)
         if isinstance(value, ErrorValue):
             return value
         return [value]
 
 
-# handlers
+# the catalog
 
 
-def _fn_npv(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    rate = ev.number(args[0], "NPV", "rate")
-    if isinstance(rate, ErrorValue):
-        return rate
-    values = ev.flatten_numbers(args[1:], "NPV")
-    if isinstance(values, ErrorValue):
-        return values
-    try:
-        return npv_legacy(rate, values)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"NPV: {exc}")
+class Role(Enum):
+    """What a financial-function parameter means, after OASIS OpenFormula."""
+
+    RATE = "rate"  # a fraction: 0.05 is 5%
+    NUMBER = "number"
+    INTEGER = "integer"
+    DATE = "date"
+    BASIS = "basis"  # day-count code 0..4, see BASIS_CODES
+    METHOD = "method"  # DAYS360: 0 is US 30/360, anything else European 30/360
+    VALUES = "values"  # every remaining argument; non-numbers in ranges are skipped
+    STRICT_VALUES = "strict values"  # one scalar or range of numbers only
+    DATES = "dates"  # a range of dates, or one date
 
 
-def _fn_xnpv(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    rate = ev.number(args[0], "XNPV", "rate")
-    if isinstance(rate, ErrorValue):
-        return rate
-    values = ev.flatten_numbers(args[1:2], "XNPV", strict=True)
-    if isinstance(values, ErrorValue):
-        return values
-    dates = ev.flatten_dates(args[2], "XNPV", "dates")
-    if isinstance(dates, ErrorValue):
-        return dates
-    try:
-        series = CashFlowSeries(values, dates)
-        return xnpv(rate, series)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"XNPV: {exc}")
-
-
-def _fn_db(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    cost = ev.number(args[0], "DB", "cost")
-    if isinstance(cost, ErrorValue):
-        return cost
-    salvage = ev.number(args[1], "DB", "salvage")
-    if isinstance(salvage, ErrorValue):
-        return salvage
-    life = ev.integer(args[2], "DB", "life")
-    if isinstance(life, ErrorValue):
-        return life
-    period = ev.integer(args[3], "DB", "period")
-    if isinstance(period, ErrorValue):
-        return period
-    if len(args) > 4 and not isinstance(args[4], EmptyArg):
-        month = ev.integer(args[4], "DB", "month")
-        if isinstance(month, ErrorValue):
-            return month
-    else:
-        month = 12
-    try:
-        spec = DepreciationSpec(cost=cost, salvage=salvage, life=life, month=month)
-        return db_period(spec, period, PrecisionMode.COMPAT)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"DB: {exc}")
-
-
-def _fn_sln(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    cost = ev.number(args[0], "SLN", "cost")
-    if isinstance(cost, ErrorValue):
-        return cost
-    salvage = ev.number(args[1], "SLN", "salvage")
-    if isinstance(salvage, ErrorValue):
-        return salvage
-    life = ev.integer(args[2], "SLN", "life")
-    if isinstance(life, ErrorValue):
-        return life
-    try:
-        return sln(cost, salvage, life)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"SLN: {exc}")
-
-
-def _fn_effect(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    nominal = ev.number(args[0], "EFFECT", "nominal_rate")
-    if isinstance(nominal, ErrorValue):
-        return nominal
-    periods = ev.integer(args[1], "EFFECT", "npery")
-    if isinstance(periods, ErrorValue):
-        return periods
-    try:
-        return effective_rate(nominal, periods)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"EFFECT: {exc}")
-
-
-def _fn_nominal(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    effective = ev.number(args[0], "NOMINAL", "effective_rate")
-    if isinstance(effective, ErrorValue):
-        return effective
-    periods = ev.integer(args[1], "NOMINAL", "npery")
-    if isinstance(periods, ErrorValue):
-        return periods
-    try:
-        return nominal_rate(effective, periods)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"NOMINAL: {exc}")
-
-
-def _fn_intrate(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    settlement = ev.date(args[0], "INTRATE", "settlement")
-    if isinstance(settlement, ErrorValue):
-        return settlement
-    maturity = ev.date(args[1], "INTRATE", "maturity")
-    if isinstance(maturity, ErrorValue):
-        return maturity
-    investment = ev.number(args[2], "INTRATE", "investment")
-    if isinstance(investment, ErrorValue):
-        return investment
-    redemption = ev.number(args[3], "INTRATE", "redemption")
-    if isinstance(redemption, ErrorValue):
-        return redemption
-    basis = ev.basis(args, 4, "INTRATE")
-    if isinstance(basis, ErrorValue):
-        return basis
-    try:
-        return intrate(settlement, maturity, investment, redemption, basis)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"INTRATE: {exc}")
-
-
-def _fn_accrint(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    issue = ev.date(args[0], "ACCRINT", "issue")
-    if isinstance(issue, ErrorValue):
-        return issue
-    settlement = ev.date(args[1], "ACCRINT", "settlement")
-    if isinstance(settlement, ErrorValue):
-        return settlement
-    rate = ev.number(args[2], "ACCRINT", "rate")
-    if isinstance(rate, ErrorValue):
-        return rate
-    par = ev.number(args[3], "ACCRINT", "par")
-    if isinstance(par, ErrorValue):
-        return par
-    basis = ev.basis(args, 4, "ACCRINT")
-    if isinstance(basis, ErrorValue):
-        return basis
-    try:
-        return accrint(issue, settlement, rate, par, basis)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"ACCRINT: {exc}")
-
-
-def _fn_pmt(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    rate = ev.number(args[0], "PMT", "rate")
-    if isinstance(rate, ErrorValue):
-        return rate
-    nper = ev.integer(args[1], "PMT", "nper")
-    if isinstance(nper, ErrorValue):
-        return nper
-    pv = ev.number(args[2], "PMT", "pv")
-    if isinstance(pv, ErrorValue):
-        return pv
-    try:
-        return pmt(rate, nper, pv)
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"PMT: {exc}")
-
-
-def _fn_days360(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    start = ev.date(args[0], "DAYS360", "start_date")
-    if isinstance(start, ErrorValue):
-        return start
-    end = ev.date(args[1], "DAYS360", "end_date")
-    if isinstance(end, ErrorValue):
-        return end
-    european = False
-    if len(args) > 2 and not isinstance(args[2], EmptyArg):
-        method = ev.number(args[2], "DAYS360", "method")
-        if isinstance(method, ErrorValue):
-            return method
-        european = method != 0.0
-    basis = DayCountBasis.EUR_30_360 if european else DayCountBasis.US_30_360
-    try:
-        return float(days_between(start, end, basis))
-    except ValueError as exc:
-        return ErrorValue(ErrorKind.ARGUMENT, f"DAYS360: {exc}")
-
-
-def _fn_sum(ev: _Evaluator, args: Sequence[FormulaNode]) -> CellValue:
-    values = ev.flatten_numbers(args, "SUM")
-    if isinstance(values, ErrorValue):
-        return values
-    return float(sum(values))
+_COERCERS = {
+    Role.RATE: _Evaluator.number,
+    Role.NUMBER: _Evaluator.number,
+    Role.INTEGER: _Evaluator.integer,
+    Role.DATE: _Evaluator.date,
+    Role.BASIS: _Evaluator.day_count,
+    Role.METHOD: _Evaluator.number,
+    Role.VALUES: _Evaluator.values,
+    Role.STRICT_VALUES: _Evaluator.strict_values,
+    Role.DATES: _Evaluator.dates,
+}
 
 
 @dataclass(frozen=True)
-class _FunctionSpec:
+class Param:
     name: str
-    min_args: int
-    max_args: int | None  # None = unlimited
-    handler: Callable[[_Evaluator, Sequence[FormulaNode]], CellValue]
+    role: Role
+    optional: bool = False
+    default: object = None  # the coerced value an omitted or empty slot takes
 
+
+@dataclass
+class _FunctionSpec:
+    """One function: its parameters in call order, and the library function
+    that receives their coerced values."""
+
+    name: str
+    params: tuple[Param, ...]
+    compute: Callable[..., float]
+    min_args: int = field(init=False)
+    max_args: int | None = field(init=False)  # None = unlimited
+    steps: tuple[tuple, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.min_args = sum(not param.optional for param in self.params)
+        variadic = self.params[-1].role is Role.VALUES
+        self.max_args = None if variadic else len(self.params)
+        # bound once here: looking roles up per call costs more than the coercion
+        self.steps = tuple(
+            (index, p.name, _COERCERS[p.role], p.optional, p.default)
+            for index, p in enumerate(self.params)
+        )
+
+
+_RATE = Param("rate", Role.RATE)
+_BASIS = Param("basis", Role.BASIS, optional=True, default=DayCountBasis.US_30_360)
 
 FUNCTION_CATALOG = {
     spec.name: spec
     for spec in [
-        _FunctionSpec("NPV", 2, None, _fn_npv),
-        _FunctionSpec("XNPV", 3, 3, _fn_xnpv),
-        _FunctionSpec("DB", 4, 5, _fn_db),
-        _FunctionSpec("SLN", 3, 3, _fn_sln),
-        _FunctionSpec("EFFECT", 2, 2, _fn_effect),
-        _FunctionSpec("NOMINAL", 2, 2, _fn_nominal),
-        _FunctionSpec("INTRATE", 4, 5, _fn_intrate),
-        _FunctionSpec("ACCRINT", 4, 5, _fn_accrint),
-        _FunctionSpec("PMT", 3, 3, _fn_pmt),
-        _FunctionSpec("DAYS360", 2, 3, _fn_days360),
-        _FunctionSpec("SUM", 1, None, _fn_sum),
+        _FunctionSpec("NPV", (_RATE, Param("values", Role.VALUES)), npv_legacy),
+        _FunctionSpec(
+            "XNPV",
+            (_RATE, Param("values", Role.STRICT_VALUES), Param("dates", Role.DATES)),
+            lambda rate, values, dates: xnpv(rate, CashFlowSeries(values, dates)),
+        ),
+        _FunctionSpec(
+            "DB",
+            (
+                Param("cost", Role.NUMBER),
+                Param("salvage", Role.NUMBER),
+                Param("life", Role.INTEGER),
+                Param("period", Role.INTEGER),
+                Param("month", Role.INTEGER, optional=True, default=12),
+            ),
+            lambda cost, salvage, life, period, month: db_period(
+                DepreciationSpec(cost, salvage, life, month), period, PrecisionMode.COMPAT
+            ),
+        ),
+        _FunctionSpec(
+            "SLN",
+            (Param("cost", Role.NUMBER), Param("salvage", Role.NUMBER), Param("life", Role.INTEGER)),
+            sln,
+        ),
+        _FunctionSpec(
+            "EFFECT",
+            (Param("nominal_rate", Role.RATE), Param("npery", Role.INTEGER)),
+            effective_rate,
+        ),
+        _FunctionSpec(
+            "NOMINAL",
+            (Param("effective_rate", Role.RATE), Param("npery", Role.INTEGER)),
+            nominal_rate,
+        ),
+        _FunctionSpec(
+            "INTRATE",
+            (
+                Param("settlement", Role.DATE),
+                Param("maturity", Role.DATE),
+                Param("investment", Role.NUMBER),
+                Param("redemption", Role.NUMBER),
+                _BASIS,
+            ),
+            intrate,
+        ),
+        _FunctionSpec(
+            "ACCRINT",
+            (
+                Param("issue", Role.DATE),
+                Param("settlement", Role.DATE),
+                _RATE,
+                Param("par", Role.NUMBER),
+                _BASIS,
+            ),
+            accrint,
+        ),
+        _FunctionSpec(
+            "PMT", (_RATE, Param("nper", Role.INTEGER), Param("pv", Role.NUMBER)), pmt
+        ),
+        _FunctionSpec(
+            "DAYS360",
+            (
+                Param("start_date", Role.DATE),
+                Param("end_date", Role.DATE),
+                Param("method", Role.METHOD, optional=True, default=0.0),
+            ),
+            lambda start, end, method: float(days_between(
+                start, end, DayCountBasis.EUR_30_360 if method != 0.0 else DayCountBasis.US_30_360
+            )),
+        ),
+        _FunctionSpec("SUM", (Param("values", Role.VALUES),), lambda values: float(sum(values))),
     ]
 }
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from ..daycount import parse_date
-from .ast import FormulaNode, column_to_index, index_to_column
+from .ast import FormulaNode, column_to_index, format_number, index_to_column
 from .parser import ParseError, parse
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "Sheet",
     "parse_address",
     "format_address",
+    "format_value",
     "load_workbook",
 ]
 
@@ -62,6 +63,17 @@ class ErrorValue:
 
 
 CellValue = Union[float, dt.date, str, ErrorValue]
+
+
+def format_value(value: CellValue) -> str:
+    """Display form of a value: shortest number, ISO date, text as is, error code."""
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, ErrorValue):
+        return value.code
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,7 @@ class Sheet:
 def load_workbook(path: str | Path) -> Sheet:
     """Load a CSV grid; row 1 is the first CSV record, column A the first field."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.reader(handle))
     return Sheet.from_rows(rows, name=path.stem)

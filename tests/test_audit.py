@@ -7,6 +7,8 @@ import pytest
 
 from ledgerlint.audit import (
     _RULES,
+    BASIS_POSITIONS,
+    RATE_POSITIONS,
     RULE_IDS,
     Finding,
     RuleConfig,
@@ -68,6 +70,14 @@ def test_every_rule_declares_known_triggers():
             else:
                 node = parse(f"=1{key}1")
                 assert isinstance(node, Binary) and node.op == key, (rule_id, key)
+
+
+def test_rate_and_basis_positions():
+    """R2, R5 and R7 read these argument positions; each function keeps its own."""
+    assert RATE_POSITIONS == {
+        "NPV": 0, "XNPV": 0, "PMT": 0, "EFFECT": 0, "NOMINAL": 0, "ACCRINT": 2,
+    }
+    assert BASIS_POSITIONS == {"ACCRINT": 4, "INTRATE": 4, "DAYS360": 2}
 
 
 def test_findings_reference_existing_cells():
@@ -228,7 +238,12 @@ def test_r8_requires_date_difference_and_literal_360():
 
 
 def test_rules_skip_strange_cells():
-    rows = [["=1+", "=NOSUCH(1)", "=A1", "x", "=NPV(0.1,Z9:Z12)"]]
+    nan = "1e308*10-1e308*10"
+    rows = [
+        ["=1+", "=NOSUCH(1)", "=A1", "x", "=NPV(0.1,Z9:Z12)"],
+        ["2020-01-01", "2024-01-01", "=INTRATE(A2,B2,100,110,1e308*10)",
+         f"=PMT({nan},12,100)", f"=DB(100,10,6,1,{nan})"],
+    ]
     assert run_rules(Sheet.from_rows(rows)) == []
 
 

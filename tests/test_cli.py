@@ -62,6 +62,10 @@ class TestEval:
         record = json.loads(capsys.readouterr().out)
         assert record == {"kind": "number", "value": 1024.0}
 
+    def test_non_finite_result_prints(self, capsys):
+        assert main(["eval", "=1e308*10"]) == 0
+        assert capsys.readouterr().out == "inf\n"
+
     def test_structured_error_same_exit_code(self, capsys):
         assert main(["eval", "=1/0", "--format", "structured"]) == 2
         record = json.loads(capsys.readouterr().out)
@@ -127,6 +131,13 @@ class TestAudit:
         book.write_text("=1+é\n", encoding="utf-8")
         assert main(["audit", str(book)]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_numeric_overflow_is_an_error_value(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text('"=EFFECT(1e300,2)"\n"=PMT(A1,12,100)"\n', encoding="utf-8")
+        assert main(["audit", str(book)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert finding_keys(out) == [("A1", "R5")]
 
     def test_rules_flag_disables(self, tmp_path, capsys):
         config = tmp_path / "rules.json"
@@ -252,6 +263,20 @@ class TestDepr:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["depr", "--cost", "-1", "--salvage", "0", "--life", "4"]) == 2
         assert "cost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--principal", "10000", "--rate", "0.1", "--term", "12"],
+            ["depr", "--cost", "1000", "--salvage", "100", "--life", "5"],
+        ],
+        ids=["schedule", "depr"],
+    )
+    def test_format_is_not_an_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--format", "structured"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "depr.csv"

@@ -115,6 +115,13 @@ def test_db_period_range_errors_name_the_extra_period_rule():
         db_period(MILLION, 0, PrecisionMode.COMPAT)
 
 
+def test_db_period_stops_at_the_period_asked_for():
+    # every period up to life would be 10**300 of them
+    spec = DepreciationSpec(cost=100.0, salvage=10.0, life=10**300)
+    for mode in PrecisionMode:
+        assert db_period(spec, 1, mode) == spec.cost * db_rate(spec, mode)
+
+
 def test_db_schedule_exact_simple():
     spec = DepreciationSpec(cost=100.0, salvage=25.0, life=2)
     schedule = db_schedule(spec, PrecisionMode.EXACT)

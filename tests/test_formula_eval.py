@@ -135,6 +135,19 @@ def test_error_values_never_raise():
     assert run("=PMT(0.01,1.5,100)").kind is ErrorKind.ARGUMENT
     assert run("=A1:B2+1").kind is ErrorKind.VALUE
     assert run("=SUM(1,,2)").kind is ErrorKind.ARGUMENT
+    assert run("=PMT(0.1,1e308*10,100)") == ErrorValue(
+        ErrorKind.ARGUMENT, "PMT: 'nper' must be an integer, got inf"
+    )
+    assert run("=PMT(0.1,1e308*10-1e308*10,100)") == ErrorValue(
+        ErrorKind.ARGUMENT, "PMT: 'nper' must be an integer, got nan"
+    )
+    assert run("=EFFECT(1e300,2)") == ErrorValue(ErrorKind.VALUE, "EFFECT: numeric overflow")
+    assert run("=NPV(1e300,1,2,3)") == ErrorValue(ErrorKind.VALUE, "NPV: numeric overflow")
+    # US 30/360 counts no days from the 30th to the 31st
+    assert run("=INTRATE(A1,A2,100,110)", [["2024-01-30"], ["2024-01-31"]]) == ErrorValue(
+        ErrorKind.DIV0, "INTRATE: division by zero"
+    )
+    assert run('="x"&(1e308*10)') == "xinf"
 
 
 def test_argument_errors_name_the_parameter():
@@ -142,6 +155,172 @@ def test_argument_errors_name_the_parameter():
     assert "rate" in error.message
     error = run("=DB(100,10,6,1,13)")
     assert "month" in error.message.lower()
+
+
+GOLDEN_ROWS = [
+    ["2024-01-15", "100", "note", "=1/0"],
+    ["2025-03-31", "200", "2024-06-30", "0.05"],
+    ["", "300", "", ""],
+]
+
+# Exact results at each argument-coercion path of every catalog function:
+# arity, empty and range slots, wrong types, non-integers, bad basis codes,
+# omitted or empty optionals, and ValueErrors raised by the library call.
+GOLDEN_ARGUMENTS = [
+    ("=NPV(0.1)", "#ARGUMENT! NPV takes 2 or more arguments, got 1"),
+    ("=NPV(,1)", "#ARGUMENT! NPV: argument 'rate' is required"),
+    ("=NPV(B1:B2,1)", "#ARGUMENT! NPV: 'rate' cannot be a range"),
+    ("=NPV(C1,1)", "#ARGUMENT! NPV: 'rate' must be a number, got text"),
+    ("=NPV(0.1,1,,2)", "#ARGUMENT! NPV: empty argument slot"),
+    ("=NPV(0.1,C1)", "#ARGUMENT! NPV: values must be numbers, got text"),
+    ("=NPV(0.1,B1:C3)", "481.59278737791124"),
+    ("=NPV(0.1,A1:A2)", "0.0"),
+    ("=NPV(-1,1)", "#ARGUMENT! NPV: rate must exceed -1, got -1.0"),
+    ("=NPV(D1,1)", "#PROPAGATED! error propagated from D1"),
+    ("=NPV(0.1,D1:D2)", "#PROPAGATED! NPV: error propagated from D1"),
+    ("=NPV(0.1,1/0)", "#DIV0! division by zero"),
+    ("=npv(0.1,B1:B3)", "481.59278737791124"),
+    ("=XNPV(0.1,B1:B2)", "#ARGUMENT! XNPV takes 3 to 3 arguments, got 2"),
+    ("=XNPV(0.1,B1:B2,A1:A2,1)", "#ARGUMENT! XNPV takes 3 to 3 arguments, got 4"),
+    ("=XNPV(,B1:B2,A1:A2)", "#ARGUMENT! XNPV: argument 'rate' is required"),
+    ("=XNPV(0.1,,A1:A2)", "#ARGUMENT! XNPV: empty argument slot"),
+    ("=XNPV(0.1,B1:B2,)", "#ARGUMENT! XNPV: argument 'dates' is required"),
+    ("=XNPV(0.1,B1:C2,A1:A2)", "#ARGUMENT! XNPV: C1 holds text, expected a number"),
+    ("=XNPV(0.1,B1:B2,B1:B2)", "#ARGUMENT! XNPV: B1 holds number, expected a date"),
+    ("=XNPV(0.1,B1,A1)", "100.0"),
+    ("=XNPV(0.1,B1,B1)", "#ARGUMENT! XNPV: 'dates' must be a date, got number"),
+    ("=XNPV(0.1,C1,A1)", "#ARGUMENT! XNPV: values must be numbers, got text"),
+    ("=XNPV(0.1,B1:B3,A1:A2)", "#ARGUMENT! XNPV: 2 dates for 3 values"),
+    ("=XNPV(0.1,B1:B2,A1:A2)", "278.24549392326355"),
+    ("=XNPV(0.1,B1:B2,A2:A3)", "#ARGUMENT! XNPV: 1 dates for 2 values"),
+    ("=XNPV(0.1,D1:D2,A1:A2)", "#PROPAGATED! XNPV: error propagated from D1"),
+    ("=XNPV(0.1,B1:B2,D1:D2)", "#PROPAGATED! XNPV: error propagated from D1"),
+    ("=DB(1,2,3)", "#ARGUMENT! DB takes 4 to 5 arguments, got 3"),
+    ("=DB(1,2,3,4,5,6)", "#ARGUMENT! DB takes 4 to 5 arguments, got 6"),
+    ("=DB(,10,6,1)", "#ARGUMENT! DB: argument 'cost' is required"),
+    ("=DB(B1:B2,10,6,1)", "#ARGUMENT! DB: 'cost' cannot be a range"),
+    ("=DB(C1,10,6,1)", "#ARGUMENT! DB: 'cost' must be a number, got text"),
+    ("=DB(100,10,6.5,1)", "#ARGUMENT! DB: 'life' must be an integer, got 6.5"),
+    ("=DB(100,10,6,1.5)", "#ARGUMENT! DB: 'period' must be an integer, got 1.5"),
+    ("=DB(100,10,6,1,)", "31.900000000000002"),
+    ("=DB(100,10,6,1)", "31.900000000000002"),
+    (
+        "=DB(100,10,6,7)",
+        "#ARGUMENT! DB: period must be in 1..6 (life 6, no extra period because month=12), got 7",
+    ),
+    ("=DB(100,10,6,1,13)", "#ARGUMENT! DB: month must be in 1..12, got 13"),
+    ("=DB(100,10,6,1,A1)", "#ARGUMENT! DB: 'month' must be a number, got date"),
+    ("=DB(100,10,6,1,6.5)", "#ARGUMENT! DB: 'month' must be an integer, got 6.5"),
+    ("=DB(100,10,6,7,6)", "1.963513830743094"),
+    ("=DB(100,200,6,1)", "#ARGUMENT! DB: salvage must be between 0 and cost (100.0), got 200.0"),
+    ("=SLN(1,2)", "#ARGUMENT! SLN takes 3 to 3 arguments, got 2"),
+    ("=SLN(1,2,3,4)", "#ARGUMENT! SLN takes 3 to 3 arguments, got 4"),
+    ("=SLN(100,,5)", "#ARGUMENT! SLN: argument 'salvage' is required"),
+    ("=SLN(100,10,C1)", "#ARGUMENT! SLN: 'life' must be a number, got text"),
+    ("=SLN(100,10,2.5)", "#ARGUMENT! SLN: 'life' must be an integer, got 2.5"),
+    ("=SLN(100,10,0)", "#ARGUMENT! SLN: life must be at least 1 period, got 0"),
+    ("=SLN(100,10,5)", "18.0"),
+    ("=SLN(B1:B2,10,5)", "#ARGUMENT! SLN: 'cost' cannot be a range"),
+    ("=EFFECT(0.12)", "#ARGUMENT! EFFECT takes 2 to 2 arguments, got 1"),
+    ("=EFFECT(0.12,12,1)", "#ARGUMENT! EFFECT takes 2 to 2 arguments, got 3"),
+    ("=EFFECT(C1,12)", "#ARGUMENT! EFFECT: 'nominal_rate' must be a number, got text"),
+    ("=EFFECT(0.12,12.5)", "#ARGUMENT! EFFECT: 'npery' must be an integer, got 12.5"),
+    ("=EFFECT(0.12,0)", "#ARGUMENT! EFFECT: periods_per_year must be >= 1, got 0"),
+    ("=EFFECT(-2,12)", "#ARGUMENT! EFFECT: nominal rate must exceed -1, got -2.0"),
+    ("=EFFECT(0.12,12)", "0.12682503013196977"),
+    ("=EFFECT(0.12,)", "#ARGUMENT! EFFECT: argument 'npery' is required"),
+    ("=NOMINAL(0.12)", "#ARGUMENT! NOMINAL takes 2 to 2 arguments, got 1"),
+    ("=NOMINAL(0.12,12,1)", "#ARGUMENT! NOMINAL takes 2 to 2 arguments, got 3"),
+    ("=NOMINAL(A1,12)", "#ARGUMENT! NOMINAL: 'effective_rate' must be a number, got date"),
+    ("=NOMINAL(0.12,1.5)", "#ARGUMENT! NOMINAL: 'npery' must be an integer, got 1.5"),
+    ("=NOMINAL(0.12,0)", "#ARGUMENT! NOMINAL: periods_per_year must be >= 1, got 0"),
+    ("=NOMINAL(0.12,12)", "0.11386551521499655"),
+    ("=NOMINAL(B1:B2,12)", "#ARGUMENT! NOMINAL: 'effective_rate' cannot be a range"),
+    ("=INTRATE(A1,A2,100)", "#ARGUMENT! INTRATE takes 4 to 5 arguments, got 3"),
+    ("=INTRATE(A1,A2,100,110,0,1)", "#ARGUMENT! INTRATE takes 4 to 5 arguments, got 6"),
+    ("=INTRATE(,A2,100,110)", "#ARGUMENT! INTRATE: argument 'settlement' is required"),
+    ("=INTRATE(B1,A2,100,110)", "#ARGUMENT! INTRATE: 'settlement' must be a date, got number"),
+    ("=INTRATE(A1:A2,A2,100,110)", "#ARGUMENT! INTRATE: 'settlement' cannot be a range"),
+    ("=INTRATE(C1,A2,100,110)", "#ARGUMENT! INTRATE: 'settlement' must be a date, got text"),
+    ("=INTRATE(A1,A2,C1,110)", "#ARGUMENT! INTRATE: 'investment' must be a number, got text"),
+    ("=INTRATE(A1,A2,100,110,7)", "#ARGUMENT! INTRATE: basis code must be 0..4, got 7"),
+    ("=INTRATE(A1,A2,100,110,1.5)", "#ARGUMENT! INTRATE: 'basis' must be an integer, got 1.5"),
+    ("=INTRATE(A1,A2,100,110,)", "0.08256880733944955"),
+    ("=INTRATE(A1,A2,100,110)", "0.08256880733944955"),
+    ("=INTRATE(A1,A2,100,110,1)", "0.08287981859410432"),
+    (
+        "=INTRATE(A2,A1,100,110)",
+        "#ARGUMENT! INTRATE: settlement must fall strictly before maturity",
+    ),
+    ("=INTRATE(A1,A2,-100,110)", "#ARGUMENT! INTRATE: investment must be positive, got -100.0"),
+    ("=INTRATE(A1,A2,100,110,C1)", "#ARGUMENT! INTRATE: 'basis' must be a number, got text"),
+    ("=INTRATE(A1,A2,100,110,-1)", "#ARGUMENT! INTRATE: basis code must be 0..4, got -1"),
+    ("=INTRATE(A1,A2,100,110,B1:B2)", "#ARGUMENT! INTRATE: 'basis' cannot be a range"),
+    ("=ACCRINT(A1,A2,0.05)", "#ARGUMENT! ACCRINT takes 4 to 5 arguments, got 3"),
+    ("=ACCRINT(A1,A2,0.05,1000,0,1)", "#ARGUMENT! ACCRINT takes 4 to 5 arguments, got 6"),
+    ("=ACCRINT(A1,,0.05,1000)", "#ARGUMENT! ACCRINT: argument 'settlement' is required"),
+    ("=ACCRINT(A1,A2,C1,1000)", "#ARGUMENT! ACCRINT: 'rate' must be a number, got text"),
+    ("=ACCRINT(A1,A2,0.05,1000,5)", "#ARGUMENT! ACCRINT: basis code must be 0..4, got 5"),
+    ("=ACCRINT(A1,A2,0.05,1000,0.5)", "#ARGUMENT! ACCRINT: 'basis' must be an integer, got 0.5"),
+    ("=ACCRINT(A1,A2,0.05,1000,)", "60.55555555555555"),
+    ("=ACCRINT(A1,A2,0.05,1000)", "60.55555555555555"),
+    ("=ACCRINT(A1,A2,0.05,1000,3)", "60.41095890410959"),
+    ("=ACCRINT(A1,A2,0.05,-1000)", "#ARGUMENT! ACCRINT: par must be positive, got -1000.0"),
+    (
+        "=ACCRINT(A1,A2,-0.05,1000)",
+        "#ARGUMENT! ACCRINT: annual_rate must be non-negative, got -0.05",
+    ),
+    ("=ACCRINT(A1,C2,0.05,1000,4)", "22.916666666666664"),
+    ("=ACCRINT(A1,A2,D2,1000,2)", "61.25000000000001"),
+    ("=ACCRINT(A1,A2,D1,1000)", "#PROPAGATED! error propagated from D1"),
+    ("=PMT(0.01)", "#ARGUMENT! PMT takes 3 to 3 arguments, got 1"),
+    ("=PMT(0.01,12,100,0)", "#ARGUMENT! PMT takes 3 to 3 arguments, got 4"),
+    ("=PMT(,12,100)", "#ARGUMENT! PMT: argument 'rate' is required"),
+    ("=PMT(0.01,,100)", "#ARGUMENT! PMT: argument 'nper' is required"),
+    ("=PMT(C1,12,100)", "#ARGUMENT! PMT: 'rate' must be a number, got text"),
+    ("=PMT(B1:B2,12,100)", "#ARGUMENT! PMT: 'rate' cannot be a range"),
+    ("=PMT(0.01,12.5,100)", "#ARGUMENT! PMT: 'nper' must be an integer, got 12.5"),
+    ("=PMT(0.01,0,100)", "#ARGUMENT! PMT: nper must be >= 1, got 0"),
+    ("=PMT(-1,12,100)", "#ARGUMENT! PMT: rate must exceed -1, got -1.0"),
+    ("=PMT(0.01,12,100)", "-8.884878867834171"),
+    ("=PMT(0,12,100)", "-8.333333333333334"),
+    ("=PMT(0.01,12,A1)", "#ARGUMENT! PMT: 'pv' must be a number, got date"),
+    ("=PMT(D1,12,100)", "#PROPAGATED! error propagated from D1"),
+    ("=PMT(0.01,A1,100)", "#ARGUMENT! PMT: 'nper' must be a number, got date"),
+    ("=DAYS360(A1)", "#ARGUMENT! DAYS360 takes 2 to 3 arguments, got 1"),
+    ("=DAYS360(A1,A2,1,2)", "#ARGUMENT! DAYS360 takes 2 to 3 arguments, got 4"),
+    ("=DAYS360(,A2)", "#ARGUMENT! DAYS360: argument 'start_date' is required"),
+    ("=DAYS360(A1,B1)", "#ARGUMENT! DAYS360: 'end_date' must be a date, got number"),
+    ("=DAYS360(A1,A2,)", "436.0"),
+    ("=DAYS360(A1,A2,C1)", "#ARGUMENT! DAYS360: 'method' must be a number, got text"),
+    ("=DAYS360(A1,A2,1)", "435.0"),
+    ("=DAYS360(A1,A2,0)", "436.0"),
+    ("=DAYS360(A1,A2,0.5)", "435.0"),
+    ("=DAYS360(A1,A2)", "436.0"),
+    (
+        "=DAYS360(A2,A1)",
+        "#ARGUMENT! DAYS360: start date 2025-03-31 must be before or equal to end date 2024-01-15",
+    ),
+    ("=DAYS360(A1:A2,A2)", "#ARGUMENT! DAYS360: 'start_date' cannot be a range"),
+    ("=DAYS360(A1,A2,A1)", "#ARGUMENT! DAYS360: 'method' must be a number, got date"),
+    ("=DAYS360(A1,A2,B1:B2)", "#ARGUMENT! DAYS360: 'method' cannot be a range"),
+    ("=SUM()", "#ARGUMENT! SUM takes 1 or more arguments, got 0"),
+    ("=SUM(1,,2)", "#ARGUMENT! SUM: empty argument slot"),
+    ('=SUM("a")', "#ARGUMENT! SUM: values must be numbers, got text"),
+    ("=SUM(B1:C3)", "600.0"),
+    ("=SUM(1,2,3)", "6.0"),
+    ("=SUM(A1)", "#ARGUMENT! SUM: values must be numbers, got date"),
+    ("=SUM(D1:D2)", "#PROPAGATED! SUM: error propagated from D1"),
+    ("=SUM(B1:B3,1)", "601.0"),
+    ("=SUM(,)", "#ARGUMENT! SUM: empty argument slot"),
+    ("=NOSUCH(1)", "#UNKNOWN_FUNCTION! unknown function NOSUCH"),
+    ("=nosuch()", "#UNKNOWN_FUNCTION! unknown function NOSUCH"),
+]
+
+
+@pytest.mark.parametrize("source, expected", GOLDEN_ARGUMENTS)
+def test_argument_coercion_golden(source, expected):
+    assert str(run(source, GOLDEN_ROWS)) == expected
 
 
 def test_load_workbook_examples(tmp_path):
@@ -154,6 +333,10 @@ def test_load_workbook_examples(tmp_path):
     sheet = load_workbook(path)
     assert sheet.value("A1") == dt.date(2024, 1, 31)
     assert sheet.name == "book"
+
+    path.write_bytes(b"\xef\xbb\xbf=1+1\n")  # Excel's "CSV UTF-8" starts with a BOM
+    sheet = load_workbook(path)
+    assert sheet.value("A1") == 2.0
 
 
 def test_mutual_refs_both_cycle():
