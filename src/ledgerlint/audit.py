@@ -74,8 +74,6 @@ def _positions(*roles: Role) -> dict[str, int]:
 RATE_POSITIONS = _positions(Role.RATE)
 BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
 
-DEFAULT_THRESHOLDS = {"R3": 1.0, "R5": 1.0}
-
 
 def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
     """Pre-order (key, node, additive) for nodes whose call name or operator is a
@@ -297,13 +295,15 @@ def _rule_r8(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "Ru
 @dataclass(frozen=True)
 class _RuleSpec:
     """check takes each node whose call name or operator is in triggers, and
-    whether a '+' or '-' Binary sits above it; it returns a finding or None."""
+    whether a '+' or '-' Binary sits above it; it returns a finding or None.
+    A rule with a threshold reads RuleConfig.threshold, which defaults to it."""
 
     rule_id: str
     default_severity: Severity
     explanation: str
     triggers: frozenset[str]
     check: Callable[[FormulaNode, bool, Cell, Sheet, "RuleConfig"], Finding | None]
+    threshold: float | None = None
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -347,6 +347,7 @@ _RULES: dict[str, _RuleSpec] = {
             "compound-equivalent rate instead.",
             frozenset({"INTRATE"}),
             _rule_r3,
+            threshold=1.0,
         ),
         _RuleSpec(
             "R4",
@@ -367,6 +368,7 @@ _RULES: dict[str, _RuleSpec] = {
             "hundred times the value intended.",
             frozenset(RATE_POSITIONS),
             _rule_r5,
+            threshold=1.0,
         ),
         _RuleSpec(
             "R6",
@@ -423,20 +425,25 @@ class RuleConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown_fields)}")
         enabled = data.get("enabled")
         if enabled is None:
-            enabled_set = frozenset(RULE_IDS)
-        else:
-            enabled_set = frozenset(enabled)
-            for rule_id in sorted(enabled_set - set(RULE_IDS)):
-                raise ValueError(f"unknown rule id in enabled: {rule_id}")
+            enabled = list(RULE_IDS)
+        if not isinstance(enabled, list) or not all(isinstance(r, str) for r in enabled):
+            raise ValueError(f"enabled must be a list of rule ids, got {enabled!r}")
+        for rule_id in sorted(set(enabled) - set(RULE_IDS)):
+            raise ValueError(f"unknown rule id in enabled: {rule_id}")
+        for key in ("thresholds", "severities"):
+            if not isinstance(data.get(key, {}), Mapping):
+                raise ValueError(f"{key} must be an object keyed by rule id, got {data[key]!r}")
         thresholds = {}
-        for rule_id, value in dict(data.get("thresholds", {})).items():
+        for rule_id, value in data.get("thresholds", {}).items():
             if rule_id not in RULE_IDS:
                 raise ValueError(f"unknown rule id in thresholds: {rule_id}")
-            if not isinstance(value, (int, float)) or not value > 0:
-                raise ValueError(f"threshold for {rule_id} must be positive, got {value}")
+            if _RULES[rule_id].threshold is None:
+                raise ValueError(f"rule {rule_id} takes no threshold")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(f"threshold for {rule_id} must be positive, got {value!r}")
             thresholds[rule_id] = float(value)
         severities = {}
-        for rule_id, name in dict(data.get("severities", {})).items():
+        for rule_id, name in data.get("severities", {}).items():
             if rule_id not in RULE_IDS:
                 raise ValueError(f"unknown rule id in severities: {rule_id}")
             try:
@@ -446,7 +453,7 @@ class RuleConfig:
                 raise ValueError(
                     f"invalid severity {name!r} for {rule_id}; expected one of {valid}"
                 ) from None
-        return cls(enabled=enabled_set, thresholds=thresholds, severities=severities)
+        return cls(enabled=frozenset(enabled), thresholds=thresholds, severities=severities)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RuleConfig":
@@ -457,7 +464,7 @@ class RuleConfig:
         return cls.from_dict(data)
 
     def threshold(self, rule_id: str) -> float:
-        return self.thresholds.get(rule_id, DEFAULT_THRESHOLDS.get(rule_id, 0.0))
+        return self.thresholds.get(rule_id, _RULES[rule_id].threshold)
 
     def severity(self, rule_id: str) -> Severity:
         return self.severities.get(rule_id, _RULES[rule_id].default_severity)

@@ -15,9 +15,9 @@ from typing import Sequence
 
 from .audit import RuleConfig, Severity, render_text, run_rules, to_record
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
-from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse
+from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse, parse_address
 from .formula.ast import format_number
-from .formula.sheet import format_value, parse_address
+from .formula.sheet import format_value
 from .loan import LoanSpec, build_schedule, load_published, verify_schedule
 from .rates import PeriodicConvention, parse_rate
 

@@ -14,16 +14,8 @@ from .ast import (
     Unary,
     to_source,
 )
-from .parser import ParseError, Token, TokenKind, parse, tokenize
-from .sheet import (
-    Cell,
-    ErrorKind,
-    ErrorValue,
-    Sheet,
-    format_address,
-    load_workbook,
-    parse_address,
-)
+from .parser import ParseError, Token, TokenKind, parse, parse_address, tokenize
+from .sheet import Cell, ErrorKind, ErrorValue, Sheet, load_workbook
 from .evaluator import FUNCTION_CATALOG, evaluate
 
 __all__ = [
@@ -48,7 +40,6 @@ __all__ = [
     "ErrorKind",
     "ErrorValue",
     "Sheet",
-    "format_address",
     "load_workbook",
     "parse_address",
     "FUNCTION_CATALOG",

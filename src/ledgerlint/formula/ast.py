@@ -1,7 +1,7 @@
 """Formula AST nodes and the canonical printer.
 
-Precedence, loosest to tightest: comparisons, '&', '+'/'-', '*'/'/',
-unary '-', '^' (right-associative), postfix '%'.  The printer emits the
+_BINARY_PREC and the unary and postfix levels beside it state once how tightly
+operators bind; the parser climbs the same table.  The printer emits the
 minimal parentheses needed for the source to reparse to an identical tree.
 """
 
@@ -27,9 +27,6 @@ __all__ = [
     "index_to_column",
     "to_source",
 ]
-
-COMPARISON_OPS = ("=", "<>", "<", ">", "<=", ">=")
-
 
 def column_to_index(column: str) -> int:
     """Column letters to 1-based index: A=1, Z=26, AA=27."""

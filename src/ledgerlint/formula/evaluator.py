@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 from ..cashflow import CashFlowSeries, npv_legacy, pmt, xnpv
 from ..daycount import DayCountBasis, days_between
-from ..depreciation import DepreciationSpec, PrecisionMode, db_period, sln
+from ..depreciation import DepreciationSpec, FullWriteOffWarning, PrecisionMode, db_period, sln
 from ..rates import accrint, effective_rate, intrate, nominal_rate
 from .ast import (
     Binary,
@@ -52,6 +54,16 @@ def _type_name(value: CellValue) -> str:
 
 
 _Args = Sequence[FormulaNode]
+
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class _Evaluator:
@@ -138,8 +150,18 @@ class _Evaluator:
     def _binary(self, op: str, left: CellValue, right: CellValue) -> CellValue:
         if op == "&":
             return format_value(left) + format_value(right)
-        if op in ("=", "<>", "<", ">", "<=", ">="):
-            return self._compare(op, left, right)
+        if op in _COMPARISONS:
+            same_kind = (
+                (isinstance(left, float) and isinstance(right, float))
+                or (isinstance(left, str) and isinstance(right, str))
+                or (isinstance(left, dt.date) and isinstance(right, dt.date))
+            )
+            if not same_kind:
+                return ErrorValue(
+                    ErrorKind.VALUE,
+                    f"cannot compare {_type_name(left)} with {_type_name(right)}",
+                )
+            return 1.0 if _COMPARISONS[op](left, right) else 0.0
         both_numbers = isinstance(left, float) and isinstance(right, float)
         if op == "-" and isinstance(left, dt.date) and isinstance(right, dt.date):
             return float((left - right).days)
@@ -148,12 +170,8 @@ class _Evaluator:
                 ErrorKind.VALUE,
                 f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}",
             )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
+        if op in _ARITHMETIC:
+            return _ARITHMETIC[op](left, right)
         if op == "/":
             if right == 0.0:
                 return ErrorValue(ErrorKind.DIV0, "division by zero")
@@ -171,31 +189,6 @@ class _Evaluator:
                 )
             return result
         raise ValueError(f"unknown operator {op!r}")
-
-    def _compare(self, op: str, left: CellValue, right: CellValue) -> CellValue:
-        same_kind = (
-            (isinstance(left, float) and isinstance(right, float))
-            or (isinstance(left, str) and isinstance(right, str))
-            or (isinstance(left, dt.date) and isinstance(right, dt.date))
-        )
-        if not same_kind:
-            return ErrorValue(
-                ErrorKind.VALUE,
-                f"cannot compare {_type_name(left)} with {_type_name(right)}",
-            )
-        if op == "=":
-            outcome = left == right
-        elif op == "<>":
-            outcome = left != right
-        elif op == "<":
-            outcome = left < right
-        elif op == ">":
-            outcome = left > right
-        elif op == "<=":
-            outcome = left <= right
-        else:
-            outcome = left >= right
-        return 1.0 if outcome else 0.0
 
     # function dispatch
 
@@ -405,6 +398,14 @@ class _FunctionSpec:
         )
 
 
+def _db(cost: float, salvage: float, life: int, period: int, month: int) -> float:
+    # a formula reports a full write-off (salvage 0) through its value alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FullWriteOffWarning)
+        spec = DepreciationSpec(cost, salvage, life, month)
+        return db_period(spec, period, PrecisionMode.COMPAT)
+
+
 _RATE = Param("rate", Role.RATE)
 _BASIS = Param("basis", Role.BASIS, optional=True, default=DayCountBasis.US_30_360)
 
@@ -426,9 +427,7 @@ FUNCTION_CATALOG = {
                 Param("period", Role.INTEGER),
                 Param("month", Role.INTEGER, optional=True, default=12),
             ),
-            lambda cost, salvage, life, period, month: db_period(
-                DepreciationSpec(cost, salvage, life, month), period, PrecisionMode.COMPAT
-            ),
+            _db,
         ),
         _FunctionSpec(
             "SLN",

@@ -1,25 +1,34 @@
-"""Lexer and recursive-descent parser for spreadsheet formulas.
+"""Lexer and precedence-climbing parser for spreadsheet formulas.
 
-Grammar, loosest binding first:
+Three tables state the language: the token pattern (_TOKEN_RE), the A1
+reference pattern (_REF_RE) and the operator precedence table of the printer
+(ast._BINARY_PREC).  Grammar:
 
-    comparison := concat (('='|'<>'|'<'|'>'|'<='|'>=') concat)*
-    concat     := additive ('&' additive)*
-    additive   := multiplicative (('+'|'-') multiplicative)*
-    multiplicative := unary (('*'|'/') unary)*
-    unary      := '-' unary | power
-    power      := postfix ('^' unary)?          right-associative
+    expression[p] := ('-' expression[^] | postfix) (OP expression[q])*
+        OP is an operator of _BINARY_PREC binding at p or tighter, and q the
+        next tighter level, except for the right-associative '^' (q is ^);
+        so unary '-' binds looser than '^' (-2^2 is -(2^2)) and tighter than
+        every other operator.  A formula is expression[=].
     postfix    := atom ('%')?                   numeric literals only
-    atom       := NUMBER | STRING | REF (':' REF)? | IDENT '(' args ')' | '(' comparison ')'
+    atom       := NUMBER | STRING | REF (':' REF)? | IDENT '(' args ')' | '(' expression ')'
     args       := nothing | arg (',' arg)*      an absent arg is an EmptyArg slot
+
+Parentheses and calls nest at most MAX_NESTING deep, and operators and calls
+at most MAX_DEPTH levels, so that evaluating and printing a parsed formula
+stay within Python's default recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .ast import (
+    _BINARY_PREC,
+    _PREC_COMPARE,
+    _PREC_POWER,
     EMPTY,
     Binary,
     Call,
@@ -32,18 +41,10 @@ from .ast import (
     Unary,
 )
 
-__all__ = ["TokenKind", "Token", "ParseError", "tokenize", "parse"]
+__all__ = ["TokenKind", "Token", "ParseError", "tokenize", "parse", "parse_address"]
 
 MAX_NESTING = 64
-
-_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", re.ASCII)
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_REF_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)$")
-# str.isdigit and str.isalpha would also accept characters such as '²' and 'é'
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_ONE_CHAR_OPS = "=<>&+-*/^%"
+MAX_DEPTH = 256
 
 
 class TokenKind(str, Enum):
@@ -56,6 +57,30 @@ class TokenKind(str, Enum):
     RPAREN = "rparen"
     COMMA = "comma"
     COLON = "colon"
+
+
+_REF_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)")
+_OPERATORS = sorted([*_BINARY_PREC, "%"], key=len, reverse=True)  # '<=' before '<'
+# one alternative per token kind, named after its TokenKind value; ASCII only,
+# since \d and str.isalpha would also accept characters such as '²' and 'é'
+_TOKEN_RE = re.compile(
+    "|".join([
+        r"[ \t]+",
+        r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)",
+        r'(?P<string>"(?:[^"]|"")*"(?!"))',
+        # letters-then-digits is a cell ref unless a call's '(' follows
+        rf"(?P<ref>{_REF_RE.pattern})(?![A-Za-z0-9(])",
+        r"(?P<ident>[A-Za-z][A-Za-z0-9]*)",
+        "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+        r"(?P<lparen>\()",
+        r"(?P<rparen>\))",
+        r"(?P<comma>,)",
+        r"(?P<colon>:)",
+        r"(?P<bad>.)",
+    ]),
+    re.ASCII | re.DOTALL,
+)
+_KINDS = {kind.value: kind for kind in TokenKind}
 
 
 @dataclass(frozen=True)
@@ -78,81 +103,39 @@ def tokenize(text: str) -> list[Token]:
     if not text.startswith("="):
         raise ParseError("formula must begin with '='", 0)
     tokens: list[Token] = []
-    i = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            match = _NUMBER_RE.match(text, i)
-            lexeme = match.group()
-            tokens.append(Token(TokenKind.NUMBER, lexeme, i, value=float(lexeme)))
-            i = match.end()
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError(f"unterminated string at column {start}", start)
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        parts.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(Token(TokenKind.STRING, "".join(parts), start))
-            continue
-        if ch in _LETTERS:
-            match = _WORD_RE.match(text, i)
-            word = match.group().upper()
-            # letters-then-digits is a cell ref unless a call's '(' follows
-            is_ref = _REF_RE.fullmatch(word) and not text[match.end():match.end() + 1] == "("
-            kind = TokenKind.REF if is_ref else TokenKind.IDENT
-            tokens.append(Token(kind, word, i))
-            i = match.end()
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenKind.LPAREN, ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(TokenKind.RPAREN, ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ch, i))
-            i += 1
-            continue
-        if ch == ":":
-            tokens.append(Token(TokenKind.COLON, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"illegal character {ch!r} at column {i}", i)
+    for match in _TOKEN_RE.finditer(text, 1):
+        kind = match.lastgroup
+        if kind is None:
+            continue  # blanks
+        lexeme = match.group()
+        pos = match.start()
+        if kind == "number":
+            value = float(lexeme)
+            if value == math.inf:
+                raise ParseError(f"number {lexeme} is too large at column {pos}", pos)
+            tokens.append(Token(TokenKind.NUMBER, lexeme, pos, value))
+        elif kind == "string":
+            tokens.append(Token(TokenKind.STRING, lexeme[1:-1].replace('""', '"'), pos))
+        elif kind == "bad":
+            if lexeme == '"':
+                raise ParseError(f"unterminated string at column {pos}", pos)
+            raise ParseError(f"illegal character {lexeme!r} at column {pos}", pos)
+        elif kind == "ref" or kind == "ident":  # names are case-insensitive
+            tokens.append(Token(_KINDS[kind], lexeme.upper(), pos))
+        else:
+            tokens.append(Token(_KINDS[kind], lexeme, pos))
     return tokens
 
 
 class _Parser:
+    """Parse methods return a node and its depth in operator and call levels."""
+
     def __init__(self, tokens: list[Token], end_pos: int):
         self.tokens = tokens
         self.index = 0
         self.end_pos = end_pos
-        self.depth = 0
+        self.nesting = 0  # open parentheses and calls
+        self.levels = 0  # enclosing '-' and '^', whose operands are parsed by recursion
 
     def peek(self) -> Token | None:
         if self.index < len(self.tokens):
@@ -168,10 +151,6 @@ class _Parser:
         self.index += 1
         return token
 
-    def at_op(self, *ops: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind is TokenKind.OP and token.text in ops
-
     def expect(self, kind: TokenKind, what: str) -> Token:
         token = self.peek()
         if token is None or token.kind is not kind:
@@ -181,89 +160,78 @@ class _Parser:
         return token
 
     def enter(self, pos: int) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
             raise ParseError(
                 f"formula nesting deeper than {MAX_NESTING} levels at column {pos}", pos
             )
 
-    def leave(self) -> None:
-        self.depth -= 1
+    def level(self, depth: int, pos: int) -> int:
+        """A node's depth, checked against MAX_DEPTH; pos is its operator or name."""
+        if depth > MAX_DEPTH:
+            raise ParseError(
+                f"formula deeper than {MAX_DEPTH} operator and call levels at column {pos}",
+                pos,
+            )
+        return depth
 
-    # grammar tiers
+    def power_operand(self, token: Token) -> tuple[FormulaNode, int]:
+        """The operand of a unary '-' or the right side of a '^'."""
+        self.levels = self.level(self.levels + 1, token.pos)
+        result = self.expression(_PREC_POWER)
+        self.levels -= 1
+        return result
 
-    def comparison(self) -> FormulaNode:
-        node = self.concat()
-        while self.at_op("=", "<>", "<", ">", "<=", ">="):
-            op = self.advance().text
-            node = Binary(op, node, self.concat())
-        return node
+    def expression(self, min_prec: int = _PREC_COMPARE) -> tuple[FormulaNode, int]:
+        """Precedence climbing over the operators that bind at min_prec or tighter."""
+        token = self.peek()
+        if token is not None and token.kind is TokenKind.OP and token.text == "-":
+            self.index += 1
+            child, depth = self.power_operand(token)
+            node, depth = Unary("-", child), self.level(depth + 1, token.pos)
+        else:
+            node, depth = self.postfix()
+        while True:
+            token = self.peek()
+            if token is None or token.kind is not TokenKind.OP:
+                return node, depth
+            prec = _BINARY_PREC.get(token.text, 0)
+            if prec < min_prec:
+                return node, depth
+            self.index += 1
+            if prec == _PREC_POWER:
+                right, right_depth = self.power_operand(token)
+            else:
+                right, right_depth = self.expression(prec + 1)
+            node = Binary(token.text, node, right)
+            depth = self.level(max(depth, right_depth) + 1, token.pos)
 
-    def concat(self) -> FormulaNode:
-        node = self.additive()
-        while self.at_op("&"):
-            self.advance()
-            node = Binary("&", node, self.additive())
-        return node
-
-    def additive(self) -> FormulaNode:
-        node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> FormulaNode:
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.unary())
-        return node
-
-    def unary(self) -> FormulaNode:
-        if self.at_op("-"):
-            self.advance()
-            return Unary("-", self.unary())
-        return self.power()
-
-    def power(self) -> FormulaNode:
-        node = self.postfix()
-        if self.at_op("^"):
-            self.advance()
-            return Binary("^", node, self.unary())
-        return node
-
-    def postfix(self) -> FormulaNode:
-        node = self.atom()
-        if self.at_op("%"):
-            token = self.advance()
+    def postfix(self) -> tuple[FormulaNode, int]:
+        node, depth = self.atom()
+        token = self.peek()
+        if token is not None and token.kind is TokenKind.OP and token.text == "%":
+            self.index += 1
             if not isinstance(node, NumberLit):
                 raise ParseError(
                     f"'%' only follows numeric literals at column {token.pos}", token.pos
                 )
-            return PercentLit(node.value)
-        return node
+            return PercentLit(node.value), depth
+        return node, depth
 
-    def atom(self) -> FormulaNode:
+    def atom(self) -> tuple[FormulaNode, int]:
         token = self.advance()
         if token.kind is TokenKind.NUMBER:
-            return NumberLit(token.value)
+            return NumberLit(token.value), 0
         if token.kind is TokenKind.STRING:
-            return TextLit(token.text)
+            return TextLit(token.text), 0
         if token.kind is TokenKind.REF:
             ref = _make_ref(token)
             next_token = self.peek()
             if next_token is not None and next_token.kind is TokenKind.COLON:
                 self.advance()
-                other = self.peek()
-                if other is None or other.kind is not TokenKind.REF:
-                    pos = self.end_pos if other is None else other.pos
-                    raise ParseError(
-                        f"expected cell reference after ':' at column {pos}", pos
-                    )
-                self.advance()
-                return RangeRef(ref, _make_ref(other))
-            return ref
+                other = self.expect(TokenKind.REF, "cell reference after ':'")
+                return RangeRef(ref, _make_ref(other)), 0
+            return ref, 0
         if token.kind is TokenKind.IDENT:
             next_token = self.peek()
             if next_token is None or next_token.kind is not TokenKind.LPAREN:
@@ -272,48 +240,60 @@ class _Parser:
                 )
             self.enter(token.pos)
             self.advance()
-            args = self.call_args()
+            args, depth = self.call_args()
             self.expect(TokenKind.RPAREN, "')'")
-            self.leave()
-            return Call(token.text, args)
+            self.nesting -= 1
+            return Call(token.text, args), self.level(depth + 1, token.pos)
         if token.kind is TokenKind.LPAREN:
             self.enter(token.pos)
-            node = self.comparison()
+            node, depth = self.expression()
             self.expect(TokenKind.RPAREN, "')'")
-            self.leave()
-            return node
+            self.nesting -= 1
+            return node, depth
         raise ParseError(
             f"unexpected token {token.text!r} at column {token.pos}", token.pos
         )
 
-    def call_args(self) -> tuple[FormulaNode, ...]:
+    def call_args(self) -> tuple[tuple[FormulaNode, ...], int]:
         token = self.peek()
         if token is not None and token.kind is TokenKind.RPAREN:
-            return ()
+            return (), 0
         args: list[FormulaNode] = []
+        depth = 0
         while True:
             token = self.peek()
             if token is not None and token.kind in (TokenKind.COMMA, TokenKind.RPAREN):
                 args.append(EMPTY)
             else:
-                args.append(self.comparison())
+                arg, arg_depth = self.expression()
+                args.append(arg)
+                depth = max(depth, arg_depth)
             token = self.peek()
             if token is not None and token.kind is TokenKind.COMMA:
                 self.advance()
                 continue
-            return tuple(args)
+            return tuple(args), depth
 
 
 def _make_ref(token: Token) -> CellRef:
+    """The token is upper-case already; its matched one-letter columns are shared strings."""
     match = _REF_RE.fullmatch(token.text)
     return CellRef(match.group(1), int(match.group(2)))
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """Split "B3" into ("B", 3)."""
+    match = _REF_RE.fullmatch(address.strip())
+    if not match:
+        raise ValueError(f"not a cell address: {address!r}")
+    return match.group(1).upper(), int(match.group(2))
 
 
 def parse(text: str) -> FormulaNode:
     """Parse a '='-prefixed formula into its AST."""
     tokens = tokenize(text)
     parser = _Parser(tokens, end_pos=len(text))
-    node = parser.comparison()
+    node, _ = parser.expression()
     leftover = parser.peek()
     if leftover is not None:
         raise ParseError(

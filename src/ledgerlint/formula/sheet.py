@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from ..daycount import parse_date
-from .ast import FormulaNode, column_to_index, format_number, index_to_column
-from .parser import ParseError, parse
+from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
+from .parser import ParseError, parse, parse_address
 
 __all__ = [
     "MAX_CELLS",
@@ -27,15 +27,12 @@ __all__ = [
     "CellValue",
     "Cell",
     "Sheet",
-    "parse_address",
-    "format_address",
     "format_value",
     "load_workbook",
 ]
 
 MAX_CELLS = 1_000_000
 
-_ADDRESS_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)$")
 _DATE_SHAPE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
 
@@ -81,24 +78,9 @@ class Cell:
     """One populated cell.  Exactly one of literal/formula/error is set."""
 
     address: str
-    column: str
-    row: int
-    raw: str
     literal: float | dt.date | str | None = None
     formula: FormulaNode | None = None
     error: ErrorValue | None = None
-
-
-def parse_address(address: str) -> tuple[str, int]:
-    """Split "B3" into ("B", 3)."""
-    match = _ADDRESS_RE.fullmatch(address.strip())
-    if not match:
-        raise ValueError(f"not a cell address: {address!r}")
-    return match.group(1).upper(), int(match.group(2))
-
-
-def format_address(column: str, row: int) -> str:
-    return f"{column}{row}"
 
 
 def _classify_literal(text: str) -> float | dt.date | str:
@@ -119,20 +101,16 @@ def _classify_literal(text: str) -> float | dt.date | str:
 class Sheet:
     """Immutable cell grid plus a value cache filled during evaluation."""
 
-    def __init__(self, cells: dict[str, Cell], n_rows: int, n_cols: int, name: str = "sheet"):
-        self.cells = cells
-        self.n_rows = n_rows
-        self.n_cols = n_cols
+    def __init__(self, cells: dict[str, Cell], name: str = "sheet"):
+        self.cells = cells  # row-major, as from_rows fills it
         self.name = name
         self._values: dict[str, CellValue] = {}
 
     @classmethod
     def from_rows(cls, rows: list[list[str]], name: str = "sheet") -> "Sheet":
         cells: dict[str, Cell] = {}
-        n_cols = 0
         scanned = 0
         for row_index, row in enumerate(rows, start=1):
-            n_cols = max(n_cols, len(row))
             scanned += len(row)
             if scanned > MAX_CELLS:
                 raise ValueError(f"workbook exceeds {MAX_CELLS} cells")
@@ -140,27 +118,20 @@ class Sheet:
                 text = raw.strip()
                 if not text:
                     continue
-                column = index_to_column(col_index)
-                address = format_address(column, row_index)
+                address = f"{index_to_column(col_index)}{row_index}"
                 if text.startswith("="):
                     try:
-                        node = parse(text)
-                        cell = Cell(address, column, row_index, text, formula=node)
+                        cell = Cell(address, formula=parse(text))
                     except ParseError as exc:
-                        error = ErrorValue(ErrorKind.PARSE, str(exc))
-                        cell = Cell(address, column, row_index, text, error=error)
+                        cell = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
                 else:
-                    cell = Cell(address, column, row_index, text, literal=_classify_literal(text))
+                    cell = Cell(address, literal=_classify_literal(text))
                 cells[address] = cell
-        return cls(cells, n_rows=len(rows), n_cols=n_cols, name=name)
+        return cls(cells, name=name)
 
     def addresses(self) -> Iterator[str]:
         """Populated addresses in row-major order."""
-        ordered = sorted(
-            self.cells.values(), key=lambda c: (c.row, column_to_index(c.column))
-        )
-        for cell in ordered:
-            yield cell.address
+        return iter(self.cells)
 
     def range_addresses(self, ref) -> Iterator[str]:
         """Populated addresses inside a RangeRef, row-major."""
@@ -168,19 +139,21 @@ class Sheet:
         col_hi = column_to_index(ref.end.column)
         for row in range(ref.start.row, ref.end.row + 1):
             for col in range(col_lo, col_hi + 1):
-                address = format_address(index_to_column(col), row)
+                address = f"{index_to_column(col)}{row}"
                 if address in self.cells:
                     yield address
 
     def value(self, address: str) -> CellValue:
         from .evaluator import _Evaluator
 
-        column, row = parse_address(address)
-        return _Evaluator(self).cell_value(format_address(column, row))
+        return _Evaluator(self).cell_value(CellRef(*parse_address(address)).address)
 
     def evaluate_all(self) -> dict[str, CellValue]:
         """Evaluate every populated cell; returns address -> value."""
-        return {address: self.value(address) for address in self.addresses()}
+        from .evaluator import _Evaluator
+
+        evaluator = _Evaluator(self)
+        return {address: evaluator.cell_value(address) for address in self.cells}
 
 
 def load_workbook(path: str | Path) -> Sheet:

@@ -159,6 +159,34 @@ def test_rule_config_validation():
         RuleConfig.from_dict({"severities": {"R99": "error"}})
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"enabled": 5}, "enabled must be a list of rule ids, got 5"),
+        ({"enabled": "R5"}, "enabled must be a list of rule ids, got 'R5'"),
+        ({"enabled": [["R1"]]}, "enabled must be a list of rule ids, got [['R1']]"),
+        ({"thresholds": 5}, "thresholds must be an object keyed by rule id, got 5"),
+        ({"severities": ["R2"]}, "severities must be an object keyed by rule id, got ['R2']"),
+        ({"thresholds": {"R1": 5}}, "rule R1 takes no threshold"),
+        ({"thresholds": {"R5": True}}, "threshold for R5 must be positive, got True"),
+        ({"thresholds": {"R3": "2"}}, "threshold for R3 must be positive, got '2'"),
+    ],
+)
+def test_rule_config_shape_checks(data, message):
+    with pytest.raises(ValueError) as excinfo:
+        RuleConfig.from_dict(data)
+    assert str(excinfo.value) == message
+
+
+def test_rule_defaults_come_from_the_rule_table():
+    config = RuleConfig()
+    assert {r: config.threshold(r) for r in RULE_IDS if _RULES[r].threshold} == {
+        "R3": 1.0,
+        "R5": 1.0,
+    }
+    assert RuleConfig.from_dict({"thresholds": {"R5": 2}}).threshold("R5") == 2.0
+
+
 def test_rule_config_from_json_file(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps({"enabled": ["R2"], "severities": {"R2": "warning"}}))

@@ -57,6 +57,11 @@ class TestEval:
         assert main(["eval", "=A1", "--bind", "A1"]) == 2
         assert "binding" in capsys.readouterr().err
 
+    def test_deep_formula_is_a_parse_failure(self, capsys):
+        assert main(["eval", "=1" + "+1" * 2000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse failure at position 514: formula deeper than 256 ")
+
     def test_structured_number(self, capsys):
         assert main(["eval", "=2^10", "--format", "structured"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -139,6 +144,14 @@ class TestAudit:
         out = capsys.readouterr().out.splitlines()
         assert finding_keys(out) == [("A1", "R5")]
 
+    def test_deep_formulas_are_parse_cells(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        rows = ["=" + "-" * 3000 + "1", "=" + "2^" * 3000 + "1",
+                '"=PMT(0.01' + "+0.01" * 2000 + ',12,100)"']
+        book.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["audit", str(book)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_rules_flag_disables(self, tmp_path, capsys):
         config = tmp_path / "rules.json"
         config.write_text(json.dumps({"enabled": ["R1", "R2"]}))
@@ -160,6 +173,16 @@ class TestAudit:
         path = str(FIXTURES / "traps" / "r5_rate_magnitude.csv")
         assert main(["audit", path, "--rules", str(config)]) == 2
         assert "R99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config", [{"enabled": 5}, {"thresholds": 5}, {"enabled": [["R1"]]}]
+    )
+    def test_malformed_rules_config_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(config))
+        book = str(FIXTURES / "traps" / "r5_rate_magnitude.csv")
+        assert main(["audit", book, "--rules", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: rule config: ")
 
 
 class TestSchedule:

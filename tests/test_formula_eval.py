@@ -2,6 +2,7 @@
 
 import datetime as dt
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,12 @@ def test_db_dispatch_is_compat_mode():
     spec = DepreciationSpec(cost=1_000_000.0, salvage=100_000.0, life=6)
     assert run("=DB(1000000,100000,6,1)") == db_period(spec, 1, PrecisionMode.COMPAT)
     assert run("=DB(1000000,100000,6,1)") == 319_000.0
+
+
+def test_db_full_write_off_reports_through_its_value_only():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("=DB(1,0,6,1)") == 1.0
 
 
 def test_literals_and_percent():

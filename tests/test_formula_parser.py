@@ -3,15 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ledgerlint.audit import run_rules
 from ledgerlint.formula import (
     EMPTY,
     Binary,
     Call,
     CellRef,
+    ErrorKind,
+    ErrorValue,
     NumberLit,
     ParseError,
     PercentLit,
     RangeRef,
+    Sheet,
     TextLit,
     TokenKind,
     Unary,
@@ -19,6 +23,7 @@ from ledgerlint.formula import (
     to_source,
     tokenize,
 )
+from ledgerlint.formula.parser import MAX_DEPTH
 
 
 def kinds_and_texts(source):
@@ -179,6 +184,44 @@ def test_parse_scientific_notation():
     assert parse("=1e-05") == NumberLit(1e-05)
     assert parse("=1.5E+16") == NumberLit(1.5e16)
     assert parse("=.5") == NumberLit(0.5)
+
+
+@pytest.mark.parametrize(
+    "source,position", [("=1e999", 1), ("=1+.1e400", 3), ("=SUM(1,2e308)", 7)]
+)
+def test_number_literal_that_overflows_is_a_parse_error(source, position):
+    with pytest.raises(ParseError, match="too large") as excinfo:
+        parse(source)
+    assert excinfo.value.position == position
+    assert parse("=1.7976931348623157e308") == NumberLit(1.7976931348623157e308)
+
+
+# each shape at depth n, and the column of the operator or call that takes it
+# one level past the bound
+DEEP_SHAPES = {
+    "unary": (lambda n: "=" + "-" * n + "1", MAX_DEPTH + 1),
+    "power": (lambda n: "=" + "2^" * n + "1", 2 * MAX_DEPTH + 2),
+    "chain": (lambda n: "=1" + "+1" * n, 2 * MAX_DEPTH + 2),
+    "call": (lambda n: "=PMT(0.01" + "+0.01" * (n - 1) + ",12,100)", 1),
+    "nested": (lambda n: "=" + "(" * 64 + "-" * n + "1" + ")" * 64, 64 + MAX_DEPTH + 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_depth_bound(shape):
+    formula, column = DEEP_SHAPES[shape]
+    source = formula(MAX_DEPTH)
+    node = parse(source)
+    assert parse(to_source(node)) == node
+    sheet = Sheet.from_rows([[source]])
+    value = sheet.evaluate_all()["A1"]
+    assert not (isinstance(value, ErrorValue) and value.kind is ErrorKind.PARSE)
+    run_rules(sheet)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} ") as excinfo:
+        parse(formula(MAX_DEPTH + 1))
+    assert excinfo.value.position == column
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} "):
+        parse(formula(3000))
 
 
 refs = st.builds(
