@@ -16,7 +16,7 @@ from typing import Sequence
 from .audit import RuleConfig, Severity, render_text, run_rules, to_record
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
 from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse, parse_address
-from .formula.ast import format_number
+from .formula.ast import column_to_index, format_number
 from .formula.sheet import format_value
 from .loan import LoanSpec, build_schedule, load_published, verify_schedule
 from .rates import PeriodicConvention, parse_rate
@@ -31,26 +31,14 @@ _MODES = {"compat": PrecisionMode.COMPAT, "exact": PrecisionMode.EXACT}
 
 
 def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
-    placed: dict[tuple[str, int], str] = {}
-    max_row = 0
-    columns: list[str] = []
+    placed: dict[int, dict[int, str]] = {}  # row -> column -> text
     for binding in bindings:
         address, sep, text = binding.partition("=")
         if not sep:
             raise ValueError(f"binding {binding!r} must look like A1=value")
         column, row = parse_address(address.strip().upper())
-        placed[(column, row)] = text
-        max_row = max(max_row, row)
-        if column not in columns:
-            columns.append(column)
-    # rebuild a dense grid so literal classification matches workbook loading
-    from .formula.ast import column_to_index
-
-    n_cols = max((column_to_index(c) for c in columns), default=0)
-    rows = [["" for _ in range(n_cols)] for _ in range(max_row)]
-    for (column, row), text in placed.items():
-        rows[row - 1][column_to_index(column) - 1] = text
-    return Sheet.from_rows(rows, name="bindings")
+        placed.setdefault(row, {})[column_to_index(column)] = text
+    return Sheet(((row, sorted(placed[row].items())) for row in sorted(placed)), name="bindings")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

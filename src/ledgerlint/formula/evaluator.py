@@ -70,7 +70,7 @@ class _Evaluator:
     def __init__(self, sheet: Sheet):
         self.sheet = sheet
         self.cache = sheet._values
-        self.stack: list[str] = []
+        self.stack: dict[str, None] = {}  # addresses being evaluated, in call order
 
     # cell resolution
 
@@ -87,17 +87,18 @@ class _Evaluator:
             self.cache[address] = cell.literal
             return cell.literal
         if address in self.stack:
-            members = self.stack[self.stack.index(address):]
+            members = list(self.stack)
+            members = members[members.index(address):]
             path = " -> ".join(members + [address])
             error = ErrorValue(ErrorKind.CYCLE, f"circular reference: {path}")
             for member in members:
                 self.cache[member] = error
             return error
-        self.stack.append(address)
+        self.stack[address] = None
         try:
             result = self.eval_node(cell.formula)
         finally:
-            self.stack.pop()
+            del self.stack[address]
         if address in self.cache:  # marked as a cycle member while recursing
             return self.cache[address]
         self.cache[address] = result

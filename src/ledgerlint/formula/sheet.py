@@ -11,10 +11,11 @@ import csv
 import datetime as dt
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from ..daycount import parse_date
 from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
@@ -99,22 +100,29 @@ def _classify_literal(text: str) -> float | dt.date | str:
 
 
 class Sheet:
-    """Immutable cell grid plus a value cache filled during evaluation."""
+    """Immutable cells, a row index of the populated ones, and a value cache.
 
-    def __init__(self, cells: dict[str, Cell], name: str = "sheet"):
-        self.cells = cells  # row-major, as from_rows fills it
+    The index maps each populated row to its populated column indices in
+    ascending order, beside the ascending list of populated rows, so a range
+    costs the populated cells inside it rather than its area.
+    """
+
+    def __init__(self, rows: Iterable[tuple[int, Iterable[tuple[int, str]]]], name: str = "sheet"):
+        """Place raw cell texts given as (row, [(column, text), ...]), counting from 1.
+
+        Rows ascend and come once each, and columns ascend within a row: cells
+        keeps that row-major order and the index relies on it.  Blank texts
+        are skipped.
+        """
+        self.cells: dict[str, Cell] = {}
         self.name = name
         self._values: dict[str, CellValue] = {}
-
-    @classmethod
-    def from_rows(cls, rows: list[list[str]], name: str = "sheet") -> "Sheet":
-        cells: dict[str, Cell] = {}
-        scanned = 0
-        for row_index, row in enumerate(rows, start=1):
-            scanned += len(row)
-            if scanned > MAX_CELLS:
-                raise ValueError(f"workbook exceeds {MAX_CELLS} cells")
-            for col_index, raw in enumerate(row, start=1):
+        self._rows: list[int] = []
+        self._columns: dict[int, list[int]] = {}
+        cells, row_list, row_columns = self.cells, self._rows, self._columns
+        for row_index, fields in rows:
+            columns = []
+            for col_index, raw in fields:
                 text = raw.strip()
                 if not text:
                     continue
@@ -127,21 +135,36 @@ class Sheet:
                 else:
                     cell = Cell(address, literal=_classify_literal(text))
                 cells[address] = cell
-        return cls(cells, name=name)
+                columns.append(col_index)
+            if columns:
+                row_list.append(row_index)
+                row_columns[row_index] = columns
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[list[str]], name: str = "sheet") -> "Sheet":
+        """Place a grid given as one list of raw texts per row; rows may come lazily."""
+        return cls(_numbered(rows), name=name)
 
     def addresses(self) -> Iterator[str]:
         """Populated addresses in row-major order."""
         return iter(self.cells)
 
     def range_addresses(self, ref) -> Iterator[str]:
-        """Populated addresses inside a RangeRef, row-major."""
+        """Populated addresses inside a RangeRef, row-major.
+
+        Costs O(log rows + populated rows spanned + hits), not the area.
+        """
         col_lo = column_to_index(ref.start.column)
         col_hi = column_to_index(ref.end.column)
-        for row in range(ref.start.row, ref.end.row + 1):
-            for col in range(col_lo, col_hi + 1):
-                address = f"{index_to_column(col)}{row}"
-                if address in self.cells:
-                    yield address
+        letters: dict[int, str] = {}  # each column's letters, made once per call
+        rows = self._rows
+        for row in rows[bisect_left(rows, ref.start.row):bisect_right(rows, ref.end.row)]:
+            columns = self._columns[row]
+            for col in columns[bisect_left(columns, col_lo):bisect_right(columns, col_hi)]:
+                column = letters.get(col)
+                if column is None:
+                    column = letters[col] = index_to_column(col)
+                yield f"{column}{row}"
 
     def value(self, address: str) -> CellValue:
         from .evaluator import _Evaluator
@@ -156,10 +179,23 @@ class Sheet:
         return {address: evaluator.cell_value(address) for address in self.cells}
 
 
+def _numbered(rows: Iterable[list[str]]) -> Iterator[tuple[int, Iterator[tuple[int, str]]]]:
+    """(row, enumerate(fields)) pairs, both counting from 1; stops a grid past MAX_CELLS."""
+    scanned = 0
+    for row_index, fields in enumerate(rows, start=1):
+        scanned += len(fields)
+        if scanned > MAX_CELLS:
+            raise ValueError(f"workbook exceeds {MAX_CELLS} cells")
+        yield row_index, enumerate(fields, start=1)
+
+
 def load_workbook(path: str | Path) -> Sheet:
-    """Load a CSV grid; row 1 is the first CSV record, column A the first field."""
+    """Load a CSV grid; row 1 is the first CSV record, column A the first field.
+
+    Records are placed as the reader yields them, so only one is held at a
+    time, not the whole grid with its empty fields.
+    """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = list(csv.reader(handle))
-    return Sheet.from_rows(rows, name=path.stem)
+        return Sheet.from_rows(csv.reader(handle), name=path.stem)

@@ -238,6 +238,19 @@ def test_r1_evidence_names_the_offending_cell():
     assert "-1000" in finding.evidence[0][1]
 
 
+def test_r1_and_r5_resolve_whole_sheet_ranges():
+    # B1:ZZZ999999 has 1.8e10 slots; the rules pay only for the populated ones.
+    npv = "=NPV(0.1,B1:ZZZ999999)"
+    pmt = "=PMT(SUM(B1:ZZZ999999),12,100)"
+    assert run_rules(Sheet.from_rows([[npv]])) == []
+    assert run_rules(Sheet.from_rows([[pmt]])) == []
+    r1 = run_rules(Sheet.from_rows([[npv, "-100"]]))
+    assert [(f.rule_id, f.cell, f.evidence) for f in r1] == [("R1", "A1", (("B1", "-100"),))]
+    r5 = run_rules(Sheet.from_rows([[pmt, "5"]]))
+    assert [(f.rule_id, f.cell) for f in r5] == [("R5", "A1")]
+    assert "resolves to 5;" in r5[0].message
+
+
 def test_r6_bounds_on_date_components():
     assert [f.rule_id for f in run_rules(Sheet.from_rows([["=31/12/1999"]]))] == ["R6"]
     assert [f.rule_id for f in run_rules(Sheet.from_rows([["=1/1/80"]]))] == ["R6"]

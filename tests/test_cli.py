@@ -42,6 +42,19 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "3"
 
+    def test_far_binding_costs_one_cell(self, capsys):
+        # a dense grid up to ZZZ60 would be over a million cells
+        assert main(["eval", "=ZZZ60", "--bind", "ZZZ60=1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_bindings_in_any_order_read_row_major(self, capsys):
+        # NPV at rate 1 weighs each value by its place: 4/2 + 8/4 + 1/8; the
+        # second B2 binding replaces the first
+        argv = ["eval", "=NPV(1,A1:ZZZ60)", "--bind", "ZZZ60=1", "--bind", "B2=2",
+                "--bind", "A1=4", "--bind", "B2=8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "4.125"
+
     def test_date_bindings_subtract_to_days(self, capsys):
         code = main([
             "eval", "=B1-A1", "--bind", "A1=2024-01-01", "--bind", "B1=2024-03-01",

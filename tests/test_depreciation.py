@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ledgerlint import depreciation
 from ledgerlint.depreciation import (
     DepreciationSpec,
     FullWriteOffWarning,
@@ -120,6 +121,51 @@ def test_db_period_stops_at_the_period_asked_for():
     spec = DepreciationSpec(cost=100.0, salvage=10.0, life=10**300)
     for mode in PrecisionMode:
         assert db_period(spec, 1, mode) == spec.cost * db_rate(spec, mode)
+
+
+@pytest.mark.filterwarnings("ignore::ledgerlint.depreciation.FullWriteOffWarning")
+def test_db_period_matches_the_full_recurrence():
+    # Salvage near cost rounds the compat rate to 0, and a tiny salvage drives
+    # the book value into the subnormal range within the life, so both kinds
+    # of fixed point are crossed, in every month and in either mode.
+    fixed_points = 0
+    for cost in (1.0, 1000.0, 1e6, 1e300):
+        for share in (0.0, 1e-300, 1e-9, 0.001, 0.1, 0.5, 0.9995, 1.0 - 1e-12, 1.0 - 1e-16, 1.0):
+            for life in (1, 2, 5, 60, 1200):
+                for month in (1, 7, 12):
+                    spec = DepreciationSpec(cost, cost * share, life, month)
+                    for mode in PrecisionMode:
+                        rate = db_rate(spec, mode)
+                        rows = rolled_schedule(cost, spec.salvage, life, month, rate)
+                        fixed_points += any(a[2] == b[2] for a, b in zip(rows[1:], rows[2:]))
+                        for period in {1, 2, 3, life // 2, life, len(rows) - 1, len(rows)}:
+                            if not 1 <= period <= len(rows):
+                                continue
+                            expected = rows[period - 1][1]
+                            got = db_period(spec, period, mode)
+                            assert got == expected or math.isnan(got) and math.isnan(expected)
+    assert fixed_points > 100
+
+
+@pytest.mark.filterwarnings("ignore::ledgerlint.depreciation.FullWriteOffWarning")
+def test_db_period_is_bounded_by_the_fixed_point(monkeypatch):
+    # In compat mode the rounded rate is 0 or at least 0.001, so the book value
+    # stops changing long before 10**9 periods; a NaN book stops it too.
+    charges = []
+    charge = depreciation._charge
+
+    def counted(*args):
+        charges.append(args[-1])
+        assert len(charges) < 1000, "db_period walked past the fixed point"
+        return charge(*args)
+
+    monkeypatch.setattr(depreciation, "_charge", counted)
+    for salvage in (10.0, 0.0):
+        spec = DepreciationSpec(cost=100.0, salvage=salvage, life=10**9)
+        assert db_period(spec, 10**9, PrecisionMode.COMPAT) == 0.0
+    # 1.7e308 * 12 overflows in the first period, and the book turns -inf, then NaN
+    overflowing = DepreciationSpec(cost=1.7e308, salvage=0.0, life=10**9)
+    assert math.isnan(db_period(overflowing, 10**9, PrecisionMode.COMPAT))
 
 
 def test_db_schedule_exact_simple():

@@ -17,7 +17,9 @@ from ledgerlint.formula import (
     evaluate,
     load_workbook,
     parse,
+    parse_address,
 )
+from ledgerlint.formula.ast import column_to_index, index_to_column
 from ledgerlint.rates import accrint, effective_rate, intrate, nominal_rate
 
 EMPTY_SHEET = Sheet.from_rows([])
@@ -380,6 +382,65 @@ def test_cycle_through_range():
     assert sheet.value("A1").kind is ErrorKind.CYCLE
 
 
+def test_cycle_message_names_the_path_in_call_order():
+    sheet = Sheet.from_rows([["=B1+1", "=C1*2", "=SUM(A1:A2)"], ["4"]])
+    values = sheet.evaluate_all()
+    assert str(values["A1"]) == "#CYCLE! circular reference: A1 -> B1 -> C1 -> A1"
+    assert values["A1"] == values["B1"] == values["C1"]
+    assert str(Sheet.from_rows([["=A1"]]).value("A1")) == "#CYCLE! circular reference: A1 -> A1"
+
+
+# column indices around the letter-count boundaries: A, B, Z, AA, AZ, BA, ZZ, AAA, ABC
+_INDEX_COLUMNS = [1, 2, 26, 27, 52, 53, 702, 703, 731]
+
+
+@st.composite
+def sparse_sheets_and_ranges(draw):
+    """A sparse grid (empty rows, blank and whitespace fields) and ranges over it."""
+    placed = draw(st.dictionaries(
+        st.tuples(st.integers(1, 30), st.sampled_from(_INDEX_COLUMNS)),
+        st.sampled_from(["1", "=2", "x", "2024-01-01", " ", ""]),
+        max_size=25,
+    ))
+    rows = [[""] * max((c for (r, c) in placed if r == row), default=0) for row in range(1, 31)]
+    for (row, col), text in placed.items():
+        rows[row - 1][col - 1] = text
+    corner = st.tuples(st.sampled_from(_INDEX_COLUMNS + [18278]), st.integers(1, 40))
+    ranges = []
+    for start, end in draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            end = start  # a single-cell range
+        ranges.append(tuple(f"{index_to_column(col)}{row}" for col, row in (start, end)))
+    return Sheet.from_rows(rows), ranges
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_sheets_and_ranges())
+def test_range_addresses_match_a_rectangle_filter(sheet_and_ranges):
+    sheet, ranges = sheet_and_ranges
+    for start, end in ranges:
+        ref = parse(f"=SUM({start}:{end})").args[0]
+        col_lo, col_hi = column_to_index(ref.start.column), column_to_index(ref.end.column)
+        expected = [
+            address for address in sheet.cells
+            if col_lo <= column_to_index(parse_address(address)[0]) <= col_hi
+            and ref.start.row <= parse_address(address)[1] <= ref.end.row
+        ]
+        assert list(sheet.range_addresses(ref)) == expected
+
+
+def test_whole_sheet_ranges_cost_their_populated_cells():
+    # A1:ZZZ999999 has 1.8e10 slots; walking them would not finish.
+    one = Sheet.from_rows([["5"]])
+    assert evaluate(parse("=SUM(A1:ZZZ999999)"), one) == 5.0
+    assert evaluate(parse("=NPV(0.1,A1:ZZZ999999)"), one) == npv_legacy(0.1, [5.0])
+    two = Sheet.from_rows([["5"], [], ["", "", "x", "7"]])
+    assert evaluate(parse("=SUM(A1:ZZZ999999)"), two) == 12.0
+    assert evaluate(parse("=NPV(0.1,A1:ZZZ999999)"), two) == npv_legacy(0.1, [5.0, 7.0])
+    assert evaluate(parse("=SUM(E1:ZZZ999999)"), two) == 0.0
+    assert list(two.range_addresses(parse("=SUM(ZZZ999999:A1)").args[0])) == ["A1", "C3", "D3"]
+
+
 def test_parse_failure_recorded_per_cell():
     sheet = Sheet.from_rows([["=1+", "7"]])
     assert sheet.value("A1").kind is ErrorKind.PARSE
@@ -392,6 +453,19 @@ def test_cell_limit_guard():
     rows = [[""] * 1001 for _ in range(1000)]
     with pytest.raises(ValueError, match="cells"):
         Sheet.from_rows(rows)
+
+
+def test_from_rows_reads_rows_as_they_come():
+    rows = [["1", "", "=A1+1"], [], [" ", "x"]]
+    assert Sheet.from_rows(iter(rows)).cells == Sheet.from_rows(rows).cells
+
+    def too_many_rows():
+        for _ in range(1000):
+            yield [""] * 1001
+        raise AssertionError("read past the cell limit")
+
+    with pytest.raises(ValueError, match="cells"):
+        Sheet.from_rows(too_many_rows())
 
 
 def test_xnpv_dispatch_with_ranges():
