@@ -124,6 +124,11 @@ def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:
     return float(rounded)
 
 
+# Far beyond a century of monthly periods (1,200), so a real schedule's
+# periods all come from the walk.
+EXACT_WALK_PERIODS = 10_000
+
+
 def _charge(spec: DepreciationSpec, rate: float, book: float, period: int) -> float:
     """Depreciation in one period, given the book value it starts from."""
     if period == 1:
@@ -136,9 +141,13 @@ def _charge(spec: DepreciationSpec, rate: float, book: float, period: int) -> fl
 def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float:
     """Depreciation charged in a single period (1-based).
 
-    The walk stops once the book value stops changing, so in compat mode,
-    where the rounded rate is 0 or at least 0.001, it takes at most about
-    1.45 million steps whatever the period.
+    The charge is walked period by period, as db_schedule computes it, so the
+    two agree bit for bit.  The walk stops once the book value stops
+    changing: in compat mode, where the rounded rate is 0 or at least 0.001,
+    that takes at most about 1.45 million steps whatever the period.  The
+    exact rate can be small enough never to get there, so exact mode walks
+    at most EXACT_WALK_PERIODS periods and reaches a later one in closed
+    form: each ordinary period multiplies the book value by (1 - rate).
     """
     if not 1 <= period <= spec.periods:
         raise ValueError(
@@ -152,7 +161,8 @@ def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float
         )
     rate = db_rate(spec, mode)
     book = spec.cost
-    for earlier in range(1, period):
+    walked = period if mode is PrecisionMode.COMPAT else min(period, EXACT_WALK_PERIODS)
+    for earlier in range(1, walked):
         dep = _charge(spec, rate, book, earlier)
         if earlier > 1 and (book - dep == book or book != book):
             # The book stopped changing (or is NaN, which every later charge
@@ -160,6 +170,9 @@ def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float
             # asked-for period starts from this book value.
             break
         book -= dep
+    else:
+        # the ordinary periods walked .. period-1, none once the walk reached period
+        book *= (1.0 - rate) ** (period - walked)
     return _charge(spec, rate, book, period)
 
 

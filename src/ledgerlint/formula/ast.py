@@ -61,28 +61,63 @@ class TextLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CellRef:
+    """A cell reference; a '$' anchor keeps its column or row fixed when a
+    formula is filled into other cells, and evaluation ignores it."""
+
     column: str
     row: int
+    column_absolute: bool = False
+    row_absolute: bool = False
+
+    def __init__(
+        self, column: str, row: int, column_absolute: bool = False, row_absolute: bool = False
+    ) -> None:
+        # An unanchored reference, nearly every one, stores no flag and reads
+        # the class defaults: two stored fields, not four, for every
+        # reference that parsing and shape filling make.
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "row", row)
+        if column_absolute:
+            object.__setattr__(self, "column_absolute", True)
+        if row_absolute:
+            object.__setattr__(self, "row_absolute", True)
 
     @property
     def address(self) -> str:
         return f"{self.column}{self.row}"
 
+    def __repr__(self) -> str:
+        anchors = ""
+        if self.column_absolute or self.row_absolute:
+            anchors = f", column_absolute={self.column_absolute}, row_absolute={self.row_absolute}"
+        return f"CellRef(column={self.column!r}, row={self.row!r}{anchors})"
+
+
+def _ref_source(ref: CellRef) -> str:
+    column_anchor = "$" if ref.column_absolute else ""
+    row_anchor = "$" if ref.row_absolute else ""
+    return f"{column_anchor}{ref.column}{row_anchor}{ref.row}"
+
 
 @dataclass(frozen=True)
 class RangeRef:
-    """Rectangular range; corners normalize so start <= end on both axes."""
+    """Rectangular range; corners normalize so start <= end on both axes, each
+    column and row keeping its own anchor."""
 
     start: CellRef
     end: CellRef
 
     def __post_init__(self) -> None:
-        cols = sorted((self.start.column, self.end.column), key=column_to_index)
-        rows = sorted((self.start.row, self.end.row))
-        object.__setattr__(self, "start", CellRef(cols[0], rows[0]))
-        object.__setattr__(self, "end", CellRef(cols[1], rows[1]))
+        start, end = self.start, self.end
+        swap_columns = column_to_index(start.column) > column_to_index(end.column)
+        left, right = (end, start) if swap_columns else (start, end)
+        top, bottom = (end, start) if start.row > end.row else (start, end)
+        first = CellRef(left.column, top.row, left.column_absolute, top.row_absolute)
+        last = CellRef(right.column, bottom.row, right.column_absolute, bottom.row_absolute)
+        object.__setattr__(self, "start", first)
+        object.__setattr__(self, "end", last)
 
 
 @dataclass(frozen=True)
@@ -166,9 +201,9 @@ def _render(node: FormulaNode) -> str:
     if isinstance(node, TextLit):
         return '"' + node.value.replace('"', '""') + '"'
     if isinstance(node, CellRef):
-        return node.address
+        return _ref_source(node)
     if isinstance(node, RangeRef):
-        return f"{node.start.address}:{node.end.address}"
+        return f"{_ref_source(node.start)}:{_ref_source(node.end)}"
     if isinstance(node, Unary):
         child = _render(node.child)
         if _precedence(node.child) < _PREC_UNARY:

@@ -1,8 +1,8 @@
 """Lexer and precedence-climbing parser for spreadsheet formulas.
 
 Three tables state the language: the token pattern (_TOKEN_RE), the A1
-reference pattern (_REF_RE) and the operator precedence table of the printer
-(ast._BINARY_PREC).  Grammar:
+reference pattern (_REF_RE, with optional '$' anchors) and the operator
+precedence table of the printer (ast._BINARY_PREC).  Grammar:
 
     expression[p] := ('-' expression[^] | postfix) (OP expression[q])*
         OP is an operator of _BINARY_PREC binding at p or tighter, and q the
@@ -59,7 +59,10 @@ class TokenKind(str, Enum):
     COLON = "colon"
 
 
-_REF_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)")
+# column anchor, letters, row anchor, row
+_REF_RE = re.compile(r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]*)")
+# letters-then-digits is a cell ref unless a call's '(' follows
+_REF_TOKEN = rf"{_REF_RE.pattern}(?![A-Za-z0-9(])"
 _OPERATORS = sorted([*_BINARY_PREC, "%"], key=len, reverse=True)  # '<=' before '<'
 # one alternative per token kind, named after its TokenKind value; ASCII only,
 # since \d and str.isalpha would also accept characters such as '²' and 'é'
@@ -68,8 +71,7 @@ _TOKEN_RE = re.compile(
         r"[ \t]+",
         r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)",
         r'(?P<string>"(?:[^"]|"")*"(?!"))',
-        # letters-then-digits is a cell ref unless a call's '(' follows
-        rf"(?P<ref>{_REF_RE.pattern})(?![A-Za-z0-9(])",
+        rf"(?P<ref>{_REF_TOKEN})",
         r"(?P<ident>[A-Za-z][A-Za-z0-9]*)",
         "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
         r"(?P<lparen>\()",
@@ -277,16 +279,16 @@ class _Parser:
 
 def _make_ref(token: Token) -> CellRef:
     """The token is upper-case already; its matched one-letter columns are shared strings."""
-    match = _REF_RE.fullmatch(token.text)
-    return CellRef(match.group(1), int(match.group(2)))
+    column_anchor, column, row_anchor, row = _REF_RE.fullmatch(token.text).groups()
+    return CellRef(column, int(row), column_anchor == "$", row_anchor == "$")
 
 
 def parse_address(address: str) -> tuple[str, int]:
-    """Split "B3" into ("B", 3)."""
+    """Split "B3" into ("B", 3); a cell address carries no '$' anchors."""
     match = _REF_RE.fullmatch(address.strip())
-    if not match:
+    if not match or match.group(1) or match.group(3):
         raise ValueError(f"not a cell address: {address!r}")
-    return match.group(1).upper(), int(match.group(2))
+    return match.group(2).upper(), int(match.group(4))
 
 
 def parse(text: str) -> FormulaNode:

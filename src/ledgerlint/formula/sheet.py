@@ -1,8 +1,10 @@
 """CSV-backed single-sheet workbooks.
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
-or text.  Formula parse failures are recorded on the cell as error values so
-a bad formula never aborts a workbook load.
+or text.  A sheet parses each relative shape of formula once and fills in
+each cell's references (shapes.ShapeCache).  Formula parse failures are
+recorded on the cell as error values so a bad formula never aborts a
+workbook load.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Iterable, Iterator, Union
 
 from ..daycount import parse_date
 from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
-from .parser import ParseError, parse, parse_address
+from .parser import ParseError, parse_address
+from .shapes import ShapeCache
 
 __all__ = [
     "MAX_CELLS",
@@ -120,6 +123,7 @@ class Sheet:
         self._rows: list[int] = []
         self._columns: dict[int, list[int]] = {}
         cells, row_list, row_columns = self.cells, self._rows, self._columns
+        shapes = ShapeCache()
         for row_index, fields in rows:
             columns = []
             for col_index, raw in fields:
@@ -129,7 +133,7 @@ class Sheet:
                 address = f"{index_to_column(col_index)}{row_index}"
                 if text.startswith("="):
                     try:
-                        cell = Cell(address, formula=parse(text))
+                        cell = Cell(address, formula=shapes.parse(text, col_index, row_index))
                     except ParseError as exc:
                         cell = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
                 else:

@@ -278,6 +278,16 @@ def test_r8_requires_date_difference_and_literal_360():
     assert run_rules(Sheet.from_rows(rows)) == []
 
 
+def test_anchored_rate_gives_r2_as_its_unanchored_twin():
+    twin = Sheet.from_rows([["0.06", "=PMT(A1/12,60,10000)"]])
+    expected = run_rules(twin)
+    assert [f.rule_id for f in expected] == ["R2"]
+    for source in ("=PMT($A$1/12,60,10000)", "=PMT(A$1/12,60,10000)", "=PMT($A1/12,60,10000)"):
+        sheet = Sheet.from_rows([["0.06", source]])
+        assert run_rules(sheet) == expected
+        assert sheet.evaluate_all() == twin.evaluate_all()
+
+
 def test_rules_skip_strange_cells():
     nan = "1e308*10-1e308*10"
     rows = [

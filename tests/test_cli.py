@@ -112,6 +112,13 @@ class TestAudit:
         assert finding_keys(out) == [("A1", "R2")]
         assert " info " in out[0]
 
+    def test_anchored_references_are_audited(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text('0.06,"=PMT($A$1/12,60,10000)"\n')
+        assert main(["audit", str(book)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert finding_keys(out) == [("B1", "R2")]
+
     def test_structured_matches_text_findings(self, capsys):
         path = str(FIXTURES / "traps" / "r4_db_month.csv")
         assert main(["audit", path]) == 1

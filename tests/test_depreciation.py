@@ -168,6 +168,35 @@ def test_db_period_is_bounded_by_the_fixed_point(monkeypatch):
     assert math.isnan(db_period(overflowing, 10**9, PrecisionMode.COMPAT))
 
 
+def test_db_period_exact_mode_jumps_past_the_walk(monkeypatch):
+    # The exact rate of a 10**9-period life is about 2.3e-9, so the book never
+    # stops changing and a walk to period 10**6 would take 10**6 steps.
+    spec = DepreciationSpec(cost=100.0, salvage=10.0, life=10**9)
+    rate = db_rate(spec, PrecisionMode.EXACT)
+    charges = []
+    charge = depreciation._charge
+
+    def counted(*args):
+        charges.append(args[-1])
+        return charge(*args)
+
+    monkeypatch.setattr(depreciation, "_charge", counted)
+    got = db_period(spec, 10**6, PrecisionMode.EXACT)
+    assert len(charges) <= depreciation.EXACT_WALK_PERIODS
+    assert math.isclose(got, spec.cost * rate * (1 - rate) ** (10**6 - 1), rel_tol=1e-12)
+    # where the walk ends, the closed form continues the recurrence
+    seam = depreciation.EXACT_WALK_PERIODS
+    for month in (7, 12):
+        spec = DepreciationSpec(cost=1e6, salvage=1e5, life=seam + 10, month=month)
+        rows = rolled_schedule(1e6, 1e5, spec.life, month, db_rate(spec, PrecisionMode.EXACT))
+        for period in (seam - 1, seam, seam + 1, seam + 5, len(rows) - 1, len(rows)):
+            expected = rows[period - 1][1]
+            got = db_period(spec, period, PrecisionMode.EXACT)
+            assert math.isclose(got, expected, rel_tol=1e-12), (month, period)
+            if period < seam:
+                assert got == expected
+
+
 def test_db_schedule_exact_simple():
     spec = DepreciationSpec(cost=100.0, salvage=25.0, life=2)
     schedule = db_schedule(spec, PrecisionMode.EXACT)

@@ -131,6 +131,32 @@ def test_parse_comparison_and_concat_precedence():
     assert node == Binary("&", Binary("+", NumberLit(1.0), NumberLit(2.0)), TextLit("x"))
 
 
+def test_parse_anchored_refs():
+    assert kinds_and_texts("=$a$1+B$2") == [
+        (TokenKind.REF, "$A$1"), (TokenKind.OP, "+"), (TokenKind.REF, "B$2")
+    ]
+    assert parse("=$A$1") == CellRef("A", 1, column_absolute=True, row_absolute=True)
+    assert parse("=a$3") == CellRef("A", 3, row_absolute=True)
+    assert parse("=$ZZ42") == CellRef("ZZ", 42, column_absolute=True)
+    assert parse("=$A$1") != parse("=A1")
+    assert repr(parse("=A1")) == "CellRef(column='A', row=1)"
+    assert parse("=A1") == CellRef("A", 1, False, False)
+    assert to_source(parse("=PMT($A$1/12,A$2,$B3)")) == "=PMT($A$1/12,A$2,$B3)"
+    # each corner keeps its column's and its row's anchor when a range normalizes
+    assert to_source(parse("=SUM($B5:A$1)")) == "=SUM(A$1:$B5)"
+    assert to_source(parse("=SUM($B$5:$A$1)")) == "=SUM($A$1:$B$5)"
+    for source in ("=$", "=$$A1", "=A$$1", "=$A1(2)", "=$1"):
+        with pytest.raises(ParseError):
+            parse(source)
+
+
+def test_anchors_do_not_change_values():
+    sheet = Sheet.from_rows([["2", "3", "=$A$1*B$1+$A1"]])
+    assert sheet.value("C1") == 8.0
+    with pytest.raises(ValueError, match="not a cell address"):
+        sheet.value("$C$1")
+
+
 def test_range_normalization():
     assert to_source(parse("=B2:A1")) == "=A1:B2"
     assert to_source(parse("=A2:B1")) == "=A1:B2"
@@ -228,6 +254,8 @@ refs = st.builds(
     CellRef,
     column=st.from_regex(r"[A-Z]{1,2}", fullmatch=True),
     row=st.integers(min_value=1, max_value=999),
+    column_absolute=st.booleans(),
+    row_absolute=st.booleans(),
 )
 
 numbers = st.one_of(
