@@ -476,8 +476,7 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
         config = RuleConfig()
     specs = [_RULES[rule_id] for rule_id in RULE_IDS if rule_id in config.enabled]
     findings: list[Finding] = []
-    for address in sheet.addresses():
-        cell = sheet.cells[address]
+    for cell in sheet.cells.values():
         if cell.formula is None:
             continue
         found = _trigger_nodes(cell.formula)

@@ -1,13 +1,14 @@
-"""Formulas that share a relative shape are parsed once per sheet.
+"""Formulas that share a shape are parsed once per sheet.
 
 A formula filled down or across a sheet keeps its text and moves its
-references with the cell.  Its shape key is its text with each reference
-written as an offset from the cell that holds it, except that a '$'-anchored
-column or row stays absolute (the R1C1 view, as in ECMA-376 shared formulas,
-<f t="shared">).  The first cell with a key is parsed as usual.  When the key
-comes again, that cell's tree becomes the key's template, and each cell with
-the key gets the template filled with its own references: the tree parse()
-gives its text.
+references with the cell, so its shape key is the tuple of texts between its
+reference tokens: the cells of a filled range share it, whatever their
+references and '$' anchors, as spreadsheet files share one formula over a
+filled range (ECMA-376, <f t="shared">).  The first cell with a key is parsed
+as usual.  When the key comes again, that cell's tree becomes the key's
+template, and each cell with the key gets the template filled with its own
+references: the tree parse() gives its text.  The key keeps the boundaries
+between the texts, since '=-A1' and '=A1-B1' join to the same string.
 """
 
 from __future__ import annotations
@@ -17,27 +18,27 @@ import sys
 from operator import itemgetter
 from typing import Callable
 
-from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary, column_to_index
+from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
 from .parser import _REF_TOKEN, parse
 
 __all__ = ["ShapeCache"]
 
 # The lexer's reference token where it can start one: never right after a
-# letter, a digit or a '.' (inside a name or a number like 1E5), and never
-# inside a string literal, which leaves an odd number of '"' after it.
-_SHAPE_RE = re.compile(rf'(?<![A-Za-z0-9.]){_REF_TOKEN}(?=[^"]*(?:"[^"]*"[^"]*)*\Z)')
+# letter, a digit or a '.' (inside a name or a number like 1E5).  A match
+# inside a string literal is not a reference for the lexer, and the template
+# check below makes such a key unshareable.
+_SHAPE_RE = re.compile(rf"(?<![A-Za-z0-9.]){_REF_TOKEN}")
 
 _Fill = Callable[[list[CellRef]], FormulaNode]
 _UNSHAREABLE = object()
 
 
 class _Columns(dict):
-    """Column letters as written -> (interned upper-case letters, column index)."""
+    """Column letters as written -> interned upper-case letters."""
 
-    def __missing__(self, letters: str) -> tuple[str, int]:
-        column = sys.intern(letters.upper())
-        found = self[letters] = (column, column_to_index(column))
-        return found
+    def __missing__(self, letters: str) -> str:
+        column = self[letters] = sys.intern(letters.upper())
+        return column
 
 
 class ShapeCache:
@@ -49,46 +50,32 @@ class ShapeCache:
 
     def __init__(self) -> None:
         self._columns = _Columns()
-        self._shapes: dict[tuple, object] = {}
+        self._shapes: dict[tuple[str, ...], object] = {}
 
-    def parse(self, text: str, column: int, row: int) -> FormulaNode:
-        """parse(text) for the formula of the cell at (column, row), counting from 1."""
+    def parse(self, text: str) -> FormulaNode:
+        """parse(text), filled from the template of its key where there is one."""
         # [text, column anchor, letters, row anchor, digits, text, ...]
         parts = _SHAPE_RE.split(text)
-        groups = iter(parts)
-        # (text before, column anchor, letters, row anchor, digits) per reference
-        references = list(zip(groups, groups, groups, groups, groups))
-        columns = self._columns
-        key = (
-            parts[-1],
-            *[
-                (
-                    before,
-                    column_anchor,
-                    columns[letters][1] - (0 if column_anchor else column),
-                    row_anchor,
-                    int(digits) - (0 if row_anchor else row),
-                )
-                for before, column_anchor, letters, row_anchor, digits in references
-            ],
-        )
+        key = tuple(parts[::5])
         shape = self._shapes.get(key)
         if shape is None:
             node = parse(text)  # a ParseError leaves the key unseen
-            self._shapes[key] = (node, references)
+            self._shapes[key] = (node, parts)
             return node
         if type(shape) is tuple:
-            first, first_references = shape
-            shape = self._shapes[key] = _template(first, self._refs(first_references))
+            first, first_parts = shape
+            shape = self._shapes[key] = _template(first, self._refs(first_parts))
         if shape is _UNSHAREABLE:
             return parse(text)
-        return shape(self._refs(references))
+        return shape(self._refs(parts))
 
-    def _refs(self, references: list[tuple[str, str, str, str, str]]) -> list[CellRef]:
+    def _refs(self, parts: list[str]) -> list[CellRef]:
         columns = self._columns
         return [
-            CellRef(columns[letters][0], int(digits), column_anchor == "$", row_anchor == "$")
-            for _, column_anchor, letters, row_anchor, digits in references
+            CellRef(columns[letters], int(digits), column_anchor == "$", row_anchor == "$")
+            for column_anchor, letters, row_anchor, digits in zip(
+                parts[1::5], parts[2::5], parts[3::5], parts[4::5]
+            )
         ]
 
 
@@ -99,8 +86,9 @@ def _template(node: FormulaNode, refs: list[CellRef]):
     exactly refs, the references the key found in node's text: then the
     text's reference tokens are exactly those, and a text with the same key
     differs from it only there, so it parses to the same tree with its own
-    references.  A reference-like run the lexer reads otherwise, or a
-    reversed range the parser normalized, makes the key unshareable.
+    references.  A reference-like run the lexer reads otherwise (inside a
+    string, say), or a reversed range the parser normalized, makes the key
+    unshareable.
     """
     found: list[CellRef] = []
     fill = _filler(node, found)

@@ -1,10 +1,9 @@
 """CSV-backed single-sheet workbooks.
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
-or text.  A sheet parses each relative shape of formula once and fills in
-each cell's references (shapes.ShapeCache).  Formula parse failures are
-recorded on the cell as error values so a bad formula never aborts a
-workbook load.
+or text.  A sheet parses each shape of formula once and fills in each cell's
+references (shapes.ShapeCache).  Formula parse failures are recorded on the
+cell as error values so a bad formula never aborts a workbook load.
 """
 
 from __future__ import annotations
@@ -102,6 +101,14 @@ def _classify_literal(text: str) -> float | dt.date | str:
     return text
 
 
+class _ColumnLetters(dict):
+    """Column index -> letters, made once per index."""
+
+    def __missing__(self, index: int) -> str:
+        letters = self[index] = index_to_column(index)
+        return letters
+
+
 class Sheet:
     """Immutable cells, a row index of the populated ones, and a value cache.
 
@@ -122,6 +129,7 @@ class Sheet:
         self._values: dict[str, CellValue] = {}
         self._rows: list[int] = []
         self._columns: dict[int, list[int]] = {}
+        self._letters = letters = _ColumnLetters()
         cells, row_list, row_columns = self.cells, self._rows, self._columns
         shapes = ShapeCache()
         for row_index, fields in rows:
@@ -130,10 +138,10 @@ class Sheet:
                 text = raw.strip()
                 if not text:
                     continue
-                address = f"{index_to_column(col_index)}{row_index}"
+                address = f"{letters[col_index]}{row_index}"
                 if text.startswith("="):
                     try:
-                        cell = Cell(address, formula=shapes.parse(text, col_index, row_index))
+                        cell = Cell(address, formula=shapes.parse(text))
                     except ParseError as exc:
                         cell = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
                 else:
@@ -149,10 +157,6 @@ class Sheet:
         """Place a grid given as one list of raw texts per row; rows may come lazily."""
         return cls(_numbered(rows), name=name)
 
-    def addresses(self) -> Iterator[str]:
-        """Populated addresses in row-major order."""
-        return iter(self.cells)
-
     def range_addresses(self, ref) -> Iterator[str]:
         """Populated addresses inside a RangeRef, row-major.
 
@@ -160,15 +164,11 @@ class Sheet:
         """
         col_lo = column_to_index(ref.start.column)
         col_hi = column_to_index(ref.end.column)
-        letters: dict[int, str] = {}  # each column's letters, made once per call
-        rows = self._rows
+        letters, rows = self._letters, self._rows
         for row in rows[bisect_left(rows, ref.start.row):bisect_right(rows, ref.end.row)]:
             columns = self._columns[row]
             for col in columns[bisect_left(columns, col_lo):bisect_right(columns, col_hi)]:
-                column = letters.get(col)
-                if column is None:
-                    column = letters[col] = index_to_column(col)
-                yield f"{column}{row}"
+                yield f"{letters[col]}{row}"
 
     def value(self, address: str) -> CellValue:
         from .evaluator import _Evaluator

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,12 +47,17 @@ def _load_workloads():
     return module
 
 
-def _sheets(grid: dict[tuple[int, int], str]) -> tuple[Sheet, Sheet]:
-    """The sheet of grid ((column, row) -> text) and its per-cell parse oracle."""
+def _rows(grid: dict[tuple[int, int], str]):
+    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
     rows: dict[int, list[tuple[int, str]]] = {}
     for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
         rows.setdefault(row, []).append((col, text))
-    sheet, oracle = Sheet(rows.items()), Sheet(rows.items())
+    return rows.items()
+
+
+def _sheets(grid: dict[tuple[int, int], str]) -> tuple[Sheet, Sheet]:
+    """The sheet of grid ((column, row) -> text) and its per-cell parse oracle."""
+    sheet, oracle = Sheet(_rows(grid)), Sheet(_rows(grid))
     for (col, row), raw in grid.items():
         text = raw.strip()
         if text.startswith("="):
@@ -72,10 +78,9 @@ def assert_as_parsed_per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
     return sheet
 
 
-def filled(text: str, d_col: int, d_row: int) -> str | None:
-    """text as filling it d_col columns right and d_row rows down writes it:
-    each reference token moves unless '$' anchors it, the rest stays as it is.
-    None when a reference would leave the sheet; text itself when it does not lex.
+def rewritten(text: str, new_ref) -> str | None:
+    """text with each reference token replaced by new_ref(its CellRef), the rest
+    as it is.  None when new_ref gives None; text itself when it does not lex.
     """
     try:
         tokens = tokenize(text)
@@ -85,16 +90,30 @@ def filled(text: str, d_col: int, d_row: int) -> str | None:
     for token in tokens:
         if token.kind is not TokenKind.REF:
             continue
-        ref = parse("=" + token.text)
+        new = new_ref(parse("=" + token.text))
+        if new is None:
+            return None
+        pieces += [text[last:token.pos], new]
+        last = token.pos + len(token.text)
+    return "".join(pieces) + text[last:]
+
+
+def filled(text: str, d_col: int, d_row: int) -> str | None:
+    """text as filling it d_col columns right and d_row rows down writes it:
+    each reference token moves unless '$' anchors it, the rest stays as it is.
+    None when a reference would leave the sheet; text itself when it does not lex.
+    """
+
+    def moved(ref):
         col = column_to_index(ref.column) + (0 if ref.column_absolute else d_col)
         row = ref.row + (0 if ref.row_absolute else d_row)
         if not (1 <= col <= column_to_index("ZZZ") and row >= 1):
             return None
         column_anchor = "$" if ref.column_absolute else ""
         row_anchor = "$" if ref.row_absolute else ""
-        pieces += [text[last:token.pos], f"{column_anchor}{index_to_column(col)}{row_anchor}{row}"]
-        last = token.pos + len(token.text)
-    return "".join(pieces) + text[last:]
+        return f"{column_anchor}{index_to_column(col)}{row_anchor}{row}"
+
+    return rewritten(text, moved)
 
 
 def fill_region(grid, text, col, row, moves):
@@ -118,6 +137,42 @@ def test_golden_corpus_at_random_hosts(seed):
     for text in CORPUS:
         moves = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)]
         fill_region(grid, text, rng.randint(8, 60), rng.randint(1, 3000), moves)
+    assert_as_parsed_per_cell(grid)
+
+
+def random_ref(rng: random.Random) -> str:
+    """A reference of 1-3 letters, either case, with or without each anchor."""
+    if rng.random() < 0.5:
+        letters = index_to_column(rng.randint(1, 6))  # mostly the literals
+    else:
+        letters = "".join(rng.choice("ABCXYZ") for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        letters = letters.lower()
+    column_anchor, row_anchor = rng.choice(["$", ""]), rng.choice(["$", ""])
+    return f"{column_anchor}{letters}{row_anchor}{rng.randint(1, 40)}"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_golden_corpus_with_random_references(seed):
+    # the copies of a text share its key but not its references' offsets
+    rng = random.Random(seed)
+    grid = {}
+    for col in range(1, 7):
+        for row in range(1, 41):
+            grid[col, row] = str(rng.randint(-50, 500))
+    for text in CORPUS:
+        for _ in range(4):
+            grid[rng.randint(8, 80), rng.randint(1, 3000)] = rewritten(
+                text, lambda ref: random_ref(rng)
+            )
+    assert_as_parsed_per_cell(grid)
+
+
+@pytest.mark.parametrize("texts", [("=-A1", "=A1-B1"), ("=A1-B1", "=-A1")])
+def test_keys_keep_the_boundaries_between_references(texts):
+    # joined into one string, the two keys would both be '=-'
+    grid = {(1, 1): "3", (2, 1): "5"}
+    grid.update({(3, row): texts[row % 2] for row in range(1, 7)})
     assert_as_parsed_per_cell(grid)
 
 
@@ -149,6 +204,7 @@ EDGE_CASES = [
     "=A1B1",
     "=1",  # no references
     '=" spaces  "&A1',
+    '="Q1 "&B1',  # reference-like text inside a string
 ]
 
 
@@ -184,14 +240,20 @@ def test_repeated_unparsable_formulas_keep_their_own_messages():
     assert messages == [f"unexpected token 'B{row}' at column 4" for row in (1, 2, 3)]
 
 
-def test_a_filled_column_parses_once(monkeypatch):
-    parsed = []
+@pytest.fixture
+def parsed(monkeypatch):
+    """The texts that a sheet hands to parse(), in order."""
+    texts = []
 
     def counted(text):
-        parsed.append(text)
+        texts.append(text)
         return parse(text)
 
     monkeypatch.setattr(shapes, "parse", counted)
+    return texts
+
+
+def test_a_filled_column_parses_once(parsed):
     sheet = Sheet((row, [(2, f"=PMT(AB{row}/12,60,C{row})+$A$1")]) for row in range(1, 101))
     assert parsed == ["=PMT(AB1/12,60,C1)+$A$1"]
     # the cells after the first are filled, and their references share column strings
@@ -199,3 +261,30 @@ def test_a_filled_column_parses_once(monkeypatch):
     last = sheet.cells["B100"].formula.left.args[0].left
     assert (second.column, second.row, last.row) == ("AB", 2, 100)
     assert second.column is last.column
+
+
+def test_formulas_that_differ_only_in_references_parse_once(parsed):
+    grid = {(5, row): "=A1+B1" if row % 2 else "=C7+$D$9" for row in range(1, 21)}
+    Sheet(_rows(grid))
+    assert parsed == ["=A1+B1"]
+    assert_as_parsed_per_cell(grid)
+
+
+def test_the_loan_book_parses_each_shape_once(parsed):
+    for book in _load_workloads().loanbook(1, rows=80).books:
+        parsed.clear()
+        Sheet(_rows(book.grid))
+        assert 0 < len(parsed) <= 10, parsed
+
+
+def test_the_key_costs_less_than_a_parse():
+    # a text near the csv module's field limit of 131,072 characters; a key
+    # that rescans the rest of the text at every reference is quadratic in it
+    text = "=SUM(" + ",".join(["A1"] * 40_000) + ")"
+    start = time.perf_counter()
+    shapes._SHAPE_RE.split(text)
+    key_s = time.perf_counter() - start
+    start = time.perf_counter()
+    parse(text)
+    parse_s = time.perf_counter() - start
+    assert key_s < parse_s
