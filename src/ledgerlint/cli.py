@@ -17,6 +17,7 @@ from .audit import RuleConfig, Severity, render_text, run_rules, to_record
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
 from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse, parse_address
 from .formula.ast import column_to_index, format_number
+from .formula.shapes import ShapeCache
 from .formula.sheet import format_value
 from .loan import LoanSpec, build_schedule, load_published, verify_schedule
 from .rates import PeriodicConvention, parse_rate
@@ -76,9 +77,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(f"error: rule config: {exc}", file=sys.stderr)
         return 2
     worst_is_actionable = False
+    shapes = ShapeCache()  # one for the run: a class's workbooks share their shapes
     for path in args.workbooks:
         try:
-            sheet = load_workbook(path)
+            sheet = load_workbook(path, shapes)
         except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, oversized
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
@@ -111,7 +113,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {args.published}: {exc}", file=sys.stderr)
             return 2
-        discrepancies = verify_schedule(published, spec, tolerance=args.tolerance)
+        try:
+            discrepancies = verify_schedule(published, spec, tolerance=args.tolerance)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for d in discrepancies:
             print(
                 f"month {d.month}: {d.field} expected {format_number(d.expected)} "

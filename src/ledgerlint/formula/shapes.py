@@ -1,20 +1,23 @@
-"""Formulas that share a shape are parsed once per sheet.
+"""Formulas that share a shape are parsed once per cache.
 
 A formula filled down or across a sheet keeps its text and moves its
 references with the cell, so its shape key is the tuple of texts between its
 reference tokens: the cells of a filled range share it, whatever their
 references and '$' anchors, as spreadsheet files share one formula over a
-filled range (ECMA-376, <f t="shared">).  The first cell with a key is parsed
-as usual.  When the key comes again, that cell's tree becomes the key's
-template, and each cell with the key gets the template filled with its own
-references: the tree parse() gives its text.  The key keeps the boundaries
-between the texts, since '=-A1' and '=A1-B1' join to the same string.
+filled range (ECMA-376, <f t="shared">).  Workbooks built from one template
+or wizard share keys too, so one cache serves every workbook of an audit run.
+The first cell with a key is parsed as usual.  When the key comes again, that
+cell's tree becomes the key's template, and each cell with the key gets the
+template filled with its own references: the tree parse() gives its text.
+The key keeps the boundaries between the texts, since '=-A1' and '=A1-B1'
+join to the same string.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+import weakref
 from operator import itemgetter
 from typing import Callable
 
@@ -42,10 +45,12 @@ class _Columns(dict):
 
 
 class ShapeCache:
-    """Parses the formulas of one sheet, once per shape key.
+    """Parses formulas once per shape key, for as many sheets as share it.
 
-    Keep one only while placing the cells of one sheet: it holds a template
-    per repeated key and the first tree of every other key.
+    One cache may serve every sheet of a run (an audit of many workbooks); it
+    holds a template per repeated key, and for every other key its first text
+    and a weak reference to its tree, so a tree lives only as long as the
+    sheet that holds it.  Its memory grows with the run's distinct keys.
     """
 
     def __init__(self) -> None:
@@ -60,11 +65,16 @@ class ShapeCache:
         shape = self._shapes.get(key)
         if shape is None:
             node = parse(text)  # a ParseError leaves the key unseen
-            self._shapes[key] = (node, parts)
+            self._shapes[key] = (weakref.ref(node), text)
             return node
         if type(shape) is tuple:
-            first, first_parts = shape
-            shape = self._shapes[key] = _template(first, self._refs(first_parts))
+            first_tree, first_text = shape
+            first = first_tree()
+            if first is None:  # its sheet is gone: this cell's tree is the template
+                node = parse(text)
+                self._shapes[key] = _template(node, self._refs(parts))
+                return node
+            shape = self._shapes[key] = _template(first, self._refs(_SHAPE_RE.split(first_text)))
         if shape is _UNSHAREABLE:
             return parse(text)
         return shape(self._refs(parts))

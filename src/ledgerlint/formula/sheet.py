@@ -2,8 +2,10 @@
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
 or text.  A sheet parses each shape of formula once and fills in each cell's
-references (shapes.ShapeCache).  Formula parse failures are recorded on the
-cell as error values so a bad formula never aborts a workbook load.
+references (shapes.ShapeCache).  A caller that loads many workbooks, as an
+audit run does, may pass them all one cache, so that a shape they share is
+parsed once for the run.  Formula parse failures are recorded on the cell as
+error values so a bad formula never aborts a workbook load.
 """
 
 from __future__ import annotations
@@ -117,12 +119,18 @@ class Sheet:
     costs the populated cells inside it rather than its area.
     """
 
-    def __init__(self, rows: Iterable[tuple[int, Iterable[tuple[int, str]]]], name: str = "sheet"):
+    def __init__(
+        self,
+        rows: Iterable[tuple[int, Iterable[tuple[int, str]]]],
+        name: str = "sheet",
+        shapes: ShapeCache | None = None,
+    ):
         """Place raw cell texts given as (row, [(column, text), ...]), counting from 1.
 
         Rows ascend and come once each, and columns ascend within a row: cells
         keeps that row-major order and the index relies on it.  Blank texts
-        are skipped.
+        are skipped.  Formulas are parsed through shapes, a fresh cache when
+        None.
         """
         self.cells: dict[str, Cell] = {}
         self.name = name
@@ -131,7 +139,8 @@ class Sheet:
         self._columns: dict[int, list[int]] = {}
         self._letters = letters = _ColumnLetters()
         cells, row_list, row_columns = self.cells, self._rows, self._columns
-        shapes = ShapeCache()
+        if shapes is None:
+            shapes = ShapeCache()
         for row_index, fields in rows:
             columns = []
             for col_index, raw in fields:
@@ -153,9 +162,11 @@ class Sheet:
                 row_columns[row_index] = columns
 
     @classmethod
-    def from_rows(cls, rows: Iterable[list[str]], name: str = "sheet") -> "Sheet":
+    def from_rows(
+        cls, rows: Iterable[list[str]], name: str = "sheet", shapes: ShapeCache | None = None
+    ) -> "Sheet":
         """Place a grid given as one list of raw texts per row; rows may come lazily."""
-        return cls(_numbered(rows), name=name)
+        return cls(_numbered(rows), name=name, shapes=shapes)
 
     def range_addresses(self, ref) -> Iterator[str]:
         """Populated addresses inside a RangeRef, row-major.
@@ -193,13 +204,14 @@ def _numbered(rows: Iterable[list[str]]) -> Iterator[tuple[int, Iterator[tuple[i
         yield row_index, enumerate(fields, start=1)
 
 
-def load_workbook(path: str | Path) -> Sheet:
+def load_workbook(path: str | Path, shapes: ShapeCache | None = None) -> Sheet:
     """Load a CSV grid; row 1 is the first CSV record, column A the first field.
 
     Records are placed as the reader yields them, so only one is held at a
-    time, not the whole grid with its empty fields.
+    time, not the whole grid with its empty fields.  Formulas are parsed
+    through shapes, a fresh cache when None.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        return Sheet.from_rows(csv.reader(handle), name=path.stem)
+        return Sheet.from_rows(csv.reader(handle), name=path.stem, shapes=shapes)

@@ -51,10 +51,11 @@ class LoanSpec:
     convention: PeriodicConvention = PeriodicConvention.UK_EFFECTIVE_ROOT
 
     def __post_init__(self) -> None:
-        if not self.principal > 0:
-            raise ValueError(f"principal must be positive, got {self.principal}")
-        if self.annual_rate <= -1.0:
-            raise ValueError(f"annual_rate must exceed -1, got {self.annual_rate}")
+        # chained comparisons, so that nan fails them too
+        if not 0 < self.principal < math.inf:
+            raise ValueError(f"principal must be positive and finite, got {self.principal}")
+        if not -1.0 < self.annual_rate < math.inf:
+            raise ValueError(f"annual_rate must be finite and exceed -1, got {self.annual_rate}")
         if self.term_months < 1:
             raise ValueError(f"term_months must be at least 1, got {self.term_months}")
         if self.holiday_months < 0:
@@ -165,9 +166,12 @@ def verify_schedule(
 ) -> list[Discrepancy]:
     """Compare a published table against the computed schedule.
 
-    Only fields stated in the published rows (not None) are compared.  The
-    default tolerance forgives penny rounding.
+    Only fields stated in the published rows (not None) are compared, and a
+    stated nan differs from every value.  The default tolerance forgives
+    penny rounding.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and not negative, got {tolerance}")
     expected = build_schedule(spec).rows
     findings: list[Discrepancy] = []
     if len(published) != len(expected):
@@ -188,7 +192,7 @@ def verify_schedule(
                 continue
             reference = getattr(want, name)
             diff = stated - reference
-            if abs(diff) > tolerance:
+            if not abs(diff) <= tolerance:
                 findings.append(Discrepancy(month=want.month, field=name,
                                             expected=reference, actual=stated,
                                             difference=diff))

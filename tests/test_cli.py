@@ -255,6 +255,54 @@ class TestSchedule:
         assert code == 2
         assert "principal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [["--rate", "nan"], ["--rate", "inf"], ["--rate", "NaN%"], ["--principal", "inf"]]
+    )
+    def test_non_finite_terms_exit_2(self, option, capsys):
+        argv = ["schedule", "--principal", "10000", "--rate", "0.1", "--term", "12", *option]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+
+    @pytest.fixture
+    def wrong_table(self, tmp_path):
+        """A published table for 10,000 at EFFECTIVE_ANNUAL over 12 months, one row off."""
+        path = tmp_path / "schedule.csv"
+        assert main([
+            "schedule", "--principal", "10000", "--rate", EFFECTIVE_ANNUAL, "--term", "12",
+            "-o", str(path),
+        ]) == 0
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = str(float(fields[2]) + 5.0)  # month 5 interest
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_nan_rate_does_not_verify_a_table(self, wrong_table, capsys):
+        argv = ["schedule", "--principal", "10000", "--rate", "nan", "--term", "12"]
+        assert main(argv + ["--published", str(wrong_table)]) == 2
+        assert "discrepancies" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
+    def test_tolerance_not_finite_and_non_negative_exits_2(self, wrong_table, tolerance, capsys):
+        argv = ["schedule", "--principal", "10000", "--rate", EFFECTIVE_ANNUAL, "--term", "12",
+                "--published", str(wrong_table)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "1 discrepancies"
+        assert main(argv + [f"--tolerance={tolerance}"]) == 2
+        captured = capsys.readouterr()
+        assert "discrepancies" not in captured.out
+        assert captured.err.startswith("error: ") and "tolerance" in captured.err
+
+    def test_nan_row_is_a_discrepancy(self, tmp_path, capsys):
+        path = tmp_path / "schedule.csv"
+        path.write_text("month,opening,interest,payment,closing\n1,nan,nan,nan,nan\n")
+        argv = ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "1"]
+        assert main(argv + ["--published", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "4 discrepancies"
+
     def test_holiday_rows_have_zero_payment(self, capsys):
         assert main([
             "schedule", "--principal", "10000", "--rate", EFFECTIVE_ANNUAL,

@@ -1,5 +1,6 @@
 """Amortization schedules, payment holidays, published-table verification."""
 
+import math
 import random
 
 import pytest
@@ -170,6 +171,33 @@ def test_verify_schedule_length_mismatch():
     rows = list(build_schedule(spec).rows)[:-1]
     findings = verify_schedule(rows, spec)
     assert any(f.field == "row_count" for f in findings)
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"annual_rate": math.nan}, {"annual_rate": math.inf}, {"principal": math.inf}]
+)
+def test_spec_rejects_non_finite_terms(overrides):
+    with pytest.raises(ValueError, match="finite"):
+        make_spec(**overrides)
+
+
+def test_verify_schedule_flags_a_nan_row(tmp_path):
+    spec = make_spec()
+    lines = build_schedule(spec).to_csv().splitlines()
+    lines[3] = "3,nan,nan,nan,nan"
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    findings = verify_schedule(load_published(path), spec)
+    assert [(f.month, f.field) for f in findings] == [
+        (3, "opening"), (3, "interest"), (3, "payment"), (3, "closing")
+    ]
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
+def test_verify_schedule_rejects_a_tolerance_that_is_not_finite_and_non_negative(tolerance):
+    spec = make_spec()
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_schedule(build_schedule(spec).rows, spec, tolerance=tolerance)
 
 
 def test_verify_schedule_skips_unstated_fields():

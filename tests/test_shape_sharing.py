@@ -3,19 +3,23 @@
 Every test compares a sheet with an oracle placed from the same cells, whose
 formula cells are each parsed on their own by parse(): the trees or parse
 error messages, the evaluate_all values and the run_rules findings must be
-the same, in the same order.
+the same, in the same order.  Sheets that share one cache, as the workbooks
+of an audit run do, are compared with sheets that each have their own.
 """
 
+import gc
 import importlib.util
 import json
 import random
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from ledgerlint.audit import run_rules
+from ledgerlint.cli import RULES_ENV_VAR, main
 from ledgerlint.formula import (
     Cell,
     ErrorKind,
@@ -288,3 +292,102 @@ def test_the_key_costs_less_than_a_parse():
     parse(text)
     parse_s = time.perf_counter() - start
     assert key_s < parse_s
+
+
+# One cache across sheets, as an audit run builds its workbooks.
+
+
+PMT_TEXT = "=PMT(A{r}/12,60,B{r})+$A${r}"  # one shape, whatever r
+
+
+def _pmt_sheet(row: int, cache: shapes.ShapeCache) -> Sheet:
+    """A sheet whose one formula, in column C, is PMT_TEXT for its row."""
+    return Sheet([(row, [(1, "0.06"), (2, "10000"), (3, PMT_TEXT.format(r=row))])], shapes=cache)
+
+
+@pytest.mark.parametrize("dropped_before", [None, 1, 2])
+def test_a_shape_once_in_each_of_three_sheets_parses_at_most_twice(parsed, dropped_before):
+    # dropped_before: the index of the sheet before whose build the first is dropped
+    cache = shapes.ShapeCache()
+    sheets = []
+    for index, row in enumerate((1, 4, 9)):
+        if index == dropped_before:
+            sheets[0] = None
+            gc.collect()
+        sheets.append(_pmt_sheet(row, cache))
+    assert 1 <= len(parsed) <= 2
+    for index, row in enumerate((1, 4, 9)):
+        if sheets[index] is not None:
+            assert sheets[index].cells[f"C{row}"].formula == parse(PMT_TEXT.format(r=row))
+
+
+def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
+    cache = shapes.ShapeCache()
+    first = _pmt_sheet(1, cache)
+    tree = weakref.ref(first.cells["C1"].formula)
+    del first
+    gc.collect()
+    assert tree() is None
+    second = _pmt_sheet(2, cache)
+    assert second.cells["C2"].formula == parse(PMT_TEXT.format(r=2))
+
+
+def test_parse_errors_keep_their_own_columns_across_sheets():
+    cache = shapes.ShapeCache()
+    texts = ["=A1+", "=AB10+", "=A1+"]
+    messages = [Sheet([(1, [(1, text)])], shapes=cache).cells["A1"].error.message for text in texts]
+    expected = []
+    for text in texts:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        expected.append(str(exc.value))
+    assert messages == expected
+    assert messages[0] != messages[1]
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, keep):
+    cache = shapes.ShapeCache()
+    texts = ['="A1"&A1', '="B2"&B2', '="C3"&C3']
+    kept = []
+    for text in texts:
+        sheet = Sheet([(1, [(4, text)])], shapes=cache)
+        assert sheet.cells["D1"].formula == parse(text)
+        if keep:
+            kept.append(sheet)
+        del sheet
+        gc.collect()
+    assert parsed == texts
+
+
+@pytest.fixture(scope="module")
+def audit_books(tmp_path_factory):
+    """trapmix books at two seeds, their anchored probe books, then the fixtures."""
+    workloads = _load_workloads()
+    paths = []
+    for seed in (1, 2):
+        directory = tmp_path_factory.mktemp(f"trapmix{seed}")
+        trapmix = workloads.trapmix(seed, books=60)
+        for book in trapmix.books + trapmix.probe:
+            path = directory / book.name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(book.csv_bytes())
+            paths.append(str(path))
+    return paths + sorted(str(p) for p in (ROOT / "tests" / "fixtures").glob("**/*.csv"))
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_one_audit_run_prints_what_each_book_prints_alone(
+    audit_books, order, fmt, capsys, monkeypatch
+):
+    monkeypatch.delenv(RULES_ENV_VAR, raising=False)
+    paths = audit_books if order == "forward" else audit_books[::-1]
+    paths = paths + paths[::3]  # repeats, after their first audit
+    alone_out, alone_codes = [], []
+    for path in paths:
+        alone_codes.append(main(["audit", "--format", fmt, path]))
+        alone_out.append(capsys.readouterr().out)
+    assert set(alone_codes) == {0, 1}
+    assert main(["audit", "--format", fmt, *paths]) == max(alone_codes)
+    assert capsys.readouterr().out == "".join(alone_out)
