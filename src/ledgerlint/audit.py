@@ -1,9 +1,11 @@
 """Misuse detection over evaluated workbooks.
 
 Each rule declares the function names or operators it inspects; one walk per
-formula finds those nodes for the rules, which resolve cell values where needed
-and return located findings.  Rules are stateless, skip anything they cannot
-interpret, and never abort an audit.
+formula finds those nodes for the rules.  A rule's check reads values through
+one evaluator per audited sheet and returns what it found, a message and its
+evidence; run_rules alone turns that into a Finding, with the rule's id, its
+configured severity and the cell.  Checks are stateless, skip anything they
+cannot interpret, and never abort an audit.
 """
 
 from __future__ import annotations
@@ -16,21 +18,9 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .daycount import year_fraction
-from .formula import (
-    Binary,
-    Call,
-    Cell,
-    CellRef,
-    EmptyArg,
-    FormulaNode,
-    NumberLit,
-    RangeRef,
-    Sheet,
-    Unary,
-    evaluate,
-)
+from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.ast import format_number
-from .formula.evaluator import BASIS_CODES, FUNCTION_CATALOG, Role
+from .formula.evaluator import BASIS_CODES, FUNCTION_CATALOG, Evaluator, Role
 from .formula.sheet import format_value
 
 __all__ = [
@@ -51,13 +41,16 @@ class Severity(str, Enum):
     INFO = "info"
 
 
+Evidence = tuple[tuple[str, str], ...]  # (cell address, value as printed) pairs
+
+
 @dataclass(frozen=True)
 class Finding:
     rule_id: str
     severity: Severity
     cell: str
     message: str
-    evidence: tuple[tuple[str, str], ...] = ()
+    evidence: Evidence = ()
 
 
 def _positions(*roles: Role) -> dict[str, int]:
@@ -97,48 +90,45 @@ def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
     return found
 
 
-def _ref_evidence(sheet: Sheet, *nodes: FormulaNode) -> tuple[tuple[str, str], ...]:
-    pairs = []
-    for node in nodes:
-        if isinstance(node, CellRef):
-            pairs.append((node.address, format_value(sheet.value(node.address))))
-    return tuple(pairs)
+def _ref_evidence(values: Evaluator, *nodes: FormulaNode) -> Evidence:
+    return tuple(
+        (node.address, format_value(values.cell_value(node.address)))
+        for node in nodes
+        if isinstance(node, CellRef)
+    )
 
 
-def _resolved(sheet: Sheet, node: FormulaNode, kind: type):
-    value = evaluate(node, sheet)
+def _resolved(values: Evaluator, node: FormulaNode, kind: type):
+    value = values.eval_node(node)
     return value if isinstance(value, kind) else None
 
 
-def _rule_r1(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None):
     if additive or len(node.args) < 2:
         return None  # under '+'/'-' a separate additive term holds the period-0 flow
     values_arg = node.args[1]
     if not isinstance(values_arg, RangeRef):
         return None
-    first = None
-    for address in sheet.range_addresses(values_arg):
-        value = sheet.value(address)
-        if isinstance(value, float):
-            first = (address, value)
+    for address in values.sheet.range_addresses(values_arg):
+        first = values.cell_value(address)
+        if isinstance(first, float):
             break
-    if first is None or first[1] >= 0.0:
+    else:
+        return None
+    if first >= 0.0:
         return None
     source = f"{values_arg.start.address}:{values_arg.end.address}"
-    return Finding(
-        "R1",
-        config.severity("R1"),
-        cell.address,
+    return (
         f"NPV range {source} starts with the negative value "
-        f"{format_number(first[1])}; NPV discounts every argument by one "
+        f"{format_number(first)}; NPV discounts every argument by one "
         "period, so an initial investment fed into the call is discounted "
         "too - keep the period-0 flow outside: value0 + NPV(rate, later "
         "flows)",
-        evidence=((first[0], format_value(first[1])),),
+        ((address, format_value(first)),),
     )
 
 
-def _rule_r2(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None):
     if not node.args:
         return None
     rate_arg = node.args[RATE_POSITIONS[node.name]]
@@ -149,28 +139,26 @@ def _rule_r2(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
         and rate_arg.right.value == 12.0
     ):
         return None
-    return Finding(
-        "R2",
-        config.severity("R2"),
-        cell.address,
+    return (
         f"rate argument of {node.name} is written as X/12; dividing an "
         "annual rate by 12 is only right for nominal quotes - for an "
         "effective annual rate convert with NOMINAL(rate,12)/12 or "
         "(1+rate)^(1/12)-1",
+        (),
     )
 
 
-def _rule_r3(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
     if len(node.args) < 4:
         return None
-    settlement = _resolved(sheet, node.args[0], dt.date)
-    maturity = _resolved(sheet, node.args[1], dt.date)
+    settlement = _resolved(values, node.args[0], dt.date)
+    maturity = _resolved(values, node.args[1], dt.date)
     if settlement is None or maturity is None:
         return None
     index = BASIS_POSITIONS["INTRATE"]
     basis = FUNCTION_CATALOG["INTRATE"].params[index].default
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
-        code = _resolved(sheet, node.args[index], float)
+        code = _resolved(values, node.args[index], float)
         if code not in BASIS_CODES:  # 2.0 is the key 2; None, 2.5 and nan are no key
             return None
         basis = BASIS_CODES[code]
@@ -178,57 +166,48 @@ def _rule_r3(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "Rule
         span = year_fraction(settlement, maturity, basis)
     except ValueError:
         return None
-    if span <= config.threshold("R3"):
+    if span <= threshold:
         return None
-    return Finding(
-        "R3",
-        config.severity("R3"),
-        cell.address,
+    return (
         f"INTRATE spans {span:.2f} years; it computes simple interest "
         "only, so over multi-year spans it is not the compound "
         "equivalent yield",
-        evidence=_ref_evidence(sheet, node.args[0], node.args[1]),
+        _ref_evidence(values, node.args[0], node.args[1]),
     )
 
 
-def _rule_r4(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None):
     if len(node.args) < 5 or isinstance(node.args[4], EmptyArg):
         return None
     month_arg = node.args[4]
-    month = _resolved(sheet, month_arg, float)
+    month = _resolved(values, month_arg, float)
     if month is None or not month < 12.0:  # a nan month skips too
         return None
-    return Finding(
-        "R4",
-        config.severity("R4"),
-        cell.address,
+    return (
         f"DB with month={format_number(month)} takes a partial first year; "
         "the schedule needs an extra final period (life+1 rows) or total "
         "depreciation will not reconcile with cost minus salvage",
-        evidence=_ref_evidence(sheet, month_arg),
+        _ref_evidence(values, month_arg),
     )
 
 
-def _rule_r5(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float):
     index = RATE_POSITIONS[node.name]
     if len(node.args) <= index or isinstance(node.args[index], EmptyArg):
         return None
-    rate = _resolved(sheet, node.args[index], float)
-    if rate is None or not rate >= config.threshold("R5"):  # a nan rate skips too
+    rate = _resolved(values, node.args[index], float)
+    if rate is None or not rate >= threshold:  # a nan rate skips too
         return None
-    return Finding(
-        "R5",
-        config.severity("R5"),
-        cell.address,
+    return (
         f"rate argument of {node.name} resolves to {format_number(rate)}; "
         "rates are fractions, so this reads as "
         f"{format_number(rate * 100)}% - a percentage was probably entered "
         "at a hundred times the value intended",
-        evidence=_ref_evidence(sheet, node.args[index]),
+        _ref_evidence(values, node.args[index]),
     )
 
 
-def _rule_r6(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None):
     inner = node.left
     if not (isinstance(inner, Binary) and inner.op == "/"):
         return None
@@ -241,33 +220,28 @@ def _rule_r6(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "Ru
     if not (1 <= day <= 31 and 1 <= month <= 12 and (0 <= year <= 99 or 1900 <= year <= 2199)):
         return None
     chain = f"{format_number(day)}/{format_number(month)}/{format_number(year)}"
-    result = evaluate(node, sheet)
-    return Finding(
-        "R6",
-        config.severity("R6"),
-        cell.address,
-        f"{chain} is a division chain evaluating to {format_value(result)}, "
+    return (
+        f"{chain} is a division chain evaluating to {format_value(values.eval_node(node))}, "
         "not a date; dates typed into formulas become arithmetic - put an "
         "ISO date (YYYY-MM-DD) in a cell and reference it",
+        (),
     )
 
 
-def _rule_r7(node: Call, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None):
     index = BASIS_POSITIONS[node.name]
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
         return None
     parameter = FUNCTION_CATALOG[node.name].params[index].name
-    return Finding(
-        "R7",
-        config.severity("R7"),
-        cell.address,
+    return (
         f"{node.name} call omits the {parameter} argument, silently "
         "defaulting to US (NASD) 30/360; state the day-count convention "
         "explicitly if European 30/360 or actual-day counting was meant",
+        (),
     )
 
 
-def _rule_r8(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "RuleConfig"):
+def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None):
     numerator = node.left
     if not (
         isinstance(node.right, NumberLit)
@@ -276,33 +250,32 @@ def _rule_r8(node: Binary, additive: bool, cell: Cell, sheet: Sheet, config: "Ru
         and numerator.op == "-"
     ):
         return None
-    left_date = _resolved(sheet, numerator.left, dt.date)
-    right_date = _resolved(sheet, numerator.right, dt.date)
+    left_date = _resolved(values, numerator.left, dt.date)
+    right_date = _resolved(values, numerator.right, dt.date)
     if left_date is None or right_date is None:
         return None
-    return Finding(
-        "R8",
-        config.severity("R8"),
-        cell.address,
+    return (
         "actual-day difference divided by a literal 360 mixes conventions; "
         "a full year counts about 365/360 = 1.4% extra interest, a known "
         "revenue-inflating pattern - divide by 365 or use one basis "
         "throughout",
-        evidence=_ref_evidence(sheet, numerator.left, numerator.right),
+        _ref_evidence(values, numerator.left, numerator.right),
     )
 
 
 @dataclass(frozen=True)
 class _RuleSpec:
-    """check takes each node whose call name or operator is in triggers, and
-    whether a '+' or '-' Binary sits above it; it returns a finding or None.
-    A rule with a threshold reads RuleConfig.threshold, which defaults to it."""
+    """check(node, additive, values, threshold) gets each node whose call name
+    or operator is in triggers, whether a '+' or '-' Binary sits above it, the
+    sheet's one Evaluator, and RuleConfig.threshold (threshold here unless
+    configured, None for a rule without one).  It returns (message, evidence),
+    evidence () when it has none, or None; run_rules builds the Finding."""
 
     rule_id: str
     default_severity: Severity
     explanation: str
     triggers: frozenset[str]
-    check: Callable[[FormulaNode, bool, Cell, Sheet, "RuleConfig"], Finding | None]
+    check: Callable[[FormulaNode, bool, Evaluator, float | None], tuple[str, Evidence] | None]
     threshold: float | None = None
 
 
@@ -474,18 +447,23 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule)."""
     if config is None:
         config = RuleConfig()
-    specs = [_RULES[rule_id] for rule_id in RULE_IDS if rule_id in config.enabled]
+    rules = [
+        (spec, config.severity(rule_id), config.threshold(rule_id))
+        for rule_id, spec in _RULES.items()
+        if rule_id in config.enabled
+    ]
+    values = Evaluator(sheet)
     findings: list[Finding] = []
     for cell in sheet.cells.values():
         if cell.formula is None:
             continue
         found = _trigger_nodes(cell.formula)
-        for spec in specs:
+        for spec, severity, threshold in rules:
             for key, node, additive in found:
                 if key in spec.triggers:
-                    finding = spec.check(node, additive, cell, sheet, config)
-                    if finding is not None:
-                        findings.append(finding)
+                    result = spec.check(node, additive, values, threshold)
+                    if result is not None:
+                        findings.append(Finding(spec.rule_id, severity, cell.address, *result))
     return findings
 
 

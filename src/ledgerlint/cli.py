@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -58,7 +59,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if isinstance(value, ErrorValue):
             record = {"kind": "error", "code": value.code, "message": value.message}
         elif isinstance(value, float):
-            record = {"kind": "number", "value": value}
+            # JSON has no inf or nan: those go as the text output prints them
+            shown = value if math.isfinite(value) else format_value(value)
+            record = {"kind": "number", "value": shown}
         elif isinstance(value, str):
             record = {"kind": "text", "value": value}
         else:

@@ -11,6 +11,7 @@ Exact mode keeps the full-precision rate.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -57,8 +58,8 @@ class DepreciationSpec:
     month: int = 12
 
     def __post_init__(self) -> None:
-        if not self.cost > 0:
-            raise ValueError(f"cost must be positive, got {self.cost}")
+        if not 0 < self.cost < math.inf:  # nan fails too
+            raise ValueError(f"cost must be positive and finite, got {self.cost}")
         if not 0 <= self.salvage <= self.cost:
             raise ValueError(
                 f"salvage must be between 0 and cost ({self.cost}), got {self.salvage}"
@@ -213,11 +214,6 @@ def reconcile(
 
 
 def sln(cost: float, salvage: float, life: int) -> float:
-    """Straight-line depreciation per period."""
-    if life < 1:
-        raise ValueError(f"life must be at least 1 period, got {life}")
-    if not cost > 0:
-        raise ValueError(f"cost must be positive, got {cost}")
-    if not 0 <= salvage <= cost:
-        raise ValueError(f"salvage must be between 0 and cost ({cost}), got {salvage}")
+    """Straight-line depreciation per period; the arguments must make a DepreciationSpec."""
+    DepreciationSpec(cost, salvage, life)
     return (cost - salvage) / life

@@ -34,7 +34,7 @@ from .ast import (
 )
 from .sheet import CellValue, ErrorKind, ErrorValue, Sheet, format_value
 
-__all__ = ["evaluate", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
+__all__ = ["evaluate", "Evaluator", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
 
 BASIS_CODES = {
     0: DayCountBasis.US_30_360,
@@ -66,7 +66,7 @@ _COMPARISONS = {
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-class _Evaluator:
+class Evaluator:
     def __init__(self, sheet: Sheet):
         self.sheet = sheet
         self.cache = sheet._values
@@ -356,15 +356,15 @@ class Role(Enum):
 
 
 _COERCERS = {
-    Role.RATE: _Evaluator.number,
-    Role.NUMBER: _Evaluator.number,
-    Role.INTEGER: _Evaluator.integer,
-    Role.DATE: _Evaluator.date,
-    Role.BASIS: _Evaluator.day_count,
-    Role.METHOD: _Evaluator.number,
-    Role.VALUES: _Evaluator.values,
-    Role.STRICT_VALUES: _Evaluator.strict_values,
-    Role.DATES: _Evaluator.dates,
+    Role.RATE: Evaluator.number,
+    Role.NUMBER: Evaluator.number,
+    Role.INTEGER: Evaluator.integer,
+    Role.DATE: Evaluator.date,
+    Role.BASIS: Evaluator.day_count,
+    Role.METHOD: Evaluator.number,
+    Role.VALUES: Evaluator.values,
+    Role.STRICT_VALUES: Evaluator.strict_values,
+    Role.DATES: Evaluator.dates,
 }
 
 
@@ -488,4 +488,4 @@ FUNCTION_CATALOG = {
 
 def evaluate(node: FormulaNode, sheet: Sheet) -> CellValue:
     """Evaluate a parsed formula against a sheet; total, never raises."""
-    return _Evaluator(sheet).eval_node(node)
+    return Evaluator(sheet).eval_node(node)

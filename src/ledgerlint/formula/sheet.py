@@ -182,15 +182,15 @@ class Sheet:
                 yield f"{letters[col]}{row}"
 
     def value(self, address: str) -> CellValue:
-        from .evaluator import _Evaluator
+        from .evaluator import Evaluator
 
-        return _Evaluator(self).cell_value(CellRef(*parse_address(address)).address)
+        return Evaluator(self).cell_value(CellRef(*parse_address(address)).address)
 
     def evaluate_all(self) -> dict[str, CellValue]:
         """Evaluate every populated cell; returns address -> value."""
-        from .evaluator import _Evaluator
+        from .evaluator import Evaluator
 
-        evaluator = _Evaluator(self)
+        evaluator = Evaluator(self)
         return {address: evaluator.cell_value(address) for address in self.cells}
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from ledgerlint.audit import (
     _RULES,
+    _trigger_nodes,
     BASIS_POSITIONS,
     RATE_POSITIONS,
     RULE_IDS,
@@ -19,6 +20,7 @@ from ledgerlint.audit import (
     to_record,
 )
 from ledgerlint.formula import FUNCTION_CATALOG, Binary, Sheet, load_workbook, parse
+from ledgerlint.formula.evaluator import Evaluator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -140,10 +142,33 @@ def test_threshold_overrides():
 
 
 def test_severity_overrides_and_defaults():
-    sheet = load_workbook(FIXTURES / "traps" / "r2_rate_div_12.csv")
-    assert run_rules(sheet)[0].severity is Severity.INFO
-    config = RuleConfig.from_dict({"severities": {"R2": "error"}})
-    assert run_rules(sheet, config)[0].severity is Severity.ERROR
+    """Every rule's findings carry its README default, or the configured severity."""
+    defaults = dict(R1="warning", R2="info", R3="warning", R4="warning",
+                    R5="error", R6="error", R7="info", R8="info")
+    for filename, rule_id, _ in TRAPS:
+        sheet = load_workbook(FIXTURES / "traps" / filename)
+        assert [f.severity for f in run_rules(sheet)] == [Severity(defaults[rule_id])]
+        for severity in Severity:
+            config = RuleConfig.from_dict({"severities": {rule_id: severity.value}})
+            assert [f.severity for f in run_rules(sheet, config)] == [severity], rule_id
+
+
+@pytest.mark.parametrize("filename,rule_id,cell", TRAPS)
+def test_a_check_returns_message_and_evidence(filename, rule_id, cell):
+    """run_rules adds the rule id, the severity and the cell to what the check returns."""
+    sheet = load_workbook(FIXTURES / "traps" / filename)
+    spec = _RULES[rule_id]
+    values = Evaluator(sheet)
+    threshold = RuleConfig().threshold(rule_id)
+    results = [
+        spec.check(node, additive, values, threshold)
+        for key, node, additive in _trigger_nodes(sheet.cells[cell].formula)
+        if key in spec.triggers
+    ]
+    [(message, evidence)] = [result for result in results if result is not None]
+    assert isinstance(message, str) and isinstance(evidence, tuple)
+    assert all(isinstance(a, str) and isinstance(v, str) for a, v in evidence)
+    assert run_rules(sheet) == [Finding(rule_id, spec.default_severity, cell, message, evidence)]
 
 
 def test_rule_config_validation():
@@ -236,6 +261,12 @@ def test_r1_evidence_names_the_offending_cell():
     finding = run_rules(sheet)[0]
     assert finding.evidence[0][0] == "A1"
     assert "-1000" in finding.evidence[0][1]
+    # the head of the range is its first number: text, dates and errors are skipped
+    rows = [["flows", "=NPV(0.1,A1:A6)"], ["=1/0"], ["=1+"], ["2024-01-01"], ["-1000"], ["400"]]
+    findings = run_rules(Sheet.from_rows(rows))
+    assert [(f.rule_id, f.cell, f.evidence) for f in findings] == [("R1", "B1", (("A5", "-1000"),))]
+    rows = [["flows", "=NPV(0.1,A1:A3)"], ["400"], ["-1000"]]
+    assert run_rules(Sheet.from_rows(rows)) == []
 
 
 def test_r1_and_r5_resolve_whole_sheet_ranges():

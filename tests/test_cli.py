@@ -84,6 +84,18 @@ class TestEval:
         assert main(["eval", "=1e308*10"]) == 0
         assert capsys.readouterr().out == "inf\n"
 
+    @pytest.mark.parametrize(
+        "expr, shown",
+        [("=1e308*10", "inf"), ("=-1e308*10", "-inf"), ("=1e308*10-1e308*10", "nan")],
+    )
+    def test_structured_non_finite_is_valid_json(self, expr, shown, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["eval", expr, "--format", "structured"]) == 0
+        record = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert record == {"kind": "number", "value": shown}
+
     def test_structured_error_same_exit_code(self, capsys):
         assert main(["eval", "=1/0", "--format", "structured"]) == 2
         record = json.loads(capsys.readouterr().out)
@@ -354,6 +366,12 @@ class TestDepr:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["depr", "--cost", "-1", "--salvage", "0", "--life", "4"]) == 2
         assert "cost" in capsys.readouterr().err
+
+    def test_infinite_cost_exits_2(self, capsys):
+        assert main(["depr", "--cost", "inf", "--salvage", "1", "--life", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cost must be positive and finite, got inf\n"
 
     @pytest.mark.parametrize(
         "argv",

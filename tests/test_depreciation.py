@@ -86,6 +86,14 @@ def test_spec_validation():
         DepreciationSpec(cost=100.0, salvage=10.0, life=3, month=13)
 
 
+@pytest.mark.parametrize("cost", [math.inf, math.nan])
+def test_spec_rejects_a_cost_that_is_not_finite(cost):
+    with pytest.raises(ValueError, match="cost must be positive and finite"):
+        DepreciationSpec(cost=cost, salvage=1.0, life=3)
+    with pytest.raises(ValueError, match="cost must be positive and finite"):
+        sln(cost, 1.0, 3)
+
+
 def test_db_period_first_year_prorated():
     dep = db_period(MILLION_M7, 1, PrecisionMode.COMPAT)
     assert dep == pytest.approx(1_000_000 * 0.319 * 7 / 12, abs=1e-9)

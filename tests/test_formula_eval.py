@@ -228,6 +228,8 @@ GOLDEN_ARGUMENTS = [
     ("=SLN(100,10,C1)", "#ARGUMENT! SLN: 'life' must be a number, got text"),
     ("=SLN(100,10,2.5)", "#ARGUMENT! SLN: 'life' must be an integer, got 2.5"),
     ("=SLN(100,10,0)", "#ARGUMENT! SLN: life must be at least 1 period, got 0"),
+    ("=SLN(1e308*10,1,3)", "#ARGUMENT! SLN: cost must be positive and finite, got inf"),
+    ("=DB(1e308*10,1,3,1)", "#ARGUMENT! DB: cost must be positive and finite, got inf"),
     ("=SLN(100,10,5)", "18.0"),
     ("=SLN(B1:B2,10,5)", "#ARGUMENT! SLN: 'cost' cannot be a range"),
     ("=EFFECT(0.12)", "#ARGUMENT! EFFECT takes 2 to 2 arguments, got 1"),
