@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -59,9 +58,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if isinstance(value, ErrorValue):
             record = {"kind": "error", "code": value.code, "message": value.message}
         elif isinstance(value, float):
-            # JSON has no inf or nan: those go as the text output prints them
-            shown = value if math.isfinite(value) else format_value(value)
-            record = {"kind": "number", "value": shown}
+            record = {"kind": "number", "value": value}
         elif isinstance(value, str):
             record = {"kind": "text", "value": value}
         else:

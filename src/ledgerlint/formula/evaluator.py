@@ -63,7 +63,7 @@ _COMPARISONS = {
     "<=": operator.le,
     ">=": operator.ge,
 }
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class Evaluator:
@@ -171,25 +171,26 @@ class Evaluator:
                 ErrorKind.VALUE,
                 f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}",
             )
-        if op in _ARITHMETIC:
-            return _ARITHMETIC[op](left, right)
-        if op == "/":
-            if right == 0.0:
-                return ErrorValue(ErrorKind.DIV0, "division by zero")
-            return left / right
+        if op == "/" and right == 0.0:
+            return ErrorValue(ErrorKind.DIV0, "division by zero")
         if op == "^":
             try:
                 result = left ** right
             except ZeroDivisionError:
                 return ErrorValue(ErrorKind.DIV0, "zero raised to a negative power")
             except OverflowError:
-                return ErrorValue(ErrorKind.VALUE, "numeric overflow in '^'")
+                result = math.inf
             if isinstance(result, complex):
                 return ErrorValue(
                     ErrorKind.VALUE, "negative base with fractional exponent"
                 )
+        elif op in _ARITHMETIC:
+            result = _ARITHMETIC[op](left, right)
+        else:
+            raise ValueError(f"unknown operator {op!r}")
+        if math.isfinite(result):
             return result
-        raise ValueError(f"unknown operator {op!r}")
+        return ErrorValue(ErrorKind.VALUE, f"numeric overflow in {op!r}")
 
     # function dispatch
 
@@ -216,13 +217,16 @@ class Evaluator:
                 return value
             values.append(value)
         try:
-            return spec.compute(*values)
+            result = spec.compute(*values)
         except ValueError as exc:
             return ErrorValue(ErrorKind.ARGUMENT, f"{name}: {exc}")
         except OverflowError:
-            return ErrorValue(ErrorKind.VALUE, f"{name}: numeric overflow")
+            result = math.inf
         except ZeroDivisionError:
             return ErrorValue(ErrorKind.DIV0, f"{name}: division by zero")
+        if math.isfinite(result):
+            return result
+        return ErrorValue(ErrorKind.VALUE, f"{name}: numeric overflow")
 
     # argument coercion: each role's coercer (see _COERCERS) takes the call's
     # arguments, the parameter's index, the function name and the parameter

@@ -13,6 +13,11 @@ precedence table of the printer (ast._BINARY_PREC).  Grammar:
     atom       := NUMBER | STRING | REF (':' REF)? | IDENT '(' args ')' | '(' expression ')'
     args       := nothing | arg (',' arg)*      an absent arg is an EmptyArg slot
 
+The lexer yields one plain (kind, text, pos, value) tuple per token, the
+fields of a Token; tokenize() returns them as Tokens, and parse() reads the
+tuples by index from a list that ends in one end-of-input sentinel (kind None,
+at column len(text)), so that running out of tokens is an ordinary token.
+
 Parentheses and calls nest at most MAX_NESTING deep, and operators and calls
 at most MAX_DEPTH levels, so that evaluating and printing a parsed formula
 stay within Python's default recursion limit.
@@ -22,8 +27,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .ast import (
     _BINARY_PREC,
@@ -83,10 +88,11 @@ _TOKEN_RE = re.compile(
     re.ASCII | re.DOTALL,
 )
 _KINDS = {kind.value: kind for kind in TokenKind}
+_NUMBER, _STRING, _REF, _IDENT, _OP, _LPAREN, _RPAREN, _COMMA, _COLON = TokenKind
+_ARG_ENDS = (_COMMA, _RPAREN)  # what follows an absent argument
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     pos: int
@@ -101,65 +107,57 @@ class ParseError(ValueError):
         self.position = position
 
 
-def tokenize(text: str) -> list[Token]:
+def _lex(text: str) -> list[tuple]:
+    """The (kind, text, pos, value) tuple of each token, as a Token's fields."""
     if not text.startswith("="):
         raise ParseError("formula must begin with '='", 0)
-    tokens: list[Token] = []
+    tokens = []
+    append = tokens.append
     for match in _TOKEN_RE.finditer(text, 1):
         kind = match.lastgroup
         if kind is None:
             continue  # blanks
         lexeme = match.group()
-        pos = match.start()
-        if kind == "number":
+        if kind == "ref" or kind == "ident":  # names are case-insensitive
+            append((_KINDS[kind], lexeme.upper(), match.start(), None))
+        elif kind == "number":
             value = float(lexeme)
             if value == math.inf:
+                pos = match.start()
                 raise ParseError(f"number {lexeme} is too large at column {pos}", pos)
-            tokens.append(Token(TokenKind.NUMBER, lexeme, pos, value))
+            append((_NUMBER, lexeme, match.start(), value))
         elif kind == "string":
-            tokens.append(Token(TokenKind.STRING, lexeme[1:-1].replace('""', '"'), pos))
+            append((_STRING, lexeme[1:-1].replace('""', '"'), match.start(), None))
         elif kind == "bad":
+            pos = match.start()
             if lexeme == '"':
                 raise ParseError(f"unterminated string at column {pos}", pos)
             raise ParseError(f"illegal character {lexeme!r} at column {pos}", pos)
-        elif kind == "ref" or kind == "ident":  # names are case-insensitive
-            tokens.append(Token(_KINDS[kind], lexeme.upper(), pos))
         else:
-            tokens.append(Token(_KINDS[kind], lexeme, pos))
+            append((_KINDS[kind], lexeme, match.start(), None))
     return tokens
+
+
+def tokenize(text: str) -> list[Token]:
+    return list(map(Token._make, _lex(text)))
 
 
 class _Parser:
     """Parse methods return a node and its depth in operator and call levels."""
 
-    def __init__(self, tokens: list[Token], end_pos: int):
-        self.tokens = tokens
+    def __init__(self, tokens: list[tuple]):
+        self.tokens = tokens  # ends in the end-of-input sentinel
         self.index = 0
-        self.end_pos = end_pos
         self.nesting = 0  # open parentheses and calls
         self.levels = 0  # enclosing '-' and '^', whose operands are parsed by recursion
 
-    def peek(self) -> Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def advance(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(
-                f"unexpected end of formula at column {self.end_pos}", self.end_pos
-            )
-        self.index += 1
-        return token
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
-        if token is None or token.kind is not kind:
-            pos = self.end_pos if token is None else token.pos
+    def expect(self, kind: TokenKind, what: str) -> str:
+        """Consume a token of kind and return its text."""
+        kind_found, text, pos, _ = self.tokens[self.index]
+        if kind_found is not kind:
             raise ParseError(f"expected {what} at column {pos}", pos)
         self.index += 1
-        return token
+        return text
 
     def enter(self, pos: int) -> None:
         self.nesting += 1
@@ -177,109 +175,103 @@ class _Parser:
             )
         return depth
 
-    def power_operand(self, token: Token) -> tuple[FormulaNode, int]:
+    def power_operand(self, pos: int) -> tuple[FormulaNode, int]:
         """The operand of a unary '-' or the right side of a '^'."""
-        self.levels = self.level(self.levels + 1, token.pos)
+        self.levels = self.level(self.levels + 1, pos)
         result = self.expression(_PREC_POWER)
         self.levels -= 1
         return result
 
     def expression(self, min_prec: int = _PREC_COMPARE) -> tuple[FormulaNode, int]:
         """Precedence climbing over the operators that bind at min_prec or tighter."""
-        token = self.peek()
-        if token is not None and token.kind is TokenKind.OP and token.text == "-":
+        tokens = self.tokens
+        kind, op, pos, _ = tokens[self.index]
+        if kind is _OP and op == "-":
             self.index += 1
-            child, depth = self.power_operand(token)
-            node, depth = Unary("-", child), self.level(depth + 1, token.pos)
+            child, depth = self.power_operand(pos)
+            node, depth = Unary("-", child), self.level(depth + 1, pos)
         else:
             node, depth = self.postfix()
         while True:
-            token = self.peek()
-            if token is None or token.kind is not TokenKind.OP:
+            kind, op, pos, _ = tokens[self.index]
+            if kind is not _OP:
                 return node, depth
-            prec = _BINARY_PREC.get(token.text, 0)
+            prec = _BINARY_PREC.get(op, 0)
             if prec < min_prec:
                 return node, depth
             self.index += 1
             if prec == _PREC_POWER:
-                right, right_depth = self.power_operand(token)
+                right, right_depth = self.power_operand(pos)
             else:
                 right, right_depth = self.expression(prec + 1)
-            node = Binary(token.text, node, right)
-            depth = self.level(max(depth, right_depth) + 1, token.pos)
+            node = Binary(op, node, right)
+            depth = self.level(max(depth, right_depth) + 1, pos)
 
     def postfix(self) -> tuple[FormulaNode, int]:
         node, depth = self.atom()
-        token = self.peek()
-        if token is not None and token.kind is TokenKind.OP and token.text == "%":
+        kind, text, pos, _ = self.tokens[self.index]
+        if kind is _OP and text == "%":
             self.index += 1
             if not isinstance(node, NumberLit):
-                raise ParseError(
-                    f"'%' only follows numeric literals at column {token.pos}", token.pos
-                )
+                raise ParseError(f"'%' only follows numeric literals at column {pos}", pos)
             return PercentLit(node.value), depth
         return node, depth
 
     def atom(self) -> tuple[FormulaNode, int]:
-        token = self.advance()
-        if token.kind is TokenKind.NUMBER:
-            return NumberLit(token.value), 0
-        if token.kind is TokenKind.STRING:
-            return TextLit(token.text), 0
-        if token.kind is TokenKind.REF:
-            ref = _make_ref(token)
-            next_token = self.peek()
-            if next_token is not None and next_token.kind is TokenKind.COLON:
-                self.advance()
-                other = self.expect(TokenKind.REF, "cell reference after ':'")
+        tokens = self.tokens
+        kind, text, pos, value = tokens[self.index]
+        self.index += 1
+        if kind is _REF:
+            ref = _make_ref(text)
+            if tokens[self.index][0] is _COLON:
+                self.index += 1
+                other = self.expect(_REF, "cell reference after ':'")
                 return RangeRef(ref, _make_ref(other)), 0
             return ref, 0
-        if token.kind is TokenKind.IDENT:
-            next_token = self.peek()
-            if next_token is None or next_token.kind is not TokenKind.LPAREN:
-                raise ParseError(
-                    f"unexpected identifier {token.text!r} at column {token.pos}", token.pos
-                )
-            self.enter(token.pos)
-            self.advance()
+        if kind is _NUMBER:
+            return NumberLit(value), 0
+        if kind is _IDENT:
+            if tokens[self.index][0] is not _LPAREN:
+                raise ParseError(f"unexpected identifier {text!r} at column {pos}", pos)
+            self.enter(pos)
+            self.index += 1
             args, depth = self.call_args()
-            self.expect(TokenKind.RPAREN, "')'")
+            self.expect(_RPAREN, "')'")
             self.nesting -= 1
-            return Call(token.text, args), self.level(depth + 1, token.pos)
-        if token.kind is TokenKind.LPAREN:
-            self.enter(token.pos)
+            return Call(text, args), self.level(depth + 1, pos)
+        if kind is _LPAREN:
+            self.enter(pos)
             node, depth = self.expression()
-            self.expect(TokenKind.RPAREN, "')'")
+            self.expect(_RPAREN, "')'")
             self.nesting -= 1
             return node, depth
-        raise ParseError(
-            f"unexpected token {token.text!r} at column {token.pos}", token.pos
-        )
+        if kind is _STRING:
+            return TextLit(text), 0
+        if kind is None:
+            raise ParseError(f"unexpected end of formula at column {pos}", pos)
+        raise ParseError(f"unexpected token {text!r} at column {pos}", pos)
 
     def call_args(self) -> tuple[tuple[FormulaNode, ...], int]:
-        token = self.peek()
-        if token is not None and token.kind is TokenKind.RPAREN:
+        tokens = self.tokens
+        if tokens[self.index][0] is _RPAREN:
             return (), 0
         args: list[FormulaNode] = []
         depth = 0
         while True:
-            token = self.peek()
-            if token is not None and token.kind in (TokenKind.COMMA, TokenKind.RPAREN):
+            if tokens[self.index][0] in _ARG_ENDS:
                 args.append(EMPTY)
             else:
                 arg, arg_depth = self.expression()
                 args.append(arg)
                 depth = max(depth, arg_depth)
-            token = self.peek()
-            if token is not None and token.kind is TokenKind.COMMA:
-                self.advance()
-                continue
-            return tuple(args), depth
+            if tokens[self.index][0] is not _COMMA:
+                return tuple(args), depth
+            self.index += 1
 
 
-def _make_ref(token: Token) -> CellRef:
-    """The token is upper-case already; its matched one-letter columns are shared strings."""
-    column_anchor, column, row_anchor, row = _REF_RE.fullmatch(token.text).groups()
+def _make_ref(text: str) -> CellRef:
+    """text is a REF token's, upper-case already; matched one-letter columns are shared strings."""
+    column_anchor, column, row_anchor, row = _REF_RE.fullmatch(text).groups()
     return CellRef(column, int(row), column_anchor == "$", row_anchor == "$")
 
 
@@ -293,12 +285,11 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def parse(text: str) -> FormulaNode:
     """Parse a '='-prefixed formula into its AST."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens, end_pos=len(text))
+    tokens = _lex(text)
+    tokens.append((None, "", len(text), None))
+    parser = _Parser(tokens)
     node, _ = parser.expression()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise ParseError(
-            f"unexpected token {leftover.text!r} at column {leftover.pos}", leftover.pos
-        )
+    kind, leftover, pos, _ = parser.tokens[parser.index]
+    if kind is not None:
+        raise ParseError(f"unexpected token {leftover!r} at column {pos}", pos)
     return node

@@ -81,20 +81,26 @@ class TestEval:
         assert record == {"kind": "number", "value": 1024.0}
 
     def test_non_finite_result_prints(self, capsys):
-        assert main(["eval", "=1e308*10"]) == 0
-        assert capsys.readouterr().out == "inf\n"
+        assert main(["eval", "=1e308*10"]) == 2
+        assert capsys.readouterr().out == "#VALUE! numeric overflow in '*'\n"
 
-    @pytest.mark.parametrize(
-        "expr, shown",
-        [("=1e308*10", "inf"), ("=-1e308*10", "-inf"), ("=1e308*10-1e308*10", "nan")],
-    )
-    def test_structured_non_finite_is_valid_json(self, expr, shown, capsys):
+    @pytest.mark.parametrize("expr", ["=1e308*10", "=-1e308*10", "=1e308*10-1e308*10"])
+    def test_structured_non_finite_is_valid_json(self, expr, capsys):
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        assert main(["eval", expr, "--format", "structured"]) == 0
+        assert main(["eval", expr, "--format", "structured"]) == 2
         record = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert record == {"kind": "number", "value": shown}
+        assert record == {
+            "kind": "error", "code": "#VALUE!", "message": "numeric overflow in '*'",
+        }
+
+    @pytest.mark.parametrize(
+        "expr", ["=SUM(1e308*10,-1e308*10)", "=PMT(1e308*10,12,100)", "=EFFECT(1e308*10,2)"]
+    )
+    def test_overflowing_argument_is_a_value_error(self, expr, capsys):
+        assert main(["eval", expr]) == 2
+        assert capsys.readouterr().out == "#VALUE! numeric overflow in '*'\n"
 
     def test_structured_error_same_exit_code(self, capsys):
         assert main(["eval", "=1/0", "--format", "structured"]) == 2
@@ -130,6 +136,12 @@ class TestAudit:
         assert main(["audit", str(book)]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert finding_keys(out) == [("B1", "R2")]
+
+    def test_overflowing_rate_is_not_a_magnitude_finding(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text('"=1e308*10","=PMT(A1,12,100)"\n')
+        assert main(["audit", str(book)]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_structured_matches_text_findings(self, capsys):
         path = str(FIXTURES / "traps" / "r4_db_month.csv")

@@ -1,6 +1,7 @@
 """Evaluator semantics: refs, cycles, operators, and function dispatch."""
 
 import datetime as dt
+import math
 import random
 import warnings
 
@@ -144,19 +145,45 @@ def test_error_values_never_raise():
     assert run("=PMT(0.01,1.5,100)").kind is ErrorKind.ARGUMENT
     assert run("=A1:B2+1").kind is ErrorKind.VALUE
     assert run("=SUM(1,,2)").kind is ErrorKind.ARGUMENT
-    assert run("=PMT(0.1,1e308*10,100)") == ErrorValue(
-        ErrorKind.ARGUMENT, "PMT: 'nper' must be an integer, got inf"
-    )
-    assert run("=PMT(0.1,1e308*10-1e308*10,100)") == ErrorValue(
-        ErrorKind.ARGUMENT, "PMT: 'nper' must be an integer, got nan"
-    )
+    overflow = ErrorValue(ErrorKind.VALUE, "numeric overflow in '*'")
+    assert run("=PMT(0.1,1e308*10,100)") == overflow
+    assert run("=PMT(0.1,1e308*10-1e308*10,100)") == overflow
     assert run("=EFFECT(1e300,2)") == ErrorValue(ErrorKind.VALUE, "EFFECT: numeric overflow")
     assert run("=NPV(1e300,1,2,3)") == ErrorValue(ErrorKind.VALUE, "NPV: numeric overflow")
     # US 30/360 counts no days from the 30th to the 31st
     assert run("=INTRATE(A1,A2,100,110)", [["2024-01-30"], ["2024-01-31"]]) == ErrorValue(
         ErrorKind.DIV0, "INTRATE: division by zero"
     )
-    assert run('="x"&(1e308*10)') == "xinf"
+    assert run('="x"&(1e308*10)') == overflow
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("=1e308*10", "numeric overflow in '*'"),
+        ("=1e308+1e308", "numeric overflow in '+'"),
+        ("=-1e308-1e308", "numeric overflow in '-'"),
+        ("=1e308/1e-10", "numeric overflow in '/'"),
+        ("=10^400", "numeric overflow in '^'"),
+        ("=SUM(1e308,1e308)", "SUM: numeric overflow"),
+        ("=SUM(1e308*10,-1e308*10)", "numeric overflow in '*'"),
+        ("=PMT(1e308*10,12,100)", "numeric overflow in '*'"),
+        ("=EFFECT(1e308*10,2)", "numeric overflow in '*'"),
+    ],
+)
+def test_non_finite_results_are_value_errors(source, message):
+    assert run(source) == ErrorValue(ErrorKind.VALUE, message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["+", "-", "*", "/", "^"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_arithmetic_gives_no_non_finite_number(left, op, right):
+    value = run(f"={left!r}{op}{right!r}")
+    assert not isinstance(value, float) or math.isfinite(value)
 
 
 def test_argument_errors_name_the_parameter():
@@ -228,8 +255,8 @@ GOLDEN_ARGUMENTS = [
     ("=SLN(100,10,C1)", "#ARGUMENT! SLN: 'life' must be a number, got text"),
     ("=SLN(100,10,2.5)", "#ARGUMENT! SLN: 'life' must be an integer, got 2.5"),
     ("=SLN(100,10,0)", "#ARGUMENT! SLN: life must be at least 1 period, got 0"),
-    ("=SLN(1e308*10,1,3)", "#ARGUMENT! SLN: cost must be positive and finite, got inf"),
-    ("=DB(1e308*10,1,3,1)", "#ARGUMENT! DB: cost must be positive and finite, got inf"),
+    ("=SLN(1e308*10,1,3)", "#VALUE! numeric overflow in '*'"),
+    ("=DB(1e308*10,1,3,1)", "#VALUE! numeric overflow in '*'"),
     ("=SLN(100,10,5)", "18.0"),
     ("=SLN(B1:B2,10,5)", "#ARGUMENT! SLN: 'cost' cannot be a range"),
     ("=EFFECT(0.12)", "#ARGUMENT! EFFECT takes 2 to 2 arguments, got 1"),

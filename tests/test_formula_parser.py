@@ -23,6 +23,7 @@ from ledgerlint.formula import (
     to_source,
     tokenize,
 )
+from ledgerlint.formula import parser as formula_parser
 from ledgerlint.formula.parser import MAX_DEPTH
 
 
@@ -55,6 +56,35 @@ def test_tokenize_percent_literal():
 def test_tokenize_positions():
     tokens = tokenize("=1 + A2")
     assert [token.pos for token in tokens] == [1, 3, 5]
+
+
+def test_a_token_is_the_tuple_of_its_fields():
+    (token,) = tokenize("=a1")
+    assert token == (TokenKind.REF, "A1", 1, None)
+    assert repr(token) == "Token(kind=<TokenKind.REF: 'ref'>, text='A1', pos=1, value=None)"
+
+
+# every token kind, both anchors and the lookahead that makes A1( a call
+NO_TOKEN_SOURCES = ['=SUM($A1:B$2,-1.5%)&"x""y"', "=(A1(2)<=3)^2", "=$C$3*4E2/(5)"]
+NO_TOKEN_ERRORS = ["=SUM(A1,", "=(1", "=A1:", "=1 2"]
+
+
+def test_parse_builds_no_token(monkeypatch):
+    def outcome(source):
+        try:
+            return repr(parse(source))
+        except ParseError as exc:
+            return str(exc), exc.position
+
+    sources = NO_TOKEN_SOURCES + NO_TOKEN_ERRORS
+    expected = [outcome(source) for source in sources]
+
+    def no_token(*args, **kwargs):
+        raise AssertionError("parse() built a Token")
+
+    monkeypatch.setattr(formula_parser, "Token", no_token)
+    assert [outcome(source) for source in sources] == expected
+    assert all(isinstance(got, tuple) for got in expected[len(NO_TOKEN_SOURCES):])
 
 
 def test_tokenize_rejects_illegal_character():
