@@ -1,11 +1,12 @@
 """Misuse detection over evaluated workbooks.
 
 Each rule declares the function names or operators it inspects; one walk per
-formula finds those nodes for the rules.  A rule's check reads values through
-one evaluator per audited sheet and returns what it found, a message and its
-evidence; run_rules alone turns that into a Finding, with the rule's id, its
-configured severity and the cell.  Checks are stateless, skip anything they
-cannot interpret, and never abort an audit.
+shape (shapes.Shape) finds those nodes for the rules, and a check that reads
+only the node runs there too, once for every formula of the shape.  Other
+checks read values through one evaluator per audited sheet.  A check returns
+what it found, a message and its evidence; run_rules alone turns that into a
+Finding, with the rule's id, its configured severity and the cell.  Checks
+are stateless, skip anything they cannot interpret, and never abort an audit.
 """
 
 from __future__ import annotations
@@ -68,26 +69,34 @@ RATE_POSITIONS = _positions(Role.RATE)
 BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
 
 
-def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
-    """Pre-order (key, node, additive) for nodes whose call name or operator is a
-    rule trigger; additive is set when a '+' or '-' Binary sits above the node."""
+def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, tuple, bool]]:
+    """Pre-order (key, node, path, additive) for nodes whose call name or operator
+    is a rule trigger; path holds the argument indices and node attribute names
+    that lead from formula to node, and additive is set when a '+' or '-' Binary
+    sits above the node."""
     found = []
-    stack: list[tuple[FormulaNode, bool]] = [(formula, False)]
+    stack: list[tuple[FormulaNode, tuple, bool]] = [(formula, (), False)]
     while stack:
-        node, additive = stack.pop()
+        node, path, additive = stack.pop()
         kind = type(node)
         if kind is Call:
             if node.name in _TRIGGER_KEYS:
-                found.append((node.name, node, additive))
-            stack.extend((arg, additive) for arg in reversed(node.args))
+                found.append((node.name, node, path, additive))
+            stack += [(arg, (*path, index), additive) for index, arg in enumerate(node.args)][::-1]
         elif kind is Binary:
             if node.op in _TRIGGER_KEYS:
-                found.append((node.op, node, additive))
+                found.append((node.op, node, path, additive))
             below = additive or node.op in ("+", "-")
-            stack += ((node.right, below), (node.left, below))
+            stack += ((node.right, (*path, "right"), below), (node.left, (*path, "left"), below))
         elif kind is Unary:
-            stack.append((node.child, additive))
+            stack.append((node.child, (*path, "child"), additive))
     return found
+
+
+def _node_at(node: FormulaNode, path: tuple) -> FormulaNode:
+    for step in path:
+        node = node.args[step] if type(step) is int else getattr(node, step)
+    return node
 
 
 def _ref_evidence(values: Evaluator, *nodes: FormulaNode) -> Evidence:
@@ -269,7 +278,8 @@ class _RuleSpec:
     or operator is in triggers, whether a '+' or '-' Binary sits above it, the
     sheet's one Evaluator, and RuleConfig.threshold (threshold here unless
     configured, None for a rule without one).  It returns (message, evidence),
-    evidence () when it has none, or None; run_rules builds the Finding."""
+    evidence () when it has none, or None; run_rules builds the Finding.  A
+    per_shape check reads only the node, so it runs once for a whole shape."""
 
     rule_id: str
     default_severity: Severity
@@ -277,6 +287,7 @@ class _RuleSpec:
     triggers: frozenset[str]
     check: Callable[[FormulaNode, bool, Evaluator, float | None], tuple[str, Evidence] | None]
     threshold: float | None = None
+    per_shape: bool = False
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -308,6 +319,7 @@ _RULES: dict[str, _RuleSpec] = {
             "equivalent of an effective rate is (1+rate)^(1/12)-1.",
             frozenset({"NPV", "PMT"}),
             _rule_r2,
+            per_shape=True,
         ),
         _RuleSpec(
             "R3",
@@ -352,6 +364,7 @@ _RULES: dict[str, _RuleSpec] = {
             "the cell; never type slash dates inside formulas.",
             frozenset({"/"}),
             _rule_r6,
+            per_shape=True,
         ),
         _RuleSpec(
             "R7",
@@ -364,6 +377,7 @@ _RULES: dict[str, _RuleSpec] = {
             "force is visible.",
             frozenset(BASIS_POSITIONS),
             _rule_r7,
+            per_shape=True,
         ),
         _RuleSpec(
             "R8",
@@ -443,27 +457,54 @@ class RuleConfig:
         return self.severities.get(rule_id, _RULES[rule_id].default_severity)
 
 
+def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
+    """(spec, path, additive, found) for each rule and each of its trigger nodes
+    in formula, in finding order: found is a per-shape check's finding, made
+    here and left out when None, or None for a check to run per formula."""
+    triggers = _trigger_nodes(formula)
+    plan = []
+    for spec in _RULES.values():
+        for key, node, path, additive in triggers:
+            if key not in spec.triggers:
+                continue
+            if not spec.per_shape:
+                plan.append((spec, path, additive, None))
+            elif (found := spec.check(node, additive, values, spec.threshold)) is not None:
+                plan.append((spec, path, additive, found))
+    return plan
+
+
 def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
-    """Audit every formula cell; findings come back ordered by (row, column, rule)."""
+    """Audit every formula cell; findings come back ordered by (row, column, rule).
+
+    Each shape's plan is kept on it, so a cell with no check to run on its own
+    formula is passed over without its tree being built."""
     if config is None:
         config = RuleConfig()
-    rules = [
-        (spec, config.severity(rule_id), config.threshold(rule_id))
-        for rule_id, spec in _RULES.items()
+    active = {
+        rule_id: (config.severity(rule_id), config.threshold(rule_id))
+        for rule_id in _RULES
         if rule_id in config.enabled
-    ]
+    }
     values = Evaluator(sheet)
     findings: list[Finding] = []
     for cell in sheet.cells.values():
-        if cell.formula is None:
-            continue
-        found = _trigger_nodes(cell.formula)
-        for spec, severity, threshold in rules:
-            for key, node, additive in found:
-                if key in spec.triggers:
-                    result = spec.check(node, additive, values, threshold)
-                    if result is not None:
-                        findings.append(Finding(spec.rule_id, severity, cell.address, *result))
+        shape = cell.shape
+        plan = shape and shape.rules
+        if plan is None:
+            if cell.formula is None:
+                continue
+            plan = _plan(cell.formula, values)
+            if shape:
+                shape.rules = plan
+        for spec, path, additive, found in plan:
+            if spec.rule_id not in active:
+                continue
+            severity, threshold = active[spec.rule_id]
+            if found is None:
+                found = spec.check(_node_at(cell.formula, path), additive, values, threshold)
+            if found is not None:
+                findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings
 
 

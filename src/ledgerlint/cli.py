@@ -19,7 +19,6 @@ from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, par
 from .formula.ast import column_to_index, format_number
 from .formula.shapes import ShapeCache
 from .formula.sheet import format_value
-from .loan import LoanSpec, build_schedule, load_published, verify_schedule
 from .rates import PeriodicConvention, parse_rate
 
 RULES_ENV_VAR = "LEDGERLINT_RULES"
@@ -96,6 +95,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    # imported here, so that an audit never loads it
+    from .loan import LoanSpec, build_schedule, load_published, verify_schedule
     try:
         spec = LoanSpec(
             principal=args.principal,

@@ -14,7 +14,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 __all__ = [
@@ -121,6 +120,7 @@ def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:
     raw = 1.0 - (spec.salvage / spec.cost) ** (1.0 / spec.life)
     if mode is PrecisionMode.EXACT:
         return raw
+    from decimal import ROUND_HALF_UP, Decimal  # here, so that an audit never imports it
     rounded = Decimal(repr(raw)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP)
     return float(rounded)
 

@@ -83,7 +83,8 @@ class Evaluator:
         if cell.error is not None:
             self.cache[address] = cell.error
             return cell.error
-        if cell.formula is None:
+        formula = cell.formula
+        if formula is None:
             self.cache[address] = cell.literal
             return cell.literal
         if address in self.stack:
@@ -96,7 +97,7 @@ class Evaluator:
             return error
         self.stack[address] = None
         try:
-            result = self.eval_node(cell.formula)
+            result = self.eval_node(formula)
         finally:
             del self.stack[address]
         if address in self.cache:  # marked as a cycle member while recursing

