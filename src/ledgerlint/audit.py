@@ -3,10 +3,12 @@
 Each rule declares the function names or operators it inspects; one walk per
 shape (shapes.Shape) finds those nodes for the rules, and a check that reads
 only the node runs there too, once for every formula of the shape.  Other
-checks read values through one evaluator per audited sheet.  A check returns
-what it found, a message and its evidence; run_rules alone turns that into a
-Finding, with the rule's id, its configured severity and the cell.  Checks
-are stateless, skip anything they cannot interpret, and never abort an audit.
+checks run per cell on the node of the shape's template, with the audit's one
+evaluator bound to the cell, so that the node's references and values are the
+cell's own and no cell's tree is built.  A check returns what it found, a
+message and its evidence; run_rules alone turns that into a Finding, with the
+rule's id, its configured severity and the cell.  Checks are stateless, skip
+anything they cannot interpret, and never abort an audit.
 """
 
 from __future__ import annotations
@@ -69,28 +71,40 @@ RATE_POSITIONS = _positions(Role.RATE)
 BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
 
 
+_BRANCHES = frozenset({Call, Binary, Unary})  # the nodes that have children
+
+
 def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, tuple, bool]]:
     """Pre-order (key, node, path, additive) for nodes whose call name or operator
     is a rule trigger; path holds the argument indices and node attribute names
     that lead from formula to node, and additive is set when a '+' or '-' Binary
     sits above the node."""
-    found = []
-    stack: list[tuple[FormulaNode, tuple, bool]] = [(formula, (), False)]
-    while stack:
-        node, path, additive = stack.pop()
-        kind = type(node)
-        if kind is Call:
-            if node.name in _TRIGGER_KEYS:
-                found.append((node.name, node, path, additive))
-            stack += [(arg, (*path, index), additive) for index, arg in enumerate(node.args)][::-1]
-        elif kind is Binary:
-            if node.op in _TRIGGER_KEYS:
-                found.append((node.op, node, path, additive))
-            below = additive or node.op in ("+", "-")
-            stack += ((node.right, (*path, "right"), below), (node.left, (*path, "left"), below))
-        elif kind is Unary:
-            stack.append((node.child, (*path, "child"), additive))
+    found: list[tuple[str, FormulaNode, tuple, bool]] = []
+    if type(formula) in _BRANCHES:
+        _visit(formula, False, [], found)
     return found
+
+
+def _visit(node: FormulaNode, additive: bool, steps: list, found: list) -> None:
+    """_trigger_nodes below node, a branch that steps lead to; steps is one list
+    for the whole walk, copied only into a trigger's path."""
+    kind = type(node)
+    if kind is Call:
+        if node.name in _TRIGGER_KEYS:
+            found.append((node.name, node, tuple(steps), additive))
+        children = enumerate(node.args)
+    elif kind is Binary:
+        if node.op in _TRIGGER_KEYS:
+            found.append((node.op, node, tuple(steps), additive))
+        additive = additive or node.op in ("+", "-")
+        children = (("left", node.left), ("right", node.right))
+    else:
+        children = (("child", node.child),)
+    for step, child in children:
+        if type(child) in _BRANCHES:
+            steps.append(step)
+            _visit(child, additive, steps, found)
+            steps.pop()
 
 
 def _node_at(node: FormulaNode, path: tuple) -> FormulaNode:
@@ -100,11 +114,8 @@ def _node_at(node: FormulaNode, path: tuple) -> FormulaNode:
 
 
 def _ref_evidence(values: Evaluator, *nodes: FormulaNode) -> Evidence:
-    return tuple(
-        (node.address, format_value(values.cell_value(node.address)))
-        for node in nodes
-        if isinstance(node, CellRef)
-    )
+    addresses = [values.ref(node) for node in nodes if isinstance(node, CellRef)]
+    return tuple((address, format_value(values.cell_value(address))) for address in addresses)
 
 
 def _resolved(values: Evaluator, node: FormulaNode, kind: type):
@@ -115,9 +126,9 @@ def _resolved(values: Evaluator, node: FormulaNode, kind: type):
 def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None):
     if additive or len(node.args) < 2:
         return None  # under '+'/'-' a separate additive term holds the period-0 flow
-    values_arg = node.args[1]
-    if not isinstance(values_arg, RangeRef):
+    if not isinstance(node.args[1], RangeRef):
         return None
+    values_arg = values.ref(node.args[1])
     for address in values.sheet.range_addresses(values_arg):
         first = values.cell_value(address)
         if isinstance(first, float):
@@ -477,8 +488,8 @@ def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
 def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule).
 
-    Each shape's plan is kept on it, so a cell with no check to run on its own
-    formula is passed over without its tree being built."""
+    Each shape's plan is kept on it, and a cell's own checks run on the tree
+    that the evaluator binds for it, its shape's template when it has one."""
     if config is None:
         config = RuleConfig()
     active = {
@@ -491,10 +502,12 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     for cell in sheet.cells.values():
         shape = cell.shape
         plan = shape and shape.rules
+        tree = None
         if plan is None:
-            if cell.formula is None:
-                continue
-            plan = _plan(cell.formula, values)
+            if shape is None and cell.formula is None:
+                continue  # a literal or an error
+            tree = values.bind(cell)
+            plan = _plan(tree, values)
             if shape:
                 shape.rules = plan
         for spec, path, additive, found in plan:
@@ -502,7 +515,9 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
                 continue
             severity, threshold = active[spec.rule_id]
             if found is None:
-                found = spec.check(_node_at(cell.formula, path), additive, values, threshold)
+                if tree is None:
+                    tree = values.bind(cell)
+                found = spec.check(_node_at(tree, path), additive, values, threshold)
             if found is not None:
                 findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings

@@ -1,6 +1,12 @@
 """Formula evaluation over a sheet: reference resolution, cycle detection,
 operator semantics, and dispatch into the financial function catalog.
 
+A cell whose shape came before (shapes.Shape) is evaluated by walking the
+shape's template with every reference read through Evaluator.ref, which is
+bound to the cell and reads the reference in the same slot of the cell's own
+text; no tree is built for the cell.  Any other formula is its own tree and
+its references are read as they are.
+
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
 referring cell; only the cells actually on a reference cycle are CYCLE.
@@ -32,7 +38,8 @@ from .ast import (
     TextLit,
     Unary,
 )
-from .sheet import CellValue, ErrorKind, ErrorValue, Sheet, format_value
+from .shapes import cell_ref
+from .sheet import Cell, CellValue, ErrorKind, ErrorValue, Sheet, format_value
 
 __all__ = ["evaluate", "Evaluator", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
 
@@ -71,8 +78,37 @@ class Evaluator:
         self.sheet = sheet
         self.cache = sheet._values
         self.stack: dict[str, None] = {}  # addresses being evaluated, in call order
+        # the references of the cell whose shape's template is being evaluated,
+        # by slot, and the template's slots; None for a formula's own tree
+        self._refs: list[tuple[str, str, str, str]] | None = None
+        self._slots: dict[int, int] | None = None
 
     # cell resolution
+
+    def bind(self, cell: Cell) -> FormulaNode | None:
+        """Bind ref() to cell and return the tree to evaluate for it, None for
+        a literal or an error: for a cell read through its shape, the shape's
+        template, whose references ref() reads from the cell's own text by
+        slot; for any other cell, its own tree."""
+        if cell.source is None:
+            self._refs = None
+            return cell.formula
+        shape = cell.shape
+        self._refs, self._slots = shape.refs(cell.source), shape.slots
+        return shape.template
+
+    def ref(self, node: CellRef | RangeRef) -> str | RangeRef:
+        """What node, a reference of the tree being evaluated, reads in the
+        bound cell's formula: a CellRef's address, or a RangeRef."""
+        refs = self._refs
+        if refs is None:
+            return node.address if type(node) is CellRef else node
+        slot = self._slots[id(node)]
+        if type(node) is CellRef:
+            _, letters, _, digits = refs[slot]
+            return letters.upper() + digits  # CellRef.address: the row has no leading 0
+        # the constructor normalizes a reversed range as parse() does
+        return RangeRef(cell_ref(refs[slot]), cell_ref(refs[slot + 1]))
 
     def cell_value(self, address: str) -> CellValue:
         if address in self.cache:
@@ -83,8 +119,7 @@ class Evaluator:
         if cell.error is not None:
             self.cache[address] = cell.error
             return cell.error
-        formula = cell.formula
-        if formula is None:
+        if cell.source is None and cell.formula is None:
             self.cache[address] = cell.literal
             return cell.literal
         if address in self.stack:
@@ -96,10 +131,12 @@ class Evaluator:
                 self.cache[member] = error
             return error
         self.stack[address] = None
+        bound = self._refs, self._slots
         try:
-            result = self.eval_node(formula)
+            result = self.eval_node(self.bind(cell))
         finally:
             del self.stack[address]
+            self._refs, self._slots = bound
         if address in self.cache:  # marked as a cycle member while recursing
             return self.cache[address]
         self.cache[address] = result
@@ -115,16 +152,16 @@ class Evaluator:
         if isinstance(node, TextLit):
             return node.value
         if isinstance(node, CellRef):
-            value = self.cell_value(node.address)
+            address = self.ref(node)
+            value = self.cell_value(address)
             if isinstance(value, ErrorValue):
-                return ErrorValue(
-                    ErrorKind.PROPAGATED, f"error propagated from {node.address}"
-                )
+                return ErrorValue(ErrorKind.PROPAGATED, f"error propagated from {address}")
             return value
         if isinstance(node, RangeRef):
+            ref = self.ref(node)
             return ErrorValue(
                 ErrorKind.VALUE,
-                f"range {node.start.address}:{node.end.address} used as a scalar",
+                f"range {ref.start.address}:{ref.end.address} used as a scalar",
             )
         if isinstance(node, Unary):
             value = self.eval_node(node.child)
@@ -294,7 +331,7 @@ class Evaluator:
             if isinstance(node, EmptyArg):
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if isinstance(node, RangeRef):
-                for address in self.sheet.range_addresses(node):
+                for address in self.sheet.range_addresses(self.ref(node)):
                     value = self.cell_value(address)
                     if isinstance(value, ErrorValue):
                         return ErrorValue(
@@ -324,7 +361,7 @@ class Evaluator:
         node = args[index]
         if isinstance(node, RangeRef):
             dates: list[dt.date] = []
-            for address in self.sheet.range_addresses(node):
+            for address in self.sheet.range_addresses(self.ref(node)):
                 value = self.cell_value(address)
                 if isinstance(value, ErrorValue):
                     return ErrorValue(

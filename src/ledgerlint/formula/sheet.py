@@ -2,8 +2,10 @@
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
 or text.  A sheet parses each shape of formula once (shapes.ShapeCache), and
-a cell of a shape that came before keeps the shape and its text, filling the
-shape's template with its references the first time its formula is read.  A
+a cell of a shape that came before keeps the shape and its text: evaluation
+and the audit read it through the shape's template, and its own tree, the
+template filled with its references, is built the first time its formula is
+read.  A
 caller that loads many workbooks, as an audit run does, may pass them all one
 cache, so that a shape they share is parsed once for the run.  Formula parse
 failures are recorded on the cell as error values so a bad formula never
@@ -81,11 +83,13 @@ def format_value(value: CellValue) -> str:
 
 
 class Cell:
-    """One populated cell.  Exactly one of literal/formula/error is set; a
-    formula filled from its shape is built from source when first read.  Cells
-    compare and print by address, literal, formula and error."""
+    """One populated cell.  Exactly one of literal/formula/error is set.  A
+    cell whose shape came before keeps its text as source: an evaluator reads
+    it through the shape's template, and formula, the template filled with the
+    cell's references, is built when first read.  Cells compare and print by
+    address, literal, formula and error."""
 
-    __slots__ = ("address", "literal", "error", "shape", "_formula", "_source")
+    __slots__ = ("address", "literal", "error", "shape", "source", "_formula")
 
     def __init__(
         self,
@@ -97,12 +101,12 @@ class Cell:
         source: str | None = None,
     ) -> None:
         self.address, self.literal, self.error = address, literal, error
-        self.shape, self._formula, self._source = shape, formula, source
+        self.shape, self.source, self._formula = shape, source, formula
 
     @property
     def formula(self) -> FormulaNode | None:
-        if self._source is not None:
-            self._formula, self._source = self.shape.tree(self._source), None
+        if self._formula is None and self.source is not None:
+            self._formula = self.shape.tree(self.source)
         return self._formula
 
     def _fields(self) -> tuple:

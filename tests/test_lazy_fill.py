@@ -1,5 +1,6 @@
-"""A cell of a recurring shape fills its tree on first read, and the audit sees
-each shape once.
+"""A cell of a recurring shape fills its tree on first read, evaluation and the
+audit read it through its shape's template instead, and the audit sees each
+shape once.
 
 Work is counted, not timed: the trees a sheet fills (Shape.tree calls) and
 the trigger walks run_rules makes.
@@ -127,15 +128,83 @@ def test_the_audit_walks_each_shape_once_and_fills_only_what_it_checks(fills, wa
     sheet = Sheet(_rows(book.grid))
     assert run_rules(sheet) == expected
     run_rules(sheet, RuleConfig(enabled=frozenset({"R5"})))
-    # E (PMT) and F and J ('/') have checks that read their nodes, and E's
-    # rate reads column B; the running balance C, D, G, H is never built
-    addresses = {text: f"{index_to_column(col)}{row}" for (col, row), text in book.grid.items()}
-    filled = [addresses[text] for text in fills]
-    assert len(filled) == len(set(filled))
-    assert {address[0] for address in filled} == set("BEFJ")
+    # the checks read each shape's template, and each cell's references from
+    # its text by slot: no cell's own tree is built
+    assert fills == []
     shaped = [cell.shape for cell in sheet.cells.values() if cell.shape is not None]
     assert len(shaped) == sum(text.startswith("=") for text in book.grid.values())
     assert len(walks) == len(set(map(id, shaped))) <= 10
+
+
+def test_evaluation_fills_no_tree_and_a_later_read_fills_once(fills):
+    book = _load_workloads().loanbook(1, rows=80).books[0]
+    sheet = Sheet(_rows(book.grid))
+    assert sheet.evaluate_all() == _per_cell(book.grid).evaluate_all()
+    assert fills == []
+    texts = {f"{index_to_column(col)}{row}": text for (col, row), text in book.grid.items()}
+    trees = {}
+    for address, cell in sheet.cells.items():
+        if cell.source is not None:
+            trees[address] = cell.formula
+            assert trees[address] == parse(texts[address])
+    assert trees and sorted(fills) == sorted(texts[address] for address in trees)
+    assert all(sheet.cells[address].formula is tree for address, tree in trees.items())
+    assert len(fills) == len(trees)
+
+
+# Each case's formulas share one key and sit in F1, F2, ...; A to E hold
+# numbers, dates and two errors for them to read.
+SLOT_CASES = {
+    "reversed later range": ["=SUM(A1:A5)", "=SUM(A9:A5)", "=SUM(B9:A2)"],
+    # the parser normalizes the first range, so the key is unshareable
+    "reversed first range": ["=NPV(0.1,A4:A3)", "=NPV(0.1,B5:A3)"],
+    "R1 on a reversed range": ["=NPV(0.1,A1:A3)", "=NPV(0.1,B5:A1)", "=NPV(0.1,B2:A1)"],
+    "one reference twice": ["=A1+A1", "=B1+C1", "=C2+C2", "=A2+B2"],
+    "range as a scalar": ["=A1:A2+1", "=B3:A1+1", "=C1:C1+1"],
+    "anchors": ["=$A$1*B2+SUM($A$1:A2)", "=$A$1*B3+SUM($B$5:$A$1)", "=A$1*$B3+SUM(B$5:$A2)"],
+    "propagated errors": ["=E1*2+A1", "=E2*2+A2", "=A3*2+E2"],
+    "propagated errors in a range": ["=SUM(E2:E3)", "=SUM(E2:A1)"],
+    "evidence": [
+        "=PMT(B1,12,100)+INTRATE(C1,D1,100,110)+(D1-C1)/360+DB(1000,100,5,1,B3)",
+        "=PMT(B2,12,100)+INTRATE(C3,D3,100,110)+(D2-C2)/360+DB(1000,100,5,1,B4)",
+        "=PMT(A1,12,100)+INTRATE(D2,C2,100,110)+(C3-D3)/360+DB(1000,100,5,1,A1)",
+    ],
+}
+# the cell each formula's error message ends with
+PROPAGATED_FROM = {"propagated errors": ["E1", "E2", "E2"], "propagated errors in a range": ["E2", "E1"]}
+
+
+def _slot_case(texts: list[str]) -> dict[tuple[int, int], str]:
+    grid = {}
+    for row in range(1, 10):
+        grid[1, row] = str(-100 if row == 1 else 10 * row)
+        grid[2, row] = str(row / 20 if row % 2 else row * 7)
+        grid[3, row] = f"2020-0{row}-1{row}"
+        grid[4, row] = f"202{row}-0{row}-2{row}"
+    grid[5, 1], grid[5, 2] = "=1/0", '="x"*1'
+    grid.update({(6, row): text for row, text in enumerate(texts, start=1)})
+    return grid
+
+
+@pytest.mark.parametrize("case", SLOT_CASES)
+def test_a_shared_shape_reads_each_cell_s_own_references(fills, case):
+    texts = SLOT_CASES[case]
+    grid = _slot_case(texts)
+    sheet, oracle = Sheet(_rows(grid)), _per_cell(grid)
+    later = [sheet.cells[f"F{row}"] for row in range(2, len(texts) + 1)]
+    assert all((cell.source is not None) == (case != "reversed first range") for cell in later)
+    values = sheet.evaluate_all()
+    assert values == oracle.evaluate_all()
+    findings = run_rules(sheet)
+    assert findings == run_rules(oracle)
+    assert fills == []
+    if case in PROPAGATED_FROM:
+        ends = [str(values[f"F{row}"]).split()[-1] for row in range(1, len(texts) + 1)]
+        assert ends == PROPAGATED_FROM[case]
+    if case == "R1 on a reversed range":
+        assert [f.message.split(" starts")[0] for f in findings if f.rule_id == "R1"] == [
+            "NPV range A1:A3", "NPV range A1:B5", "NPV range A1:B2",
+        ]
 
 
 def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch):
@@ -205,8 +274,8 @@ def test_per_shape_findings_equal_a_per_cell_audit_across_sheets(walks, enabled)
 def test_a_downward_chain_of_one_shape_evaluates_and_audits(
     tmp_path, capsys, monkeypatch, template, step, cells
 ):
-    # The evaluator recurses from cell to cell, and a first read of a filled
-    # cell fills its tree there; these depths must stay within the recursion
+    # The evaluator recurses from cell to cell, reading each cell of the
+    # shape through its template; these depths must stay within the recursion
     # limit until evaluation stops recursing.
     monkeypatch.delenv(RULES_ENV_VAR, raising=False)
     # A1:A{cells} each read the cell below, down to a 1; B1's rate reads A1
