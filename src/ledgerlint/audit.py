@@ -14,10 +14,9 @@ anything they cannot interpret, and never abort an audit.
 from __future__ import annotations
 
 import datetime as dt
-import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Mapping
 
 from .daycount import year_fraction
@@ -454,7 +453,9 @@ class RuleConfig:
         return cls(enabled=frozenset(enabled), thresholds=thresholds, severities=severities)
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "RuleConfig":
+    def from_json_file(cls, path: str | os.PathLike) -> "RuleConfig":
+        import json  # here, so that an audit with no rule config never loads it
+
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):

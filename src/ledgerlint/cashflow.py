@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .daycount import parse_date
@@ -105,12 +105,14 @@ def pmt(rate: float, nper: int, pv: float) -> float:
     return pv * rate / math.expm1(-nper * math.log1p(rate))
 
 
-def load_series(path: str | Path) -> CashFlowSeries:
+def load_series(path: str | os.PathLike) -> CashFlowSeries:
     """Load flows from CSV: rows of ``date,value`` or bare ``value``.
 
-    A single leading header row is tolerated and skipped.
+    A single leading header row is tolerated and skipped.  A leading
+    byte-order mark is dropped, so it is never taken for part of a header.
     """
-    rows = [row for row in csv.reader(Path(path).open(newline="")) if row]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise ValueError(f"{path}: no cash flows found")
     widths = {len(row) for row in rows}

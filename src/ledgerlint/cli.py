@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from typing import Sequence
@@ -62,6 +61,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             record = {"kind": "text", "value": value}
         else:
             record = {"kind": "date", "value": value.isoformat()}
+        import json  # here, so that only structured output loads it
+
         print(json.dumps(record))
     else:
         print(value if isinstance(value, ErrorValue) else format_value(value))
@@ -75,6 +76,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: rule config: {exc}", file=sys.stderr)
         return 2
+    render = render_text
+    if args.format == "structured":
+        import json  # here, so that only structured output loads it
+
+        def render(finding, path):
+            return json.dumps(to_record(finding, path))
+
     worst_is_actionable = False
     shapes = ShapeCache()  # one for the run: a class's workbooks share their shapes
     for path in args.workbooks:
@@ -85,10 +93,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             return 2
         findings = run_rules(sheet, config)
         for finding in findings:
-            if args.format == "structured":
-                print(json.dumps(to_record(finding, path)))
-            else:
-                print(render_text(finding, path))
+            print(render(finding, path))
             if finding.severity in (Severity.WARNING, Severity.ERROR):
                 worst_is_actionable = True
     return 1 if worst_is_actionable else 0

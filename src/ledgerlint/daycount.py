@@ -15,7 +15,6 @@ Gregorian ``datetime.date`` values within 1900-01-01 .. 2199-12-31.
 
 from __future__ import annotations
 
-import calendar
 import datetime as dt
 from enum import Enum
 
@@ -96,11 +95,16 @@ def days_between(start: dt.date, end: dt.date, basis: DayCountBasis) -> int:
     return (end - start).days
 
 
+def _is_leap(year: int) -> bool:
+    """Whether a Gregorian year has a Feb 29."""
+    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+
+
 def _contains_leap_day(start: dt.date, end: dt.date) -> bool:
     # Half-open on the left: a leap day counts when start < Feb 29 <= end,
     # matching the day count's exclusive-start convention.
     for year in range(start.year, end.year + 1):
-        if calendar.isleap(year):
+        if _is_leap(year):
             leap = dt.date(year, 2, 29)
             if start < leap <= end:
                 return True
@@ -112,7 +116,7 @@ def _actual_actual_denominator(start: dt.date, end: dt.date) -> float:
     years = range(start.year, end.year + 1)
     if days <= 366 and len(years) <= 2:
         return 366.0 if _contains_leap_day(start, end) else 365.0
-    lengths = [366 if calendar.isleap(y) else 365 for y in years]
+    lengths = [366 if _is_leap(y) else 365 for y in years]
     return sum(lengths) / len(lengths)
 
 

@@ -10,6 +10,11 @@ caller that loads many workbooks, as an audit run does, may pass them all one
 cache, so that a shape they share is parsed once for the run.  Formula parse
 failures are recorded on the cell as error values so a bad formula never
 aborts a workbook load.
+
+A load costs the populated fields of the CSV, not its grid: a record with no
+non-empty field, and each empty field of any other record, is passed over in C
+(``any`` and ``itertools.compress``), so the Python loop that places cells sees
+only fields with text.  ``MAX_CELLS`` still counts every field read.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from itertools import compress
 from typing import Iterable, Iterator, Union
 
 from ..daycount import parse_date
@@ -231,23 +237,38 @@ class Sheet:
 
 
 def _numbered(rows: Iterable[list[str]]) -> Iterator[tuple[int, Iterator[tuple[int, str]]]]:
-    """(row, enumerate(fields)) pairs, both counting from 1; stops a grid past MAX_CELLS."""
+    """(row, (column, text) pairs) for each record with a non-empty field, counting from 1.
+
+    Empty fields are dropped by itertools.compress and empty records by any,
+    so no Python code runs for either; a field of only spaces still reaches
+    Sheet, which skips it after strip.  Every field read counts toward
+    MAX_CELLS, empty or not, so a grid past it stops at the same record.
+    """
     scanned = 0
     for row_index, fields in enumerate(rows, start=1):
         scanned += len(fields)
         if scanned > MAX_CELLS:
             raise ValueError(f"workbook exceeds {MAX_CELLS} cells")
-        yield row_index, enumerate(fields, start=1)
+        if any(fields):
+            yield row_index, compress(enumerate(fields, start=1), fields)
 
 
-def load_workbook(path: str | Path, shapes: ShapeCache | None = None) -> Sheet:
+def load_workbook(path: str | os.PathLike, shapes: ShapeCache | None = None) -> Sheet:
     """Load a CSV grid; row 1 is the first CSV record, column A the first field.
 
     Records are placed as the reader yields them, so only one is held at a
-    time, not the whole grid with its empty fields.  Formulas are parsed
-    through shapes, a fresh cache when None.
+    time, not the whole grid with its empty fields.  The sheet is named after
+    the file, its extension dropped.  Formulas are parsed through shapes, a
+    fresh cache when None.
     """
-    path = Path(path)
+    name = _stem(path)
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        return Sheet.from_rows(csv.reader(handle), name=path.stem, shapes=shapes)
+        return Sheet.from_rows(csv.reader(handle), name=name, shapes=shapes)
+
+
+def _stem(path: str | os.PathLike) -> str:
+    """The file name without its last suffix, as pathlib's PurePath.stem has it."""
+    name = os.path.basename(os.fspath(path))
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ledgerlint import cashflow
 from ledgerlint.cashflow import (
     CashFlowSeries,
     load_series,
@@ -195,3 +196,41 @@ def test_load_series_rejects_garbage(tmp_path):
     p.write_text("2024-01-01,-1000\nnot-a-date,600\n")
     with pytest.raises(ValueError):
         load_series(p)
+
+
+BOM = b"\xef\xbb\xbf"  # Excel's "CSV UTF-8" starts with one
+
+
+def test_load_series_keeps_the_first_flow_after_a_byte_order_mark(tmp_path):
+    p = tmp_path / "flows.csv"
+    p.write_bytes(BOM + b"2020-01-01,-100\n2021-01-01,60\n2022-01-01,60\n")
+    series = load_series(p)
+    assert series.values == (-100.0, 60.0, 60.0)
+    assert series.dates == (D(2020, 1, 1), D(2021, 1, 1), D(2022, 1, 1))
+
+    p.write_bytes(BOM + b"-100\n60\n60\n")
+    series = load_series(str(p))
+    assert series.values == (-100.0, 60.0, 60.0)
+    assert series.dates is None
+
+    p.write_bytes(BOM + b"date,value\n2020-01-01,-100\n2021-01-01,60\n")
+    assert load_series(p).values == (-100.0, 60.0)  # a header after the mark is still skipped
+
+
+def test_load_series_closes_its_file(tmp_path, monkeypatch):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(cashflow, "open", tracking_open, raising=False)
+    p = tmp_path / "flows.csv"
+    p.write_text("-100\n60\n")
+    assert load_series(p).values == (-100.0, 60.0)
+    p.write_text("2024-01-01,-1000\nnot-a-date,600\n")
+    with pytest.raises(ValueError):
+        load_series(p)
+    assert len(opened) == 2
+    assert all(handle.closed for handle in opened)

@@ -1,6 +1,9 @@
 """Command-line behavior: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,3 +412,41 @@ class TestDepr:
         content = out_file.read_text()
         assert content.startswith("period,depreciation,book_value_end")
         assert "reconciliation:" in content
+
+
+# Runs the CLI as `python -m ledgerlint.cli` does, then lists every module loaded.
+RUN_CLI = """
+import runpy, sys
+sys.argv[0] = "ledgerlint"
+try:
+    runpy.run_module("ledgerlint.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stdout.flush()
+    sys.stderr.write("\\nmodules: " + " ".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no_site"])
+def test_a_text_audit_loads_only_what_it_uses(flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(RULES_ENV_VAR, None)
+
+    def loaded(code, *args):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return result, set(result.stderr.rsplit("modules: ", 1)[1].split())
+
+    books = sorted(str(path) for path in FIXTURES.rglob("*.csv"))
+    audit, modules = loaded(RUN_CLI, "audit", *books)
+    assert audit.returncode == 1, audit.stderr
+    assert " R1 " in audit.stdout
+    assert "ledgerlint.audit" in modules
+    _, bare = loaded("import sys; sys.stderr.write('modules: ' + ' '.join(sys.modules))")
+    # what the interpreter loads on its own (site may load pathlib) is not the audit's doing
+    unused = {"json", "calendar", "decimal", "ledgerlint.loan", "pathlib"} - bare
+    if flags == ["-S"]:
+        assert "pathlib" in unused
+    assert modules & unused == set()

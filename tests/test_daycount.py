@@ -1,5 +1,6 @@
 """Day-count bases: counts, year fractions, and the 30/360 variant rules."""
 
+import calendar
 import datetime as dt
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from ledgerlint.daycount import (
     ACTUAL_BASES,
     DayCountBasis,
+    _is_leap,
     days_between,
     format_date,
     parse_date,
@@ -141,3 +143,9 @@ def test_variants_agree_when_no_day_exceeds_30(a, b):
         us = days_between(a, b, DayCountBasis.US_30_360)
         eur = days_between(a, b, DayCountBasis.EUR_30_360)
         assert us == eur
+
+
+def test_leap_years_follow_the_gregorian_rule():
+    assert [year for year in range(1, 10_000) if _is_leap(year)] == [
+        year for year in range(1, 10_000) if calendar.isleap(year)
+    ]
