@@ -22,8 +22,8 @@ from typing import Callable, Mapping
 from .daycount import year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.ast import format_number
-from .formula.evaluator import BASIS_CODES, FUNCTION_CATALOG, Evaluator, Role
-from .formula.sheet import format_value
+from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role
+from .formula.sheet import ErrorValue, format_value
 
 __all__ = [
     "RULE_IDS",
@@ -177,10 +177,9 @@ def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
     index = BASIS_POSITIONS["INTRATE"]
     basis = FUNCTION_CATALOG["INTRATE"].params[index].default
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
-        code = _resolved(values, node.args[index], float)
-        if code not in BASIS_CODES:  # 2.0 is the key 2; None, 2.5 and nan are no key
+        basis = values.day_count(node.args, index, "INTRATE", "basis")
+        if isinstance(basis, ErrorValue):  # 2.5, 5, nan, text and errors are no basis
             return None
-        basis = BASIS_CODES[code]
     try:
         span = year_fraction(settlement, maturity, basis)
     except ValueError:

@@ -102,6 +102,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     # imported here, so that an audit never loads it
     from .loan import LoanSpec, build_schedule, load_published, verify_schedule
+    if args.tolerance is not None and args.published is None:
+        args.usage_error("argument --tolerance: not allowed without --published")
     try:
         spec = LoanSpec(
             principal=args.principal,
@@ -113,14 +115,16 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.published:
+    if args.published is not None:
         try:
             published = load_published(args.published)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, malformed
             print(f"error: {args.published}: {exc}", file=sys.stderr)
             return 2
+        # verify_schedule's own default tolerance unless one is given
+        tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
         try:
-            discrepancies = verify_schedule(published, spec, tolerance=args.tolerance)
+            discrepancies = verify_schedule(published, spec, **tolerance)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -207,14 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--convention", choices=sorted(_CONVENTIONS), default="uk",
         help="periodic-rate convention: uk (effective root) or us (nominal divide)",
     )
-    p_schedule.add_argument(
+    target = p_schedule.add_mutually_exclusive_group()
+    target.add_argument(
         "--published", help="verify against this published schedule CSV instead of emitting"
     )
+    target.add_argument("-o", "--output", help="write schedule CSV here (default stdout)")
     p_schedule.add_argument(
-        "--tolerance", type=float, default=0.005, help="verification tolerance per field"
+        "--tolerance", type=float,
+        help="verification tolerance per field, with --published only (default: penny rounding)",
     )
-    p_schedule.add_argument("-o", "--output", help="write schedule CSV here (default stdout)")
-    p_schedule.set_defaults(func=_cmd_schedule)
+    p_schedule.set_defaults(func=_cmd_schedule, usage_error=p_schedule.error)
 
     p_depr = subparsers.add_parser("depr", help="declining-balance depreciation schedule")
     p_depr.add_argument("--cost", type=float, required=True)

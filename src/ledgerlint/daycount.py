@@ -16,10 +16,15 @@ Gregorian ``datetime.date`` values within 1900-01-01 .. 2199-12-31.
 from __future__ import annotations
 
 import datetime as dt
+import re
 from enum import Enum
 
 MIN_DATE = dt.date(1900, 1, 1)
 MAX_DATE = dt.date(2199, 12, 31)
+
+# the one date form read from text; date.fromisoformat alone also takes
+# 20240131 and 2024-W05-3 from Python 3.11 on
+ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class DayCountBasis(str, Enum):
@@ -56,8 +61,11 @@ def _check_ordered(start: dt.date, end: dt.date) -> None:
 
 def parse_date(text: str) -> dt.date:
     """Parse a strict ISO 8601 date (YYYY-MM-DD) within the supported range."""
+    stripped = text.strip()
+    if not ISO_DATE_RE.fullmatch(stripped):
+        raise ValueError(f"invalid ISO date {text!r}: expected YYYY-MM-DD")
     try:
-        d = dt.date.fromisoformat(text.strip())
+        d = dt.date.fromisoformat(stripped)
     except ValueError as exc:
         raise ValueError(f"invalid ISO date {text!r}: {exc}") from None
     _check_supported(d)

@@ -321,12 +321,13 @@ class Evaluator:
     def strict_values(self, args: _Args, index: int, fname: str, param: str) -> list[float] | ErrorValue:
         return self._numbers(args[index:index + 1], fname, strict=True)
 
-    def _numbers(self, nodes: _Args, fname: str, strict: bool) -> list[float] | ErrorValue:
-        """Collect numbers from scalars and ranges, row-major within ranges.
+    def _numbers(self, nodes: _Args, fname: str, strict: bool, kind=float, noun="number") -> list | ErrorValue:
+        """Collect values of kind from scalars and ranges, row-major within ranges.
 
-        Non-numeric cells inside ranges are skipped unless strict.
+        Range cells of another type are skipped unless strict, else named as
+        not holding a noun.  A scalar must be a number.
         """
-        values: list[float] = []
+        values: list = []
         for node in nodes:
             if isinstance(node, EmptyArg):
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
@@ -338,12 +339,12 @@ class Evaluator:
                             ErrorKind.PROPAGATED,
                             f"{fname}: error propagated from {address}",
                         )
-                    if isinstance(value, float):
+                    if isinstance(value, kind):
                         values.append(value)
                     elif strict:
                         return ErrorValue(
                             ErrorKind.ARGUMENT,
-                            f"{fname}: {address} holds {_type_name(value)}, expected a number",
+                            f"{fname}: {address} holds {_type_name(value)}, expected a {noun}",
                         )
                 continue
             value = self.eval_node(node)
@@ -358,22 +359,8 @@ class Evaluator:
         return values
 
     def dates(self, args: _Args, index: int, fname: str, param: str) -> list[dt.date] | ErrorValue:
-        node = args[index]
-        if isinstance(node, RangeRef):
-            dates: list[dt.date] = []
-            for address in self.sheet.range_addresses(self.ref(node)):
-                value = self.cell_value(address)
-                if isinstance(value, ErrorValue):
-                    return ErrorValue(
-                        ErrorKind.PROPAGATED, f"{fname}: error propagated from {address}"
-                    )
-                if not isinstance(value, dt.date):
-                    return ErrorValue(
-                        ErrorKind.ARGUMENT,
-                        f"{fname}: {address} holds {_type_name(value)}, expected a date",
-                    )
-                dates.append(value)
-            return dates
+        if isinstance(args[index], RangeRef):
+            return self._numbers(args[index:index + 1], fname, True, kind=dt.date, noun="date")
         value = self.date(args, index, fname, param)
         if isinstance(value, ErrorValue):
             return value

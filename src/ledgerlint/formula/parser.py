@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -270,9 +271,9 @@ class _Parser:
 
 
 def _make_ref(text: str) -> CellRef:
-    """text is a REF token's, upper-case already; matched one-letter columns are shared strings."""
+    """text is a REF token's, upper-case already; all trees share their column strings."""
     column_anchor, column, row_anchor, row = _REF_RE.fullmatch(text).groups()
-    return CellRef(column, int(row), column_anchor == "$", row_anchor == "$")
+    return CellRef(sys.intern(column), int(row), column_anchor == "$", row_anchor == "$")
 
 
 def parse_address(address: str) -> tuple[str, int]:

@@ -11,16 +11,15 @@ a key is parsed as usual and gets the key's Shape.  When the key comes again,
 that cell's tree becomes the shape's template, whose reference nodes each
 hold a slot among a text's references, and each cell with the key keeps the
 shape and its text.  The evaluator and the audit walk the template and read
-each reference from the cell's text by its slot (Shape.refs); the cell's own
-tree, the template filled with its references, is built only when something
-reads cell.formula.  The key keeps the boundaries between the texts, since
-'=-A1' and '=A1-B1' join to the same string.
+each reference from the cell's text by its slot (Shape.refs), so no tree is
+built for the cell; its own tree is parse() of its text, made only when
+something reads cell.formula.  The key keeps the boundaries between the
+texts, since '=-A1' and '=A1-B1' join to the same string.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 import weakref
 
 from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
@@ -36,15 +35,9 @@ _SHAPE_RE = re.compile(rf"(?<![A-Za-z0-9.]){_REF_TOKEN}")
 
 
 def cell_ref(match: tuple[str, str, str, str]) -> CellRef:
-    """The CellRef of one of Shape.refs(text); those of all texts share their
-    column strings."""
+    """The CellRef of one of Shape.refs(text)."""
     column_anchor, letters, row_anchor, digits = match
-    return CellRef(sys.intern(letters.upper()), int(digits), column_anchor == "$", row_anchor == "$")
-
-
-def _refs(text: str) -> list[CellRef]:
-    """The references that the key of text splits it at, in order."""
-    return [cell_ref(match) for match in _SHAPE_RE.findall(text)]
+    return CellRef(letters.upper(), int(digits), column_anchor == "$", row_anchor == "$")
 
 
 class Shape:
@@ -70,12 +63,8 @@ class Shape:
     # the template is refs(text)[slots[id(node)]] in text
     refs = staticmethod(_SHAPE_RE.findall)
 
-    def tree(self, text: str) -> FormulaNode:
-        """parse(text), for a text with the shape's key."""
-        return _fill(self.template, self.slots, _refs(text))
-
     def _share(self, tree: FormulaNode, text: str) -> None:
-        """Make tree, the tree of text, the shape's template, if it fills exactly."""
+        """Make tree, the tree of text, the shape's template, if its references are the key's."""
         found: list[CellRef] = []
         slots: dict[int, int] = {}
         _number(tree, found, slots)
@@ -86,7 +75,7 @@ class Shape:
         # references.  A reference-like run the lexer reads otherwise (inside
         # a string, say), or a reversed range the parser normalized, makes the
         # key unshareable.
-        if found == _refs(text):
+        if found == [cell_ref(match) for match in self.refs(text)]:
             self.template, self.slots = tree, slots
         self._first = None
 
@@ -146,21 +135,3 @@ def _number(node: FormulaNode, found: list[CellRef], slots: dict[int, int]) -> N
     elif kind is Call:
         for arg in node.args:
             _number(arg, found, slots)
-
-
-def _fill(node: FormulaNode, slots: dict[int, int], refs: list[CellRef]) -> FormulaNode:
-    """node with each reference node replaced by refs at its slot."""
-    kind = type(node)
-    if kind is CellRef:
-        return refs[slots[id(node)]]
-    if kind is RangeRef:
-        slot = slots[id(node)]
-        # the constructor normalizes each cell's corners as parse() does
-        return RangeRef(refs[slot], refs[slot + 1])
-    if kind is Unary:
-        return Unary(node.op, _fill(node.child, slots, refs))
-    if kind is Binary:
-        return Binary(node.op, _fill(node.left, slots, refs), _fill(node.right, slots, refs))
-    if kind is Call:
-        return Call(node.name, tuple([_fill(arg, slots, refs) for arg in node.args]))
-    return node  # a literal or an empty argument slot

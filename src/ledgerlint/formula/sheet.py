@@ -3,13 +3,12 @@
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
 or text.  A sheet parses each shape of formula once (shapes.ShapeCache), and
 a cell of a shape that came before keeps the shape and its text: evaluation
-and the audit read it through the shape's template, and its own tree, the
-template filled with its references, is built the first time its formula is
-read.  A
-caller that loads many workbooks, as an audit run does, may pass them all one
-cache, so that a shape they share is parsed once for the run.  Formula parse
-failures are recorded on the cell as error values so a bad formula never
-aborts a workbook load.
+and the audit read it through the shape's template, and its own tree, parse()
+of its text, is built the first time its formula is read.  A caller that loads
+many workbooks, as an audit run does, may pass them all one cache, so that a
+shape they share is parsed once for the run.  Formula parse failures are
+recorded on the cell as error values so a bad formula never aborts a workbook
+load.
 
 A load costs the populated fields of the CSV, not its grid: a record with no
 non-empty field, and each empty field of any other record, is passed over in C
@@ -23,16 +22,15 @@ import csv
 import datetime as dt
 import math
 import os
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import Iterable, Iterator, Union
 
-from ..daycount import parse_date
+from ..daycount import ISO_DATE_RE, parse_date
 from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
-from .parser import ParseError, parse_address
+from .parser import ParseError, parse, parse_address
 from .shapes import Shape, ShapeCache
 
 __all__ = [
@@ -47,8 +45,6 @@ __all__ = [
 ]
 
 MAX_CELLS = 1_000_000
-
-_DATE_SHAPE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
 
 class ErrorKind(str, Enum):
@@ -91,9 +87,9 @@ def format_value(value: CellValue) -> str:
 class Cell:
     """One populated cell.  Exactly one of literal/formula/error is set.  A
     cell whose shape came before keeps its text as source: an evaluator reads
-    it through the shape's template, and formula, the template filled with the
-    cell's references, is built when first read.  Cells compare and print by
-    address, literal, formula and error."""
+    it through the shape's template, and formula, parse(source), is built when
+    first read and kept.  Cells compare and print by address, literal, formula
+    and error."""
 
     __slots__ = ("address", "literal", "error", "shape", "source", "_formula")
 
@@ -112,7 +108,7 @@ class Cell:
     @property
     def formula(self) -> FormulaNode | None:
         if self._formula is None and self.source is not None:
-            self._formula = self.shape.tree(self.source)
+            self._formula = parse(self.source)
         return self._formula
 
     def _fields(self) -> tuple:
@@ -135,7 +131,7 @@ def _classify_literal(text: str) -> float | dt.date | str:
             return value
     except ValueError:
         pass
-    if _DATE_SHAPE_RE.fullmatch(text):
+    if ISO_DATE_RE.fullmatch(text):  # a cheap test before parse_date
         try:
             return parse_date(text)
         except ValueError:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .cashflow import pmt
@@ -241,10 +241,15 @@ def implied_monthly_rate(principal: float, payment: float, months: int) -> Impli
     return ImpliedRate(rate=rate, iterations=iterations, residual=excess(rate))
 
 
-def load_published(path: str | Path) -> list[AmortizationRow]:
-    """Read a repayment table from CSV.  Requires a header with a month column."""
+def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
+    """Read a repayment table from CSV.  Requires a header with a month column.
+
+    A leading byte-order mark is dropped, so it is never taken for part of
+    the header; a row whose month is missing or not an integer is a
+    ValueError that names the row's line.
+    """
     allowed = {"month", *_VALUE_FIELDS}
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         unknown = [name for name in header if name not in allowed]
@@ -254,10 +259,16 @@ def load_published(path: str | Path) -> list[AmortizationRow]:
             raise ValueError("repayment table needs a month column")
         rows = []
         for record in reader:
+            try:
+                month = int(record["month"])
+            except (TypeError, ValueError):  # TypeError: None, for a short row
+                raise ValueError(
+                    f"line {reader.line_num}: month must be an integer, got {record['month']!r}"
+                ) from None
             values = {
                 name: float(record[name])
                 for name in _VALUE_FIELDS
                 if name in record and record[name] not in (None, "")
             }
-            rows.append(AmortizationRow(month=int(record["month"]), **values))
+            rows.append(AmortizationRow(month=month, **values))
     return rows

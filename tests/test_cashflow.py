@@ -198,6 +198,14 @@ def test_load_series_rejects_garbage(tmp_path):
         load_series(p)
 
 
+@pytest.mark.parametrize("dates", [("20200101", "20210101"), ("2020-W01-3", "2021-W01-3")])
+def test_load_series_rejects_dates_not_written_yyyy_mm_dd(tmp_path, dates):
+    p = tmp_path / "flows.csv"
+    p.write_text(f"{dates[0]},-100\n{dates[1]},110\n")
+    with pytest.raises(ValueError, match="bad cash-flow row"):
+        load_series(p)
+
+
 BOM = b"\xef\xbb\xbf"  # Excel's "CSV UTF-8" starts with one
 
 

@@ -262,6 +262,52 @@ class TestSchedule:
         assert main(base + ["--published", str(out_file)]) == 0
         assert "0 discrepancies" in capsys.readouterr().out
 
+    def test_verify_reads_its_own_output_behind_a_byte_order_mark(self, tmp_path, capsys):
+        out_file = tmp_path / "schedule.csv"
+        base = ["schedule", "--principal", "10000", "--rate", EFFECTIVE_ANNUAL, "--term", "12"]
+        assert main(base + ["-o", str(out_file)]) == 0
+        out_file.write_bytes(b"\xef\xbb\xbf" + out_file.read_bytes())  # Excel's "CSV UTF-8"
+        assert main(base + ["--published", str(out_file)]) == 0
+        assert capsys.readouterr().out == "0 discrepancies\n"
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            (b"payment,month\n100\n", "line 2: month must be an integer, got None"),
+            (b"month,payment\n1,\xff100\n", "can't decode byte 0xff"),
+            (b"month,payment\n1," + b"9" * 200_000 + b"\n", "field larger than field limit"),
+        ],
+        ids=["short row", "not UTF-8", "oversized field"],
+    )
+    def test_unreadable_published_table_exits_2(self, tmp_path, capsys, table, message):
+        path = tmp_path / "table.csv"
+        path.write_bytes(table)
+        argv = ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "1"]
+        assert main(argv + ["--published", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--tolerance", "5"], "--tolerance: not allowed without --published"),
+            (["--tolerance", "nan"], "--tolerance: not allowed without --published"),
+            (["--published", "{table}", "-o", "{out}"], "not allowed with argument --published"),
+        ],
+    )
+    def test_an_option_that_would_be_ignored_is_a_usage_error(self, tmp_path, capsys, extra, message):
+        table, out = tmp_path / "table.csv", tmp_path / "out.csv"
+        table.write_text("month,payment\n1,100\n")
+        argv = ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "1"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [arg.format(table=table, out=out) for arg in extra])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert captured.err.startswith("usage: ledgerlint schedule")
+        assert not out.exists()
+
     def test_convention_mismatch_reported(self, tmp_path, capsys):
         out_file = tmp_path / "us_schedule.csv"
         assert main([

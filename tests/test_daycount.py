@@ -108,6 +108,14 @@ def test_parse_and_format_date():
         parse_date("1899-12-31")
 
 
+@pytest.mark.parametrize("text", ["20240131", "2024-W05-3"])
+def test_parse_date_takes_only_yyyy_mm_dd(text):
+    # date.fromisoformat reads both as 2024-01-31 from Python 3.11 on
+    with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+        parse_date(text)
+    assert parse_date(" 2024-01-31 ") == D(2024, 1, 31)
+
+
 def test_actual_bases_match_calendar_iteration_oracle():
     rng = random.Random(774431)
     lo = D(1900, 1, 1).toordinal()

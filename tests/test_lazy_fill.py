@@ -1,9 +1,9 @@
-"""A cell of a recurring shape fills its tree on first read, evaluation and the
-audit read it through its shape's template instead, and the audit sees each
-shape once.
+"""A cell of a recurring shape parses its own tree on first read, evaluation
+and the audit read it through its shape's template instead, and the audit sees
+each shape once.
 
-Work is counted, not timed: the trees a sheet fills (Shape.tree calls) and
-the trigger walks run_rules makes.
+Work is counted, not timed: the trees that reading Cell.formula parses (calls
+of parse in the sheet module) and the trigger walks run_rules makes.
 """
 
 import csv
@@ -55,15 +55,14 @@ def _per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
 
 @pytest.fixture
 def fills(monkeypatch):
-    """The texts whose trees a sheet fills from a shape, in order."""
+    """The texts whose trees reading Cell.formula parses, in order."""
     texts = []
-    tree = shapes.Shape.tree
 
-    def counted(shape, text):
+    def counted(text):
         texts.append(text)
-        return tree(shape, text)
+        return parse(text)
 
-    monkeypatch.setattr(shapes.Shape, "tree", counted)
+    monkeypatch.setattr("ledgerlint.formula.sheet.parse", counted)
     return texts
 
 
@@ -150,6 +149,23 @@ def test_evaluation_fills_no_tree_and_a_later_read_fills_once(fills):
     assert trees and sorted(fills) == sorted(texts[address] for address in trees)
     assert all(sheet.cells[address].formula is tree for address, tree in trees.items())
     assert len(fills) == len(trees)
+
+
+@pytest.mark.parametrize(
+    "name,size",
+    [("loanbook", {"rows": 120}), ("trapmix", {"books": 40}), ("sparse_wide", {"rows": 400})],
+    ids=["loanbook", "trapmix", "sparse_wide"],
+)
+def test_the_audit_and_evaluation_parse_no_cell_s_tree(fills, name, size):
+    workload = _load_workloads().GENERATORS[name](7, **size)
+    cache = shapes.ShapeCache()  # one for the run, as ledgerlint audit has it
+    shared = 0
+    for book in workload.books + workload.probe:
+        run_rules(Sheet(_rows(book.grid), shapes=cache))
+        sheet = Sheet(_rows(book.grid), shapes=cache)
+        sheet.evaluate_all()
+        shared += sum(cell.source is not None for cell in sheet.cells.values())
+    assert shared and fills == []
 
 
 # Each case's formulas share one key and sit in F1, F2, ...; A to E hold

@@ -280,6 +280,16 @@ def test_load_published_requires_month_column(tmp_path):
         load_published(path)
 
 
+@pytest.mark.parametrize(
+    "table,line", [("payment,month\n100\n", 2), ("month,payment\n1,100\n1.5,100\n", 3)]
+)
+def test_load_published_names_the_line_of_a_missing_or_non_integer_month(tmp_path, table, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError, match=f"^line {line}: month must be an integer"):
+        load_published(path)
+
+
 def test_load_published_partial_columns(tmp_path):
     path = tmp_path / "partial.csv"
     path.write_text("month,payment\n1,100.5\n2,100.5\n")
