@@ -108,8 +108,10 @@ def pmt(rate: float, nper: int, pv: float) -> float:
 def load_series(path: str | os.PathLike) -> CashFlowSeries:
     """Load flows from CSV: rows of ``date,value`` or bare ``value``.
 
-    A single leading header row is tolerated and skipped.  A leading
-    byte-order mark is dropped, so it is never taken for part of a header.
+    A single leading header row, one whose value field is not a number, is
+    tolerated and skipped; any other first row is a flow, checked like the
+    rest.  A leading byte-order mark is dropped, so it is never taken for
+    part of a header.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row]
@@ -126,9 +128,9 @@ def load_series(path: str | os.PathLike) -> CashFlowSeries:
 
     start = 0
     try:
-        parse_row(rows[0])
+        float(rows[0][-1])
     except ValueError:
-        start = 1  # header row
+        start = 1  # a header row: its value field is not a number
         if len(rows) == 1:
             raise ValueError(f"{path}: no cash flows found") from None
     parsed = []

@@ -4,8 +4,9 @@ operator semantics, and dispatch into the financial function catalog.
 A cell whose shape came before (shapes.Shape) is evaluated by walking the
 shape's template with every reference read through Evaluator.ref, which is
 bound to the cell and reads the reference in the same slot of the cell's own
-text; no tree is built for the cell.  Any other formula is its own tree and
-its references are read as they are.
+text, as the text writes it; no tree is built for the cell.  Any other
+formula is its own tree and its references are read as they are.  A
+reference whose value is cached is read in place, without a call.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -80,7 +81,7 @@ class Evaluator:
         self.stack: dict[str, None] = {}  # addresses being evaluated, in call order
         # the references of the cell whose shape's template is being evaluated,
         # by slot, and the template's slots; None for a formula's own tree
-        self._refs: list[tuple[str, str, str, str]] | None = None
+        self._refs: list[str] | None = None
         self._slots: dict[int, int] | None = None
 
     # cell resolution
@@ -105,14 +106,14 @@ class Evaluator:
             return node.address if type(node) is CellRef else node
         slot = self._slots[id(node)]
         if type(node) is CellRef:
-            _, letters, _, digits = refs[slot]
-            return letters.upper() + digits  # CellRef.address: the row has no leading 0
+            return refs[slot].replace("$", "").upper()  # CellRef.address: the row has no leading 0
         # the constructor normalizes a reversed range as parse() does
         return RangeRef(cell_ref(refs[slot]), cell_ref(refs[slot + 1]))
 
     def cell_value(self, address: str) -> CellValue:
-        if address in self.cache:
-            return self.cache[address]
+        value = self.cache.get(address)  # a CellValue is never None, so None is a miss
+        if value is not None:
+            return value
         cell = self.sheet.cells.get(address)
         if cell is None:
             return 0.0  # empty cells read as 0
@@ -137,33 +138,47 @@ class Evaluator:
         finally:
             del self.stack[address]
             self._refs, self._slots = bound
-        if address in self.cache:  # marked as a cycle member while recursing
-            return self.cache[address]
+        marked = self.cache.get(address)
+        if marked is not None:  # marked as a cycle member while recursing
+            return marked
         self.cache[address] = result
         return result
 
     # expression evaluation
 
     def eval_node(self, node: FormulaNode) -> CellValue:
-        if isinstance(node, NumberLit):
-            return node.value
-        if isinstance(node, PercentLit):
-            return node.value / 100
-        if isinstance(node, TextLit):
-            return node.value
-        if isinstance(node, CellRef):
+        kind = type(node)  # the commonest node types first
+        if kind is CellRef:
             address = self.ref(node)
-            value = self.cell_value(address)
+            value = self.cache.get(address)  # a cached value is read in place
+            if value is None:
+                value = self.cell_value(address)
             if isinstance(value, ErrorValue):
                 return ErrorValue(ErrorKind.PROPAGATED, f"error propagated from {address}")
             return value
-        if isinstance(node, RangeRef):
+        if kind is Binary:
+            left = self.eval_node(node.left)
+            if isinstance(left, ErrorValue):
+                return left
+            right = self.eval_node(node.right)
+            if isinstance(right, ErrorValue):
+                return right
+            return self._binary(node.op, left, right)
+        if kind is NumberLit:
+            return node.value
+        if kind is Call:
+            return self._call(node)
+        if kind is PercentLit:
+            return node.value / 100
+        if kind is TextLit:
+            return node.value
+        if kind is RangeRef:
             ref = self.ref(node)
             return ErrorValue(
                 ErrorKind.VALUE,
                 f"range {ref.start.address}:{ref.end.address} used as a scalar",
             )
-        if isinstance(node, Unary):
+        if kind is Unary:
             value = self.eval_node(node.child)
             if isinstance(value, ErrorValue):
                 return value
@@ -172,17 +187,7 @@ class Evaluator:
             return ErrorValue(
                 ErrorKind.VALUE, f"cannot negate a {_type_name(value)}"
             )
-        if isinstance(node, Binary):
-            left = self.eval_node(node.left)
-            if isinstance(left, ErrorValue):
-                return left
-            right = self.eval_node(node.right)
-            if isinstance(right, ErrorValue):
-                return right
-            return self._binary(node.op, left, right)
-        if isinstance(node, Call):
-            return self._call(node)
-        if isinstance(node, EmptyArg):
+        if kind is EmptyArg:
             return ErrorValue(ErrorKind.ARGUMENT, "empty argument slot outside a call")
         raise TypeError(f"not a formula node: {node!r}")
 

@@ -67,8 +67,8 @@ class TokenKind(str, Enum):
 
 # column anchor, letters, row anchor, row
 _REF_RE = re.compile(r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]*)")
-# letters-then-digits is a cell ref unless a call's '(' follows
-_REF_TOKEN = rf"{_REF_RE.pattern}(?![A-Za-z0-9(])"
+# _REF_RE without its groups: letters-then-digits is a cell ref unless a call's '(' follows
+_REF_TOKEN = _REF_RE.pattern.replace("(", "(?:") + "(?![A-Za-z0-9(])"
 _OPERATORS = sorted([*_BINARY_PREC, "%"], key=len, reverse=True)  # '<=' before '<'
 # one alternative per token kind, named after its TokenKind value; ASCII only,
 # since \d and str.isalpha would also accept characters such as '²' and 'é'

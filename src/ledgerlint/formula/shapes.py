@@ -11,10 +11,11 @@ a key is parsed as usual and gets the key's Shape.  When the key comes again,
 that cell's tree becomes the shape's template, whose reference nodes each
 hold a slot among a text's references, and each cell with the key keeps the
 shape and its text.  The evaluator and the audit walk the template and read
-each reference from the cell's text by its slot (Shape.refs), so no tree is
-built for the cell; its own tree is parse() of its text, made only when
-something reads cell.formula.  The key keeps the boundaries between the
-texts, since '=-A1' and '=A1-B1' join to the same string.
+each reference by its slot among the references of the cell's text, as the
+text writes it (Shape.refs: '$b$5', say), so no tree is built for the cell;
+its own tree is parse() of its text, made only when something reads
+cell.formula.  The key keeps the boundaries between the texts, since '=-A1'
+and '=A1-B1' join to the same string.
 """
 
 from __future__ import annotations
@@ -23,21 +24,21 @@ import re
 import weakref
 
 from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
-from .parser import _REF_TOKEN, parse
+from .parser import _REF_TOKEN, _make_ref, parse
 
 __all__ = ["Shape", "ShapeCache"]
 
 # The lexer's reference token where it can start one: never right after a
 # letter, a digit or a '.' (inside a name or a number like 1E5).  A match
 # inside a string literal is not a reference for the lexer, and the template
-# check below makes such a key unshareable.
-_SHAPE_RE = re.compile(rf"(?<![A-Za-z0-9.]){_REF_TOKEN}")
+# check below makes such a key unshareable.  The pattern has no groups, so
+# split gives the texts between references and findall each reference.
+_REFS = re.compile(rf"(?<![A-Za-z0-9.]){_REF_TOKEN}")
 
 
-def cell_ref(match: tuple[str, str, str, str]) -> CellRef:
-    """The CellRef of one of Shape.refs(text)."""
-    column_anchor, letters, row_anchor, digits = match
-    return CellRef(letters.upper(), int(digits), column_anchor == "$", row_anchor == "$")
+def cell_ref(ref: str) -> CellRef:
+    """The CellRef of one of Shape.refs(text), a reference as written ('$b$5', say)."""
+    return _make_ref(ref.upper())
 
 
 class Shape:
@@ -58,10 +59,10 @@ class Shape:
         self.slots: dict[int, int] | None = None
         self._first: tuple[weakref.ref, str] | None = (weakref.ref(tree), text)
 
-    # refs(text) lists the references that the key of text splits it at, as
-    # (column anchor, letters, row anchor, digits) in the text's case: node of
-    # the template is refs(text)[slots[id(node)]] in text
-    refs = staticmethod(_SHAPE_RE.findall)
+    # refs(text) lists the references that the key of text splits it at, each
+    # as written in text ('$b$5', say): node of the template is
+    # refs(text)[slots[id(node)]] in text
+    refs = staticmethod(_REFS.findall)
 
     def _share(self, tree: FormulaNode, text: str) -> None:
         """Make tree, the tree of text, the shape's template, if its references are the key's."""
@@ -75,7 +76,7 @@ class Shape:
         # references.  A reference-like run the lexer reads otherwise (inside
         # a string, say), or a reversed range the parser normalized, makes the
         # key unshareable.
-        if found == [cell_ref(match) for match in self.refs(text)]:
+        if found == [cell_ref(ref) for ref in self.refs(text)]:
             self.template, self.slots = tree, slots
         self._first = None
 
@@ -98,8 +99,7 @@ class ShapeCache:
         source text: it is read through shape's template.  Any other gets
         tree parse(text) and its key's new shape, or None for a key whose
         tree cannot be shared."""
-        # the split is [text, column anchor, letters, row anchor, digits, text, ...]
-        key = tuple(_SHAPE_RE.split(text)[::5])
+        key = tuple(_REFS.split(text))
         shape = self._shapes.get(key)
         pending = shape is not None and shape._first is not None
         first = shape._first[0]() if pending else None

@@ -245,8 +245,9 @@ def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
     """Read a repayment table from CSV.  Requires a header with a month column.
 
     A leading byte-order mark is dropped, so it is never taken for part of
-    the header; a row whose month is missing or not an integer is a
-    ValueError that names the row's line.
+    the header, and a header that names a column twice is a ValueError.  A
+    row whose month is missing or not an integer, or whose value is not a
+    number, is a ValueError that names the row's line.
     """
     allowed = {"month", *_VALUE_FIELDS}
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -255,18 +256,25 @@ def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
         unknown = [name for name in header if name not in allowed]
         if unknown:
             raise ValueError(f"unknown columns in repayment table: {unknown}")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated columns in repayment table: {repeated}")
         if "month" not in header:
             raise ValueError("repayment table needs a month column")
-        rows = []
-        for record in reader:
+
+        def read(record: dict, name: str, kind: type, noun: str):
             try:
-                month = int(record["month"])
+                return kind(record[name])
             except (TypeError, ValueError):  # TypeError: None, for a short row
                 raise ValueError(
-                    f"line {reader.line_num}: month must be an integer, got {record['month']!r}"
+                    f"line {reader.line_num}: {name} must be {noun}, got {record[name]!r}"
                 ) from None
+
+        rows = []
+        for record in reader:
+            month = read(record, "month", int, "an integer")
             values = {
-                name: float(record[name])
+                name: read(record, name, float, "a number")
                 for name in _VALUE_FIELDS
                 if name in record and record[name] not in (None, "")
             }

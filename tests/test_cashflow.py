@@ -242,3 +242,11 @@ def test_load_series_closes_its_file(tmp_path, monkeypatch):
         load_series(p)
     assert len(opened) == 2
     assert all(handle.closed for handle in opened)
+
+
+def test_load_series_rejects_a_mistyped_first_flow(tmp_path):
+    # a first row whose value is a number is a flow, not a header to drop
+    p = tmp_path / "flows.csv"
+    p.write_text("2020-1-01,-100\n2021-01-01,60\n2022-01-01,60\n")
+    with pytest.raises(ValueError, match=r"bad cash-flow row \['2020-1-01', '-100'\]"):
+        load_series(p)

@@ -276,8 +276,10 @@ class TestSchedule:
             (b"payment,month\n100\n", "line 2: month must be an integer, got None"),
             (b"month,payment\n1,\xff100\n", "can't decode byte 0xff"),
             (b"month,payment\n1," + b"9" * 200_000 + b"\n", "field larger than field limit"),
+            (b"month,month\n1,2\n", "repeated columns in repayment table: ['month']"),
+            (b"month,payment\n2,abc\n", "line 2: payment must be a number, got 'abc'"),
         ],
-        ids=["short row", "not UTF-8", "oversized field"],
+        ids=["short row", "not UTF-8", "oversized field", "repeated column", "value not a number"],
     )
     def test_unreadable_published_table_exits_2(self, tmp_path, capsys, table, message):
         path = tmp_path / "table.csv"

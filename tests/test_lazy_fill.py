@@ -3,7 +3,8 @@ and the audit read it through its shape's template instead, and the audit sees
 each shape once.
 
 Work is counted, not timed: the trees that reading Cell.formula parses (calls
-of parse in the sheet module) and the trigger walks run_rules makes.
+of parse in the sheet module), the trigger walks run_rules makes, and the
+scans of a formula's text for its shape key and its references.
 """
 
 import csv
@@ -166,6 +167,48 @@ def test_the_audit_and_evaluation_parse_no_cell_s_tree(fills, name, size):
         sheet.evaluate_all()
         shared += sum(cell.source is not None for cell in sheet.cells.values())
     assert shared and fills == []
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The key scans (shapes._REFS.split) and reference scans (Shape.refs) made."""
+    counts = {"key": 0, "refs": 0}
+    pattern, refs = shapes._REFS, shapes.Shape.refs
+
+    class CountedPattern:
+        def split(self, text):
+            counts["key"] += 1
+            return pattern.split(text)
+
+    def counted_refs(text):
+        counts["refs"] += 1
+        return refs(text)
+
+    monkeypatch.setattr(shapes, "_REFS", CountedPattern())
+    monkeypatch.setattr(shapes.Shape, "refs", staticmethod(counted_refs))
+    return counts
+
+
+def test_a_formula_is_scanned_once_for_its_key_and_a_shared_cell_once_for_its_references(scans):
+    book = _load_workloads().loanbook(7, rows=120).books[0]
+    cache = shapes.ShapeCache()
+    sheet = Sheet(_rows(book.grid), shapes=cache)
+    formulas = sum(text.startswith("=") for text in book.grid.values())
+    shared = [cell for cell in sheet.cells.values() if cell.source is not None]
+    checked_shapes = sum(shape._first is None for shape in cache._shapes.values())
+    assert len(shared) > 0.9 * formulas and checked_shapes <= 10
+    # loading scans each formula's key once, and each shape's references once
+    # for its template check
+    assert scans == {"key": formulas, "refs": checked_shapes}
+    scans.update(key=0, refs=0)
+    sheet.evaluate_all()
+    assert scans == {"key": 0, "refs": len(shared)}
+    scans.update(key=0, refs=0)
+    run_rules(sheet)
+    # a cell with a per-cell check of its shape's plan is checked: its values
+    # are cached, so it is scanned once at most, and no other cell is
+    checked = sum(any(found is None for *_, found in cell.shape.rules) for cell in shared)
+    assert scans["key"] == 0 and 0 < scans["refs"] <= checked
 
 
 # Each case's formulas share one key and sit in F1, F2, ...; A to E hold

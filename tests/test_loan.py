@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +288,28 @@ def test_load_published_names_the_line_of_a_missing_or_non_integer_month(tmp_pat
     path = tmp_path / "bad.csv"
     path.write_text(table)
     with pytest.raises(ValueError, match=f"^line {line}: month must be an integer"):
+        load_published(path)
+
+
+def test_load_published_rejects_a_repeated_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("month,payment,month,payment,closing\n1,2,3,4,5\n")
+    with pytest.raises(ValueError, match=r"^repeated columns in repayment table: \['month', 'payment'\]$"):
+        load_published(path)
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ("month,payment\n2,abc\n", "line 2: payment must be a number, got 'abc'"),
+        ("month,opening,closing\n1,100,90\n2,90,1.0.0\n", "line 3: closing must be a number, got '1.0.0'"),
+    ],
+    ids=["payment", "closing"],
+)
+def test_load_published_names_the_line_of_a_value_that_is_not_a_number(tmp_path, table, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_published(path)
 
 

@@ -286,7 +286,7 @@ def test_the_key_costs_less_than_a_parse():
     # that rescans the rest of the text at every reference is quadratic in it
     text = "=SUM(" + ",".join(["A1"] * 40_000) + ")"
     start = time.perf_counter()
-    shapes._SHAPE_RE.split(text)
+    shapes._REFS.split(text)
     key_s = time.perf_counter() - start
     start = time.perf_counter()
     parse(text)
