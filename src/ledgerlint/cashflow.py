@@ -8,14 +8,10 @@ series.  ``npv_t0(r, v) == v[0] + npv_legacy(r, v[1:])`` holds exactly.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
-
-from .daycount import parse_date
 
 XNPV_DAYS_PER_YEAR = 365.0  # fixed denominator, leap years ignored on purpose
 
@@ -103,46 +99,3 @@ def pmt(rate: float, nper: int, pv: float) -> float:
     # expm1/log1p form stays accurate for tiny rates, where 1 - (1+r)**-n
     # cancels catastrophically.
     return pv * rate / math.expm1(-nper * math.log1p(rate))
-
-
-def load_series(path: str | os.PathLike) -> CashFlowSeries:
-    """Load flows from CSV: rows of ``date,value`` or bare ``value``.
-
-    A single leading header row, one whose value field is not a number, is
-    tolerated and skipped; any other first row is a flow, checked like the
-    rest.  A leading byte-order mark is dropped, so it is never taken for
-    part of a header.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise ValueError(f"{path}: no cash flows found")
-    widths = {len(row) for row in rows}
-    if widths - {1, 2}:
-        raise ValueError(f"{path}: expected 1 or 2 columns, found {max(widths)}")
-
-    def parse_row(row: list[str]) -> tuple[dt.date | None, float]:
-        if len(row) == 1:
-            return None, float(row[0])
-        return parse_date(row[0]), float(row[1])
-
-    start = 0
-    try:
-        float(rows[0][-1])
-    except ValueError:
-        start = 1  # a header row: its value field is not a number
-        if len(rows) == 1:
-            raise ValueError(f"{path}: no cash flows found") from None
-    parsed = []
-    for row in rows[start:]:
-        try:
-            parsed.append(parse_row(row))
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad cash-flow row {row!r}: {exc}") from None
-    dates = [d for d, _ in parsed]
-    values = [v for _, v in parsed]
-    if any(d is None for d in dates):
-        if not all(d is None for d in dates):
-            raise ValueError(f"{path}: mixed dated and undated rows")
-        return CashFlowSeries(values=values)
-    return CashFlowSeries(values=values, dates=dates)

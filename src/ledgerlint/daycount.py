@@ -72,10 +72,6 @@ def parse_date(text: str) -> dt.date:
     return d
 
 
-def format_date(d: dt.date) -> str:
-    return d.isoformat()
-
-
 def _days_30_360(start: dt.date, end: dt.date, european: bool) -> int:
     d1, d2 = start.day, end.day
     if european:

@@ -330,14 +330,27 @@ class Evaluator:
         """Collect values of kind from scalars and ranges, row-major within ranges.
 
         Range cells of another type are skipped unless strict, else named as
-        not holding a noun.  A scalar must be a number.
+        not holding a noun.  A scalar must be a number.  A range of numbers
+        whose every cell holds a float, as its literal or as a cached value,
+        is taken whole, in C; any other range is read cell by cell, in order,
+        so its cells are evaluated and its messages made as they would be one
+        by one.
         """
         values: list = []
         for node in nodes:
             if isinstance(node, EmptyArg):
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if isinstance(node, RangeRef):
-                for address in self.sheet.range_addresses(self.ref(node)):
+                addresses = self.sheet.range_addresses(self.ref(node))
+                # a literal is read from its cell, so that the cache holds
+                # only what was evaluated; None for a formula not yet evaluated
+                cells = map(self.sheet.cells.__getitem__, addresses)
+                literals = map(operator.attrgetter("literal"), cells)
+                known = list(map(self.cache.get, addresses, literals))
+                if kind is float and {*map(type, known)} <= {float}:
+                    values += known
+                    continue
+                for address in addresses:
                     value = self.cell_value(address)
                     if isinstance(value, ErrorValue):
                         return ErrorValue(
@@ -434,10 +447,14 @@ class _FunctionSpec:
 
 
 def _db(cost: float, salvage: float, life: int, period: int, month: int) -> float:
-    # a formula reports a full write-off (salvage 0) through its value alone
+    spec = DepreciationSpec(cost, salvage, life, month)
+    if salvage != 0.0:  # only a salvage of 0 warns
+        return db_period(spec, period, PrecisionMode.COMPAT)
+    # a formula reports a full write-off through its value alone; the filters
+    # are process-wide and catch_warnings is not thread-safe, so they are
+    # swapped only here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FullWriteOffWarning)
-        spec = DepreciationSpec(cost, salvage, life, month)
         return db_period(spec, period, PrecisionMode.COMPAT)
 
 

@@ -25,7 +25,8 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from ..daycount import ISO_DATE_RE, parse_date
@@ -125,9 +126,15 @@ class Cell:
 
 
 def _classify_literal(text: str) -> float | dt.date | str:
+    """A stripped cell text as a number, a date, or the text itself.
+
+    A number is written as the lexer writes one, with an optional sign, and
+    is finite.  float() reads that grammar, and more: digit-group underscores
+    and non-ASCII digits, which are left as text here, and nan and inf.
+    """
     try:
         value = float(text)
-        if math.isfinite(value):
+        if math.isfinite(value) and text.isascii() and "_" not in text:
             return value
     except ValueError:
         pass
@@ -139,20 +146,14 @@ def _classify_literal(text: str) -> float | dt.date | str:
     return text
 
 
-class _ColumnLetters(dict):
-    """Column index -> letters, made once per index."""
-
-    def __missing__(self, index: int) -> str:
-        letters = self[index] = index_to_column(index)
-        return letters
-
-
 class Sheet:
-    """Immutable cells, a row index of the populated ones, and a value cache.
+    """Immutable cells, a column index of the populated ones, and a value cache.
 
-    The index maps each populated row to its populated column indices in
-    ascending order, beside the ascending list of populated rows, so a range
-    costs the populated cells inside it rather than its area.
+    The index maps each populated column's index to its letters, its
+    populated rows in ascending order and those cells' addresses (the cells
+    keys themselves), beside the ascending list of populated columns.  A range
+    is a slice of each populated column it spans, so it costs those columns
+    and the cells inside it, not its area or its rows.
     """
 
     def __init__(
@@ -171,19 +172,20 @@ class Sheet:
         self.cells: dict[str, Cell] = {}
         self.name = name
         self._values: dict[str, CellValue] = {}
-        self._rows: list[int] = []
-        self._columns: dict[int, list[int]] = {}
-        self._letters = letters = _ColumnLetters()
-        cells, row_list, row_columns = self.cells, self._rows, self._columns
+        self._index: dict[int, tuple[str, list[int], list[str]]] = {}
+        cells, index = self.cells, self._index
         if shapes is None:
             shapes = ShapeCache()
         for row_index, fields in rows:
-            columns = []
+            row_text = str(row_index)
             for col_index, raw in fields:
                 text = raw.strip()
                 if not text:
                     continue
-                address = f"{letters[col_index]}{row_index}"
+                column = index.get(col_index)
+                if column is None:
+                    column = index[col_index] = (index_to_column(col_index), [], [])
+                address = column[0] + row_text
                 if text.startswith("="):
                     try:
                         tree, shape, source = shapes.parse(text)
@@ -194,10 +196,9 @@ class Sheet:
                 else:
                     cell = Cell(address, literal=_classify_literal(text))
                 cells[address] = cell
-                columns.append(col_index)
-            if columns:
-                row_list.append(row_index)
-                row_columns[row_index] = columns
+                column[1].append(row_index)
+                column[2].append(address)
+        self._columns = sorted(index)
 
     @classmethod
     def from_rows(
@@ -206,18 +207,28 @@ class Sheet:
         """Place a grid given as one list of raw texts per row; rows may come lazily."""
         return cls(_numbered(rows), name=name, shapes=shapes)
 
-    def range_addresses(self, ref) -> Iterator[str]:
+    def range_addresses(self, ref) -> list[str]:
         """Populated addresses inside a RangeRef, row-major.
 
-        Costs O(log rows + populated rows spanned + hits), not the area.
+        Costs O(log columns + populated columns spanned * log rows + hits),
+        not the area: each spanned column's cells are one slice of it, and
+        the slices of several columns are merged by one sort, all in C.
         """
-        col_lo = column_to_index(ref.start.column)
-        col_hi = column_to_index(ref.end.column)
-        letters, rows = self._letters, self._rows
-        for row in rows[bisect_left(rows, ref.start.row):bisect_right(rows, ref.end.row)]:
-            columns = self._columns[row]
-            for col in columns[bisect_left(columns, col_lo):bisect_right(columns, col_hi)]:
-                yield f"{letters[col]}{row}"
+        columns, index = self._columns, self._index
+        top, bottom = ref.start.row, ref.end.row
+        spanned = columns[
+            bisect_left(columns, column_to_index(ref.start.column)):
+            bisect_right(columns, column_to_index(ref.end.column))
+        ]
+        if len(spanned) == 1:
+            _, rows, addresses = index[spanned[0]]
+            return addresses[bisect_left(rows, top):bisect_right(rows, bottom)]
+        cells = []  # (row, column, address); no two tie on row and column
+        for col in spanned:
+            _, rows, addresses = index[col]
+            lo, hi = bisect_left(rows, top), bisect_right(rows, bottom)
+            cells += zip(rows[lo:hi], repeat(col), addresses[lo:hi])
+        return list(map(itemgetter(2), sorted(cells)))
 
     def value(self, address: str) -> CellValue:
         from .evaluator import Evaluator

@@ -247,7 +247,9 @@ def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
     A leading byte-order mark is dropped, so it is never taken for part of
     the header, and a header that names a column twice is a ValueError.  A
     row whose month is missing or not an integer, or whose value is not a
-    number, is a ValueError that names the row's line.
+    number, is a ValueError that names the row's line.  A number is written
+    as a formula writes one, with an optional sign and blanks around it; a
+    value may also be nan or inf, which verify_schedule flags.
     """
     allowed = {"month", *_VALUE_FIELDS}
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -263,12 +265,15 @@ def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
             raise ValueError("repayment table needs a month column")
 
         def read(record: dict, name: str, kind: type, noun: str):
-            try:
-                return kind(record[name])
-            except (TypeError, ValueError):  # TypeError: None, for a short row
-                raise ValueError(
-                    f"line {reader.line_num}: {name} must be {noun}, got {record[name]!r}"
-                ) from None
+            text = record[name]  # None for a short row
+            # kind() also reads digit-group underscores and non-ASCII digits,
+            # which the formula lexer's number grammar has not
+            if text is not None and text.isascii() and "_" not in text:
+                try:
+                    return kind(text)
+                except ValueError:
+                    pass
+            raise ValueError(f"line {reader.line_num}: {name} must be {noun}, got {text!r}")
 
         rows = []
         for record in reader:

@@ -1,4 +1,4 @@
-"""Present-value conventions, dated XNPV, annuity payments, series loading."""
+"""Present-value conventions, dated XNPV, annuity payments."""
 
 import datetime as dt
 import random
@@ -6,10 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ledgerlint import cashflow
 from ledgerlint.cashflow import (
     CashFlowSeries,
-    load_series,
     npv_legacy,
     npv_t0,
     pmt,
@@ -173,80 +171,3 @@ def test_pmt_schedule_property(rate, nper):
     for _ in range(nper):
         balance = balance * (1 + rate) + payment
     assert abs(balance) <= 1e-6 * 50_000.0
-
-
-def test_load_series_two_column(tmp_path):
-    p = tmp_path / "flows.csv"
-    p.write_text("2024-01-01,-1000\n2024-06-01,400\n2025-01-01,700\n")
-    series = load_series(p)
-    assert series.values == (-1000.0, 400.0, 700.0)
-    assert series.dates == (D(2024, 1, 1), D(2024, 6, 1), D(2025, 1, 1))
-
-
-def test_load_series_one_column_with_header(tmp_path):
-    p = tmp_path / "flows.csv"
-    p.write_text("value\n-1000\n600\n600\n")
-    series = load_series(p)
-    assert series.dates is None
-    assert series.values == (-1000.0, 600.0, 600.0)
-
-
-def test_load_series_rejects_garbage(tmp_path):
-    p = tmp_path / "flows.csv"
-    p.write_text("2024-01-01,-1000\nnot-a-date,600\n")
-    with pytest.raises(ValueError):
-        load_series(p)
-
-
-@pytest.mark.parametrize("dates", [("20200101", "20210101"), ("2020-W01-3", "2021-W01-3")])
-def test_load_series_rejects_dates_not_written_yyyy_mm_dd(tmp_path, dates):
-    p = tmp_path / "flows.csv"
-    p.write_text(f"{dates[0]},-100\n{dates[1]},110\n")
-    with pytest.raises(ValueError, match="bad cash-flow row"):
-        load_series(p)
-
-
-BOM = b"\xef\xbb\xbf"  # Excel's "CSV UTF-8" starts with one
-
-
-def test_load_series_keeps_the_first_flow_after_a_byte_order_mark(tmp_path):
-    p = tmp_path / "flows.csv"
-    p.write_bytes(BOM + b"2020-01-01,-100\n2021-01-01,60\n2022-01-01,60\n")
-    series = load_series(p)
-    assert series.values == (-100.0, 60.0, 60.0)
-    assert series.dates == (D(2020, 1, 1), D(2021, 1, 1), D(2022, 1, 1))
-
-    p.write_bytes(BOM + b"-100\n60\n60\n")
-    series = load_series(str(p))
-    assert series.values == (-100.0, 60.0, 60.0)
-    assert series.dates is None
-
-    p.write_bytes(BOM + b"date,value\n2020-01-01,-100\n2021-01-01,60\n")
-    assert load_series(p).values == (-100.0, 60.0)  # a header after the mark is still skipped
-
-
-def test_load_series_closes_its_file(tmp_path, monkeypatch):
-    opened = []
-
-    def tracking_open(*args, **kwargs):
-        handle = open(*args, **kwargs)
-        opened.append(handle)
-        return handle
-
-    monkeypatch.setattr(cashflow, "open", tracking_open, raising=False)
-    p = tmp_path / "flows.csv"
-    p.write_text("-100\n60\n")
-    assert load_series(p).values == (-100.0, 60.0)
-    p.write_text("2024-01-01,-1000\nnot-a-date,600\n")
-    with pytest.raises(ValueError):
-        load_series(p)
-    assert len(opened) == 2
-    assert all(handle.closed for handle in opened)
-
-
-def test_load_series_rejects_a_mistyped_first_flow(tmp_path):
-    # a first row whose value is a number is a flow, not a header to drop
-    p = tmp_path / "flows.csv"
-    p.write_text("2020-1-01,-100\n2021-01-01,60\n2022-01-01,60\n")
-    with pytest.raises(ValueError, match=r"bad cash-flow row \['2020-1-01', '-100'\]"):
-        load_series(p)

@@ -12,7 +12,6 @@ from ledgerlint.daycount import (
     DayCountBasis,
     _is_leap,
     days_between,
-    format_date,
     parse_date,
     year_fraction,
 )
@@ -97,9 +96,8 @@ def test_supported_range_enforced():
         days_between(D(2199, 1, 1), D(2200, 1, 1), DayCountBasis.ACTUAL_365)
 
 
-def test_parse_and_format_date():
+def test_parse_date():
     assert parse_date("2024-02-29") == D(2024, 2, 29)
-    assert format_date(D(2024, 2, 29)) == "2024-02-29"
     with pytest.raises(ValueError):
         parse_date("2023-02-29")
     with pytest.raises(ValueError):

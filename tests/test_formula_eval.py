@@ -20,6 +20,7 @@ from ledgerlint.formula import (
     parse,
     parse_address,
 )
+from ledgerlint.formula import evaluator
 from ledgerlint.formula.ast import column_to_index, index_to_column
 from ledgerlint.rates import accrint, effective_rate, intrate, nominal_rate
 
@@ -56,6 +57,23 @@ def test_db_full_write_off_reports_through_its_value_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("=DB(1,0,6,1)") == 1.0
+
+
+def test_db_with_a_salvage_leaves_the_warning_filters_alone(monkeypatch):
+    # warnings.catch_warnings swaps the process-wide filter list and is not
+    # thread-safe; only a salvage of 0 can warn, so only it may enter one
+    seen = []
+
+    def observed(*args):
+        seen.append(warnings.filters)
+        return db_period(*args)
+
+    monkeypatch.setattr(evaluator, "db_period", observed)
+    filters = warnings.filters
+    assert run("=DB(1000000,100000,6,1)") == 319_000.0
+    assert run("=DB(1,0,6,1)") == 1.0
+    assert seen[0] is filters and seen[1] is not filters
+    assert warnings.filters is filters
 
 
 def test_literals_and_percent():

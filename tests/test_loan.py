@@ -282,11 +282,17 @@ def test_load_published_requires_month_column(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "table,line", [("payment,month\n100\n", 2), ("month,payment\n1,100\n1.5,100\n", 3)]
+    "table,line",
+    [
+        ("payment,month\n100\n", 2),
+        ("month,payment\n1,100\n1.5,100\n", 3),
+        ("month,payment\n1_0,100\n", 2),  # int() reads digit-group underscores
+        ("month,payment\n1,100\n١٢,100\n", 3),  # and non-ASCII digits
+    ],
 )
 def test_load_published_names_the_line_of_a_missing_or_non_integer_month(tmp_path, table, line):
     path = tmp_path / "bad.csv"
-    path.write_text(table)
+    path.write_text(table, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^line {line}: month must be an integer"):
         load_published(path)
 
@@ -303,12 +309,14 @@ def test_load_published_rejects_a_repeated_column(tmp_path):
     [
         ("month,payment\n2,abc\n", "line 2: payment must be a number, got 'abc'"),
         ("month,opening,closing\n1,100,90\n2,90,1.0.0\n", "line 3: closing must be a number, got '1.0.0'"),
+        ("month,payment\n1,1_000\n", "line 2: payment must be a number, got '1_000'"),
+        ("month,interest\n1,٣.٥\n", "line 2: interest must be a number, got '٣.٥'"),
     ],
-    ids=["payment", "closing"],
+    ids=["payment", "closing", "underscore", "non_ascii"],
 )
 def test_load_published_names_the_line_of_a_value_that_is_not_a_number(tmp_path, table, message):
     path = tmp_path / "bad.csv"
-    path.write_text(table)
+    path.write_text(table, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_published(path)
 

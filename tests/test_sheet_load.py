@@ -17,10 +17,10 @@ FIELDS = [
 
 
 def oracle(rows):
-    """cells, _rows and _columns as a loop over every field, empty or not, places them."""
-    cells, row_list, columns = {}, [], {}
+    """cells and the column index as a loop over every field, empty or not,
+    places them."""
+    cells, index = {}, {}
     for row, fields in enumerate(rows, start=1):
-        placed = []
         for col, raw in enumerate(fields, start=1):
             text = raw.strip()
             if not text:
@@ -34,11 +34,10 @@ def oracle(rows):
             else:
                 cell = Cell(address, literal=_classify_literal(text))
             cells[address] = cell
-            placed.append(col)
-        if placed:
-            row_list.append(row)
-            columns[row] = placed
-    return cells, row_list, columns
+            _, placed_rows, addresses = index.setdefault(col, (index_to_column(col), [], []))
+            placed_rows.append(row)
+            addresses.append(address)
+    return cells, index
 
 
 records = st.one_of(
@@ -52,12 +51,14 @@ records = st.one_of(
 @given(st.lists(records, max_size=12))
 def test_from_rows_places_the_cells_a_per_field_loop_places(rows):
     sheet = Sheet.from_rows(rows)
-    cells, row_list, columns = oracle(rows)
+    cells, index = oracle(rows)
     assert list(sheet.cells) == list(cells)
     assert sheet.cells == cells
     assert [repr(cell) for cell in sheet.cells.values()] == [repr(cell) for cell in cells.values()]
-    assert sheet._rows == row_list
-    assert sheet._columns == columns
+    assert sheet._index == index
+    assert sheet._columns == sorted(index)
+    keys = {id(address) for address in sheet.cells}
+    assert all(id(address) in keys for _, _, addresses in sheet._index.values() for address in addresses)
 
 
 class Empty(str):
@@ -71,8 +72,8 @@ def test_the_placing_loop_never_reads_an_empty_field():
     rows = [[Empty(), "1", Empty(), Empty()], [Empty(), Empty()], [], [Empty(), " x "]]
     sheet = Sheet.from_rows(rows)
     assert {address: cell.literal for address, cell in sheet.cells.items()} == {"B1": 1.0, "B4": "x"}
-    assert sheet._rows == [1, 4]
-    assert sheet._columns == {1: [2], 4: [2]}
+    assert sheet._index == {2: ("B", [1, 4], ["B1", "B4"])}
+    assert sheet._columns == [2]
 
 
 def counted(rows, seen):
