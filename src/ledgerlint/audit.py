@@ -1,14 +1,15 @@
 """Misuse detection over evaluated workbooks.
 
 Each rule declares the function names or operators it inspects; one walk per
-shape (shapes.Shape) finds those nodes for the rules, and a check that reads
-only the node runs there too, once for every formula of the shape.  Other
-checks run per cell on the node of the shape's template, with the audit's one
-evaluator bound to the cell, so that the node's references and values are the
-cell's own and no cell's tree is built.  A check returns what it found, a
-message and its evidence; run_rules alone turns that into a Finding, with the
-rule's id, its configured severity and the cell.  Checks are stateless, skip
-anything they cannot interpret, and never abort an audit.
+shape (shapes.Shape) finds those nodes of its template and keeps them in the
+shape's plan, and a check that reads only the node runs there too, once for
+every formula of the shape.  Other checks run per cell on the plan's node,
+with the audit's one evaluator bound to the cell, so that the node's
+references and values are the cell's own and no cell's tree is built.  A
+check returns what it found, a message and its evidence; run_rules alone
+turns that into a Finding, with the rule's id, its configured severity and
+the cell.  Checks are stateless, skip anything they cannot interpret, and
+never abort an audit.
 """
 
 from __future__ import annotations
@@ -73,43 +74,31 @@ BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
 _BRANCHES = frozenset({Call, Binary, Unary})  # the nodes that have children
 
 
-def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, tuple, bool]]:
-    """Pre-order (key, node, path, additive) for nodes whose call name or operator
-    is a rule trigger; path holds the argument indices and node attribute names
-    that lead from formula to node, and additive is set when a '+' or '-' Binary
-    sits above the node."""
-    found: list[tuple[str, FormulaNode, tuple, bool]] = []
+def _trigger_nodes(formula: FormulaNode) -> list[tuple[str, FormulaNode, bool]]:
+    """Pre-order (key, node, additive) for nodes whose call name or operator is
+    a rule trigger; additive is set when a '+' or '-' Binary sits above the node."""
+    found: list[tuple[str, FormulaNode, bool]] = []
     if type(formula) in _BRANCHES:
-        _visit(formula, False, [], found)
+        _visit(formula, False, found)
     return found
 
 
-def _visit(node: FormulaNode, additive: bool, steps: list, found: list) -> None:
-    """_trigger_nodes below node, a branch that steps lead to; steps is one list
-    for the whole walk, copied only into a trigger's path."""
+def _visit(node: FormulaNode, additive: bool, found: list) -> None:
     kind = type(node)
     if kind is Call:
         if node.name in _TRIGGER_KEYS:
-            found.append((node.name, node, tuple(steps), additive))
-        children = enumerate(node.args)
+            found.append((node.name, node, additive))
+        children = node.args
     elif kind is Binary:
         if node.op in _TRIGGER_KEYS:
-            found.append((node.op, node, tuple(steps), additive))
+            found.append((node.op, node, additive))
         additive = additive or node.op in ("+", "-")
-        children = (("left", node.left), ("right", node.right))
+        children = (node.left, node.right)
     else:
-        children = (("child", node.child),)
-    for step, child in children:
+        children = (node.child,)
+    for child in children:
         if type(child) in _BRANCHES:
-            steps.append(step)
-            _visit(child, additive, steps, found)
-            steps.pop()
-
-
-def _node_at(node: FormulaNode, path: tuple) -> FormulaNode:
-    for step in path:
-        node = node.args[step] if type(step) is int else getattr(node, step)
-    return node
+            _visit(child, additive, found)
 
 
 def _ref_evidence(values: Evaluator, *nodes: FormulaNode) -> Evidence:
@@ -456,7 +445,10 @@ class RuleConfig:
         import json  # here, so that an audit with no rule config never loads it
 
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except RecursionError:  # json.load recurses once per level of nesting
+                raise ValueError(f"JSON nested too deeply: {path}") from None
         if not isinstance(data, dict):
             raise ValueError(f"rule config must be a JSON object: {path}")
         return cls.from_dict(data)
@@ -469,27 +461,29 @@ class RuleConfig:
 
 
 def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
-    """(spec, path, additive, found) for each rule and each of its trigger nodes
+    """(spec, node, additive, found) for each rule and each of its trigger nodes
     in formula, in finding order: found is a per-shape check's finding, made
     here and left out when None, or None for a check to run per formula."""
     triggers = _trigger_nodes(formula)
     plan = []
     for spec in _RULES.values():
-        for key, node, path, additive in triggers:
+        for key, node, additive in triggers:
             if key not in spec.triggers:
                 continue
             if not spec.per_shape:
-                plan.append((spec, path, additive, None))
+                plan.append((spec, node, additive, None))
             elif (found := spec.check(node, additive, values, spec.threshold)) is not None:
-                plan.append((spec, path, additive, found))
+                plan.append((spec, node, additive, found))
     return plan
 
 
 def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule).
 
-    Each shape's plan is kept on it, and a cell's own checks run on the tree
-    that the evaluator binds for it, its shape's template when it has one."""
+    A plan holds trigger nodes, and a cell's own checks run on them with the
+    evaluator bound to the cell.  Only a shape with a template keeps its plan:
+    bind gives each of its cells that one tree, while a pending shape may
+    outlive its sheet in the cache and must not keep that sheet's nodes."""
     if config is None:
         config = RuleConfig()
     active = {
@@ -502,22 +496,22 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     for cell in sheet.cells.values():
         shape = cell.shape
         plan = shape and shape.rules
-        tree = None
-        if plan is None:
+        bound = plan is None
+        if bound:
             if shape is None and cell.formula is None:
                 continue  # a literal or an error
-            tree = values.bind(cell)
-            plan = _plan(tree, values)
-            if shape:
+            plan = _plan(values.bind(cell), values)
+            if shape and shape.template is not None:
                 shape.rules = plan
-        for spec, path, additive, found in plan:
+        for spec, node, additive, found in plan:
             if spec.rule_id not in active:
                 continue
             severity, threshold = active[spec.rule_id]
             if found is None:
-                if tree is None:
-                    tree = values.bind(cell)
-                found = spec.check(_node_at(tree, path), additive, values, threshold)
+                if not bound:
+                    values.bind(cell)
+                    bound = True
+                found = spec.check(node, additive, values, threshold)
             if found is not None:
                 findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings

@@ -22,12 +22,6 @@ from .rates import PeriodicConvention, parse_rate
 
 RULES_ENV_VAR = "LEDGERLINT_RULES"
 
-_CONVENTIONS = {
-    "uk": PeriodicConvention.UK_EFFECTIVE_ROOT,
-    "us": PeriodicConvention.US_NOMINAL_DIVIDE,
-}
-_MODES = {"compat": PrecisionMode.COMPAT, "exact": PrecisionMode.EXACT}
-
 
 def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
     placed: dict[int, dict[int, str]] = {}  # row -> column -> text
@@ -110,7 +104,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             annual_rate=parse_rate(args.rate),
             term_months=args.term,
             holiday_months=args.holiday,
-            convention=_CONVENTIONS[args.convention],
+            convention=PeriodicConvention(args.convention),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -147,7 +141,7 @@ def _cmd_depr(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    schedule = db_schedule(spec, _MODES[args.mode])
+    schedule = db_schedule(spec, PrecisionMode(args.mode))
     report = reconcile(schedule, spec)
     text = schedule.to_csv()
     text += (
@@ -208,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("--term", type=int, required=True, help="term in months")
     p_schedule.add_argument("--holiday", type=int, default=0, help="payment holiday months")
     p_schedule.add_argument(
-        "--convention", choices=sorted(_CONVENTIONS), default="uk",
+        "--convention", choices=sorted(c.value for c in PeriodicConvention), default="uk",
         help="periodic-rate convention: uk (effective root) or us (nominal divide)",
     )
     target = p_schedule.add_mutually_exclusive_group()
@@ -228,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_depr.add_argument("--life", type=int, required=True, help="life in years")
     p_depr.add_argument("--month", type=int, default=12, help="months in the first year")
     p_depr.add_argument(
-        "--mode", choices=sorted(_MODES), default="exact",
+        "--mode", choices=sorted(m.value for m in PrecisionMode), default="exact",
         help="exact (default) or compat (replicates 3-decimal rate rounding)",
     )
     p_depr.add_argument("-o", "--output", help="write schedule CSV here (default stdout)")

@@ -27,6 +27,20 @@ MAX_DATE = dt.date(2199, 12, 31)
 ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
+def read_number(text: str, kind: type = float) -> float | int | None:
+    """kind(text) when text is a number as the formula lexer writes one, with
+    an optional sign and blanks around it, else None: the one number form
+    read from text.  float() and int() also read digit-group underscores and
+    non-ASCII digits, which are no number here; nan and inf are left to the
+    caller."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return None
+
+
 class DayCountBasis(str, Enum):
     """Supported day-count conventions."""
 

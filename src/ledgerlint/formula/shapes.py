@@ -49,7 +49,8 @@ class Shape:
     CellRef and RangeRef nodes, by identity, to its place among a text's
     references: a range has its start corner's place and its end corner's
     next to it.  A key whose template check fails keeps neither.  rules is
-    where audit.run_rules keeps what it found in the shape."""
+    where audit.run_rules keeps its plan of the template's nodes, once the
+    shape has a template."""
 
     __slots__ = ("rules", "template", "slots", "_first")
 

@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
-from ..daycount import ISO_DATE_RE, parse_date
+from ..daycount import ISO_DATE_RE, parse_date, read_number
 from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
 from .parser import ParseError, parse, parse_address
 from .shapes import Shape, ShapeCache
@@ -128,16 +128,11 @@ class Cell:
 def _classify_literal(text: str) -> float | dt.date | str:
     """A stripped cell text as a number, a date, or the text itself.
 
-    A number is written as the lexer writes one, with an optional sign, and
-    is finite.  float() reads that grammar, and more: digit-group underscores
-    and non-ASCII digits, which are left as text here, and nan and inf.
+    A number is what read_number reads, and finite: nan and inf are text.
     """
-    try:
-        value = float(text)
-        if math.isfinite(value) and text.isascii() and "_" not in text:
-            return value
-    except ValueError:
-        pass
+    value = read_number(text)
+    if value is not None and math.isfinite(value):
+        return value
     if ISO_DATE_RE.fullmatch(text):  # a cheap test before parse_date
         try:
             return parse_date(text)

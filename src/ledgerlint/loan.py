@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cashflow import pmt
+from .daycount import read_number
 from .rates import PeriodicConvention, periodic_rate
 
 __all__ = [
@@ -266,14 +267,10 @@ def load_published(path: str | os.PathLike) -> list[AmortizationRow]:
 
         def read(record: dict, name: str, kind: type, noun: str):
             text = record[name]  # None for a short row
-            # kind() also reads digit-group underscores and non-ASCII digits,
-            # which the formula lexer's number grammar has not
-            if text is not None and text.isascii() and "_" not in text:
-                try:
-                    return kind(text)
-                except ValueError:
-                    pass
-            raise ValueError(f"line {reader.line_num}: {name} must be {noun}, got {text!r}")
+            value = None if text is None else read_number(text, kind)
+            if value is None:
+                raise ValueError(f"line {reader.line_num}: {name} must be {noun}, got {text!r}")
+            return value
 
         rows = []
         for record in reader:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .daycount import DayCountBasis, year_fraction
+from .daycount import DayCountBasis, read_number, year_fraction
 
 RATE_TOLERANCE = 1e-12
 
@@ -145,13 +145,13 @@ def accrint(
 
 
 def parse_rate(text: str) -> float:
-    """Parse "0.119" or "11.9%"; the percent form is divided by 100 exactly once."""
+    """Parse "0.119" or "11.9%", each number as read_number reads one; the
+    percent form is divided by 100 exactly once."""
     s = text.strip()
     percent = s.endswith("%")
     if percent:
         s = s[:-1].strip()
-    try:
-        value = float(s)
-    except ValueError:
-        raise ValueError(f"invalid rate {text!r}: expected a decimal fraction or percent string") from None
+    value = read_number(s)
+    if value is None:
+        raise ValueError(f"invalid rate {text!r}: expected a decimal fraction or percent string")
     return value / 100.0 if percent else value

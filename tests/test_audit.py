@@ -162,7 +162,7 @@ def test_a_check_returns_message_and_evidence(filename, rule_id, cell):
     threshold = RuleConfig().threshold(rule_id)
     results = [
         spec.check(node, additive, values, threshold)
-        for key, node, _, additive in _trigger_nodes(sheet.cells[cell].formula)
+        for key, node, additive in _trigger_nodes(sheet.cells[cell].formula)
         if key in spec.triggers
     ]
     [(message, evidence)] = [result for result in results if result is not None]

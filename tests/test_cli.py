@@ -231,6 +231,19 @@ class TestAudit:
         assert main(["audit", book, "--rules", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: rule config: ")
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_a_deeply_nested_rules_config_exits_2(self, tmp_path, monkeypatch, capsys, via):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)  # json.load recurses once per '['
+        book = str(FIXTURES / "traps" / "r5_rate_magnitude.csv")
+        if via == "env":
+            monkeypatch.setenv(RULES_ENV_VAR, str(path))
+        argv = ["audit", book] + (["--rules", str(path)] if via == "flag" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rule config: JSON nested too deeply: {path}\n"
+
 
 class TestSchedule:
     def test_emitted_schedule_round_trips_implied_rate(self, capsys):
@@ -339,6 +352,15 @@ class TestSchedule:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "finite" in captured.err
+
+    @pytest.mark.parametrize("rate", ["1_0%", "0.1_2", "١٢%", "1e1_0"])
+    def test_a_rate_is_written_as_a_formula_writes_a_number(self, rate, capsys):
+        # float() reads each of these; a cell and a published field do not
+        argv = ["schedule", "--principal", "10000", "--rate", rate, "--term", "12"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid rate {rate!r}: expected a decimal fraction or percent string\n"
 
     @pytest.fixture
     def wrong_table(self, tmp_path):

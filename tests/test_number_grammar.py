@@ -1,5 +1,6 @@
-"""One number grammar: a cell, a published table field and a formula read the
-same texts as numbers, the lexer's number alternative with an optional sign."""
+"""One number grammar: a cell, a published table field, a rate and a formula
+read the same texts as numbers, the lexer's number alternative with an
+optional sign."""
 
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ledgerlint.formula import ParseError, Sheet, TokenKind, tokenize
 from ledgerlint.loan import load_published
+from ledgerlint.rates import parse_rate
 
 
 @pytest.mark.parametrize("text", ["1_000", "-1_0", "1_0.5", "١٢٣", "１２", "1e1_0", "²"])
@@ -34,6 +36,13 @@ def _formula(text):
     if [(token.kind, token.text) for token in tokens] != [(TokenKind.NUMBER, body)]:
         return None
     return -tokens[0].value if sign == "-" else tokens[0].value
+
+
+def _rate(text):
+    try:
+        return parse_rate(text)
+    except ValueError:
+        return None
 
 
 def _published(path, table):
@@ -68,6 +77,11 @@ def test_cells_tables_and_formulas_read_numbers_alike(tmp_path_factory, text):
         assert row.payment == number
     elif row is not None:
         assert not math.isfinite(row.payment)  # nan or inf, which verify_schedule flags
+    rate = _rate(text)
+    if number is not None:
+        assert rate == number
+    elif rate is not None:
+        assert not math.isfinite(rate)  # nan or inf, which LoanSpec rejects
     row = _published(path, f"month\n{text}\n")
     digits = number is not None and text.strip().lstrip("+-").isdigit()
     assert (row and row.month) == (int(number) if digits else None)

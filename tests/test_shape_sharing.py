@@ -21,12 +21,15 @@ import pytest
 from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
 from ledgerlint.formula import (
+    Binary,
+    Call,
     Cell,
     ErrorKind,
     ErrorValue,
     ParseError,
     Sheet,
     TokenKind,
+    Unary,
     parse,
     tokenize,
 )
@@ -325,11 +328,62 @@ def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
     cache = shapes.ShapeCache()
     first = _pmt_sheet(1, cache)
     tree = weakref.ref(first.cells["C1"].formula)
+    # the audit plans the pending shape's one cell, and keeps no node of it
+    assert [f.rule_id for f in run_rules(first)] == ["R2"]
+    call = weakref.ref(first.cells["C1"].formula.left)
+    assert call().name == "PMT"
     del first
     gc.collect()
-    assert tree() is None
+    assert tree() is None and call() is None
     second = _pmt_sheet(2, cache)
     assert second.cells["C2"].formula == parse(PMT_TEXT.format(r=2))
+
+
+def _branches(node) -> list:
+    """node and every Call, Binary and Unary node below it."""
+    if isinstance(node, Call):
+        children = node.args
+    elif isinstance(node, Binary):
+        children = (node.left, node.right)
+    elif isinstance(node, Unary):
+        children = (node.child,)
+    else:
+        return []
+    return [node] + [found for child in children for found in _branches(child)]
+
+
+PLANNED = [
+    "=NPV(A{r},B{r}:B{s})",  # R1 per cell, R2 not
+    "=PMT(A{r}/12,60,B{r})",  # R2 per shape, R5 per cell
+    "=DB(1000,100,5,1,A{r})",  # R4 per cell
+    "=INTRATE(C{r},D{r},100,110)",  # R3 per cell, R7 per shape
+    "=(D{r}-C{r})/360*A{r}",  # R8 per cell, R6 per shape
+    "=B{r}+1/1/80",  # R6 per shape
+]
+
+
+def test_a_plan_holds_only_nodes_of_its_shapes_template():
+    cache = shapes.ShapeCache()
+    sheets = []
+    for offset in (1, 20):
+        rows = []
+        for r in range(offset, offset + 3):
+            texts = ["5" if r % 2 else "0.05", str(-r), "2024-01-31", "2026-03-01"]
+            texts += [template.format(r=r, s=r + 2) for template in PLANNED]
+            if r == 1:
+                texts.append("=EFFECT(A1,12)+NPV(A1,B1:B3)")  # a key seen once: pending
+            rows.append((r, list(enumerate(texts, start=1))))
+        sheets.append(Sheet(rows, shapes=cache))
+        assert run_rules(sheets[-1]) == run_rules(Sheet(rows))
+    pending = sheets[0].cells[f"{index_to_column(len(PLANNED) + 5)}1"].shape
+    assert pending.template is None and pending.rules is None
+    planned = {id(cell.shape): cell.shape for sheet in sheets for cell in sheet.cells.values()
+               if cell.shape is not None and cell.shape.rules is not None}
+    assert len(planned) == len(PLANNED)
+    for shape in planned.values():
+        assert shape.template is not None and shape.rules
+        nodes = {id(node) for node in _branches(shape.template)}
+        assert all(id(node) in nodes for _, node, _, _ in shape.rules)
 
 
 def test_parse_errors_keep_their_own_columns_across_sheets():
