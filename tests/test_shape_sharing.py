@@ -353,11 +353,11 @@ def _branches(node) -> list:
 
 
 PLANNED = [
-    "=NPV(A{r},B{r}:B{s})",  # R1 per cell, R2 not
+    "=NPV(A{r},B{r}:B{s})",  # R1 and R5 per cell
     "=PMT(A{r}/12,60,B{r})",  # R2 per shape, R5 per cell
     "=DB(1000,100,5,1,A{r})",  # R4 per cell
     "=INTRATE(C{r},D{r},100,110)",  # R3 per cell, R7 per shape
-    "=(D{r}-C{r})/360*A{r}",  # R8 per cell, R6 per shape
+    "=(D{r}-C{r})/360*A{r}",  # R8 per cell
     "=B{r}+1/1/80",  # R6 per shape
 ]
 
