@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
@@ -426,6 +427,8 @@ class RuleConfig:
                 raise ValueError(f"rule {rule_id} takes no threshold")
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
                 raise ValueError(f"threshold for {rule_id} must be positive, got {value!r}")
+            if not value <= sys.float_info.max:  # exact for an int too large for a float
+                raise ValueError(f"threshold for {rule_id} must be finite, got {value!r}")
             thresholds[rule_id] = float(value)
         severities = {}
         for rule_id, name in data.get("severities", {}).items():
@@ -450,7 +453,7 @@ class RuleConfig:
             except RecursionError:  # json.load recurses once per level of nesting
                 raise ValueError(f"JSON nested too deeply: {path}") from None
         if not isinstance(data, dict):
-            raise ValueError(f"rule config must be a JSON object: {path}")
+            raise ValueError(f"not a JSON object: {path}")
         return cls.from_dict(data)
 
     def threshold(self, rule_id: str) -> float:

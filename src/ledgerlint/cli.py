@@ -1,7 +1,9 @@
 """Command-line front end: evaluate formulas, audit workbooks, build schedules.
 
 Exit codes are a function of findings and input validity only, never of the
-output format: 0 clean, 1 findings or discrepancies, 2 invalid input.
+output format: 0 clean, 1 findings or discrepancies, 2 invalid input.  A
+subcommand raises ValueError for invalid input and main alone prints: one
+`error:` line for it, and one `warning:` line for each library warning.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from .audit import RuleConfig, Severity, render_text, run_rules, to_record
@@ -35,16 +38,11 @@ def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        sheet = _sheet_from_bindings(args.bind or [])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sheet = _sheet_from_bindings(args.bind or [])
     try:
         node = parse(args.expr)
     except ParseError as exc:
-        print(f"error: parse failure at position {exc.position}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"parse failure at position {exc.position}: {exc}") from exc
     value = evaluate(node, sheet)
     if args.format == "structured":
         if isinstance(value, ErrorValue):
@@ -68,8 +66,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     try:
         config = RuleConfig.from_json_file(rules_path) if rules_path else RuleConfig()
     except (OSError, ValueError) as exc:
-        print(f"error: rule config: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"rule config: {exc}") from exc
     render = render_text
     if args.format == "structured":
         import json  # here, so that only structured output loads it
@@ -83,8 +80,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         try:
             sheet = load_workbook(path, shapes)
         except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, oversized
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{path}: {exc}") from exc
         findings = run_rules(sheet, config)
         for finding in findings:
             print(render(finding, path))
@@ -98,30 +94,21 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from .loan import LoanSpec, build_schedule, load_published, verify_schedule
     if args.tolerance is not None and args.published is None:
         args.usage_error("argument --tolerance: not allowed without --published")
-    try:
-        spec = LoanSpec(
-            principal=args.principal,
-            annual_rate=parse_rate(args.rate),
-            term_months=args.term,
-            holiday_months=args.holiday,
-            convention=PeriodicConvention(args.convention),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = LoanSpec(
+        principal=args.principal,
+        annual_rate=parse_rate(args.rate),
+        term_months=args.term,
+        holiday_months=args.holiday,
+        convention=PeriodicConvention(args.convention),
+    )
     if args.published is not None:
         try:
             published = load_published(args.published)
         except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, malformed
-            print(f"error: {args.published}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.published}: {exc}") from exc
         # verify_schedule's own default tolerance unless one is given
         tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
-        try:
-            discrepancies = verify_schedule(published, spec, **tolerance)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        discrepancies = verify_schedule(published, spec, **tolerance)
         for d in discrepancies:
             print(
                 f"month {d.month}: {d.field} expected {format_number(d.expected)} "
@@ -134,13 +121,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_depr(args: argparse.Namespace) -> int:
-    try:
-        spec = DepreciationSpec(
-            cost=args.cost, salvage=args.salvage, life=args.life, month=args.month
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = DepreciationSpec(
+        cost=args.cost, salvage=args.salvage, life=args.life, month=args.month
+    )
     schedule = db_schedule(spec, PrecisionMode(args.mode))
     report = reconcile(schedule, spec)
     text = schedule.to_csv()
@@ -157,8 +140,11 @@ def _cmd_depr(args: argparse.Namespace) -> int:
 
 def _write_output(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # a missing directory, no permission
+            raise ValueError(f"{path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -232,7 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        except ValueError as exc:  # the library's invalid-input signal, ParseError included
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def entrypoint() -> None:

@@ -195,12 +195,8 @@ class Evaluator:
         if op == "&":
             return format_value(left) + format_value(right)
         if op in _COMPARISONS:
-            same_kind = (
-                (isinstance(left, float) and isinstance(right, float))
-                or (isinstance(left, str) and isinstance(right, str))
-                or (isinstance(left, dt.date) and isinstance(right, dt.date))
-            )
-            if not same_kind:
+            # every operand here is exactly a float, a date or a str
+            if type(left) is not type(right):
                 return ErrorValue(
                     ErrorKind.VALUE,
                     f"cannot compare {_type_name(left)} with {_type_name(right)}",

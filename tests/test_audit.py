@@ -195,6 +195,7 @@ def test_rule_config_validation():
         ({"thresholds": {"R1": 5}}, "rule R1 takes no threshold"),
         ({"thresholds": {"R5": True}}, "threshold for R5 must be positive, got True"),
         ({"thresholds": {"R3": "2"}}, "threshold for R3 must be positive, got '2'"),
+        ({"enabled": ["R1"], "extra": 1}, "unknown config fields: ['extra']"),
     ],
 )
 def test_rule_config_shape_checks(data, message):
@@ -317,6 +318,10 @@ def test_anchored_rate_gives_r2_as_its_unanchored_twin():
         sheet = Sheet.from_rows([["0.06", source]])
         assert run_rules(sheet) == expected
         assert sheet.evaluate_all() == twin.evaluate_all()
+
+
+def test_r2_passes_over_a_rate_function_called_with_no_arguments():
+    assert run_rules(Sheet.from_rows([["=PMT()", "=NPV()"]])) == []
 
 
 def test_rules_skip_strange_cells():

@@ -87,6 +87,22 @@ class TestEval:
         assert main(["eval", "=1e308*10"]) == 2
         assert capsys.readouterr().out == "#VALUE! numeric overflow in '*'\n"
 
+    @pytest.mark.parametrize(
+        "argv,record",
+        [
+            (['="a"&"b"'], {"kind": "text", "value": "ab"}),
+            (["=A1", "--bind", "A1=2024-01-31"], {"kind": "date", "value": "2024-01-31"}),
+        ],
+        ids=["text", "date"],
+    )
+    def test_structured_text_and_date(self, argv, record, capsys):
+        assert main(["eval", *argv, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out) == record
+
+    def test_a_formula_write_off_prints_no_warning(self, capsys):
+        assert main(["eval", "=DB(1,0,6,1)"]) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
     @pytest.mark.parametrize("expr", ["=1e308*10", "=-1e308*10", "=1e308*10-1e308*10"])
     def test_structured_non_finite_is_valid_json(self, expr, capsys):
         def reject(constant):
@@ -244,6 +260,31 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == f"error: rule config: JSON nested too deeply: {path}\n"
 
+    def test_a_rules_config_that_is_not_an_object_is_labelled_once(self, tmp_path, capsys):
+        path = tmp_path / "arr.json"
+        path.write_text("[]")
+        book = str(FIXTURES / "traps" / "r5_rate_magnitude.csv")
+        assert main(["audit", book, "--rules", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rule config: not a JSON object: {path}\n"
+
+    @pytest.mark.parametrize(
+        "threshold,shown", [("1e999", "inf"), ("1" + "0" * 400, "1" + "0" * 400)],
+        ids=["inf", "400 digits"],
+    )
+    def test_a_threshold_must_be_finite(self, tmp_path, capsys, threshold, shown):
+        book = tmp_path / "book.csv"
+        book.write_text('"=PMT(5,12,100)"\n')
+        assert main(["audit", str(book)]) == 1  # R5 at error with the default threshold
+        capsys.readouterr()
+        path = tmp_path / "rules.json"
+        path.write_text('{"thresholds": {"R5": %s}}' % threshold)  # JSON reads 1e999 as inf
+        assert main(["audit", str(book), "--rules", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rule config: threshold for R5 must be finite, got {shown}\n"
+
 
 class TestSchedule:
     def test_emitted_schedule_round_trips_implied_rate(self, capsys):
@@ -291,8 +332,10 @@ class TestSchedule:
             (b"month,payment\n1," + b"9" * 200_000 + b"\n", "field larger than field limit"),
             (b"month,month\n1,2\n", "repeated columns in repayment table: ['month']"),
             (b"month,payment\n2,abc\n", "line 2: payment must be a number, got 'abc'"),
+            (b"month,fee\n1,2\n", "unknown columns in repayment table: ['fee']"),
         ],
-        ids=["short row", "not UTF-8", "oversized field", "repeated column", "value not a number"],
+        ids=["short row", "not UTF-8", "oversized field", "repeated column", "value not a number",
+             "unknown column"],
     )
     def test_unreadable_published_table_exits_2(self, tmp_path, capsys, table, message):
         path = tmp_path / "table.csv"
@@ -472,6 +515,17 @@ class TestDepr:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --format" in capsys.readouterr().err
 
+    def test_a_full_write_off_prints_one_warning_line(self, capsys):
+        argv = ["depr", "--cost", "1000", "--salvage", "0", "--life", "3"]
+        for _ in range(2):  # each run reports it, not only the first in a process
+            assert main(argv) == 0
+            assert capsys.readouterr() == (
+                "period,depreciation,book_value_end\r\n1,1000.0,0.0\r\n2,0.0,0.0\r\n3,0.0,0.0\r\n"
+                "reconciliation: total_depreciation=1000 residual_book_value=0 gap=0\n",
+                "warning: salvage of 0 makes the declining-balance rate 1, writing the asset "
+                "off entirely in the first period\n",
+            )
+
     def test_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "depr.csv"
         assert main([
@@ -482,6 +536,48 @@ class TestDepr:
         content = out_file.read_text()
         assert content.startswith("period,depreciation,book_value_end")
         assert "reconciliation:" in content
+
+
+SCHEDULE = ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "12"]
+DEPR = ["depr", "--cost", "1000", "--salvage", "100", "--life", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eval", "=A1", "--bind", "A1"], id="eval binding without ="),
+        pytest.param(["eval", "=A1", "--bind", "A0=1"], id="eval binding address"),
+        pytest.param(["eval", "=1+"], id="eval parse failure"),
+        pytest.param(["audit", "{tmp}/missing.csv"], id="audit missing workbook"),
+        pytest.param(["audit", "{tmp}/latin1.csv"], id="audit workbook not UTF-8"),
+        pytest.param(["audit", "{tmp}/table.csv", "--rules", "{tmp}/missing.json"],
+                     id="audit missing rule config"),
+        pytest.param(["audit", "{tmp}/table.csv", "--rules", "{tmp}/array.json"],
+                     id="audit rule config not an object"),
+        pytest.param(SCHEDULE + ["--principal", "-5"], id="schedule principal"),
+        pytest.param(SCHEDULE + ["--rate", "abc"], id="schedule rate not a number"),
+        pytest.param(SCHEDULE + ["--rate", "nan"], id="schedule rate not finite"),
+        pytest.param(SCHEDULE + ["--holiday", "12"], id="schedule holiday"),
+        pytest.param(SCHEDULE + ["--published", "{tmp}/missing.csv"], id="schedule missing table"),
+        pytest.param(SCHEDULE + ["--published", "{tmp}/latin1.csv"], id="schedule table not UTF-8"),
+        pytest.param(SCHEDULE + ["--published", "{tmp}/table.csv", "--tolerance", "-1"],
+                     id="schedule tolerance"),
+        pytest.param(SCHEDULE + ["-o", "{tmp}/no/such/dir/out.csv"], id="schedule -o"),
+        pytest.param(DEPR + ["--cost", "-1"], id="depr cost"),
+        pytest.param(DEPR + ["--month", "13"], id="depr month"),
+        pytest.param(DEPR + ["-o", "{tmp}/no/such/dir/out.csv"], id="depr -o"),
+        pytest.param(DEPR + ["-o", "{tmp}"], id="depr -o a directory"),
+    ],
+)
+def test_invalid_input_prints_one_error_line_and_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "latin1.csv").write_bytes("caf\xe9\n".encode("latin-1"))
+    (tmp_path / "array.json").write_text("[]")
+    (tmp_path / "table.csv").write_text("month,payment\n1,100\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n") and "Traceback" not in captured.err
 
 
 # Runs the CLI as `python -m ledgerlint.cli` does, then lists every module loaded.

@@ -291,6 +291,7 @@ GOLDEN_ARGUMENTS = [
     ("=NOMINAL(0.12,1.5)", "#ARGUMENT! NOMINAL: 'npery' must be an integer, got 1.5"),
     ("=NOMINAL(0.12,0)", "#ARGUMENT! NOMINAL: periods_per_year must be >= 1, got 0"),
     ("=NOMINAL(0.12,12)", "0.11386551521499655"),
+    ("=NOMINAL(-1,12)", "#ARGUMENT! NOMINAL: effective rate must exceed -1, got -1.0"),
     ("=NOMINAL(B1:B2,12)", "#ARGUMENT! NOMINAL: 'effective_rate' cannot be a range"),
     ("=INTRATE(A1,A2,100)", "#ARGUMENT! INTRATE takes 4 to 5 arguments, got 3"),
     ("=INTRATE(A1,A2,100,110,0,1)", "#ARGUMENT! INTRATE takes 4 to 5 arguments, got 6"),

@@ -201,6 +201,16 @@ def test_verify_schedule_rejects_a_tolerance_that_is_not_finite_and_non_negative
         verify_schedule(build_schedule(spec).rows, spec, tolerance=tolerance)
 
 
+def test_verify_schedule_flags_a_misnumbered_month():
+    spec = make_spec()
+    rows = list(build_schedule(spec).rows)
+    rows[2] = AmortizationRow(month=4, payment=rows[2].payment)
+    findings = verify_schedule(rows, spec)
+    assert [(f.month, f.field, f.expected, f.actual, f.difference) for f in findings] == [
+        (3, "month", 3.0, 4.0, 1.0)
+    ]
+
+
 def test_verify_schedule_skips_unstated_fields():
     spec = make_spec()
     rows = [
@@ -231,6 +241,11 @@ def test_implied_monthly_rate_unbracketable():
         implied_monthly_rate(principal=-5.0, payment=100.0, months=12)
     with pytest.raises(ValueError):
         implied_monthly_rate(principal=100.0, payment=-1.0, months=12)
+
+
+def test_implied_monthly_rate_needs_a_month():
+    with pytest.raises(ValueError, match="months must be at least 1, got 0"):
+        implied_monthly_rate(principal=100.0, payment=10.0, months=0)
 
 
 def test_quoted_rate_advertising_loop():

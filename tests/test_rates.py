@@ -137,6 +137,15 @@ def test_verify_advertised_verdicts():
     assert v.status is ComplianceStatus.OVERSTATED
 
 
+def test_rates_outside_their_domain_raise():
+    with pytest.raises(ValueError, match="effective rate must exceed -1, got -1"):
+        nominal_rate(-1, 12)
+    with pytest.raises(ValueError, match="annual rate must exceed -1, got -1"):
+        periodic_rate(-1, 12, PeriodicConvention.UK_EFFECTIVE_ROOT)
+    with pytest.raises(ValueError, match="advertised rate must be non-negative, got -0.01"):
+        verify_advertised(0.1, -0.01)
+
+
 def test_intrate_simple_interest():
     # One year on actual/365 over a non-leap span.
     r = intrate(D(2023, 1, 1), D(2024, 1, 1), 100.0, 110.0, DayCountBasis.ACTUAL_365)
