@@ -1,12 +1,27 @@
 """Formula evaluation over a sheet: reference resolution, cycle detection,
 operator semantics, and dispatch into the financial function catalog.
 
-A cell whose shape came before (shapes.Shape) is evaluated by walking the
-shape's template with every reference read through Evaluator.ref, which is
-bound to the cell and reads the reference in the same slot of the cell's own
-text, as the text writes it; no tree is built for the cell.  Any other
-formula is its own tree and its references are read as they are.  A
-reference whose value is cached is read in place, without a call.
+One loop evaluates, with no recursion from cell to cell.  evaluate_all
+visits the cells row-major.  A formula reads each reference from the value
+cache, and a read of a formula not yet evaluated aborts the reading formula
+(_Miss): the loop pushes the missed cell on an explicit stack (self.stack),
+evaluates it, and evaluates the reader again once that cell is cached.  A miss
+inside a range read hands the loop the rest of the range with the read's
+stop rule (_Rest), so a range of n formulas costs one more run of its reader,
+not n.  A read from outside any formula (the audit's checks, Sheet.value,
+evaluate) runs the loop on the formula it misses, in place, and keeps the
+caller's bind.  So formulas are first evaluated in the order that evaluating
+each one where it is read would give, and a read of a cell on the stack is a
+cycle: only the cells on it are CYCLE, each with its 'A1 -> B1 -> A1' path.
+
+A cell whose shape came before (shapes.Shape) runs the shape's kernel: a
+closure per template node, built on the shape's first evaluation, that reads
+each reference from the cell's own text by its slot (Shape.refs), as the text
+writes it.  The catalog lookup, the arity check and the argument errors of
+EmptyArg and RangeRef nodes are decided when the kernel is built, and so is
+the value of a subtree with no reference.  Any other formula is its own tree,
+walked by eval_node.  Both share the value-level rules below (operators,
+negation, argument checks, range reads), so each is stated once.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -39,7 +54,7 @@ from .ast import (
     TextLit,
     Unary,
 )
-from .shapes import cell_ref
+from .shapes import Shape, cell_ref
 from .sheet import Cell, CellValue, ErrorKind, ErrorValue, Sheet, format_value
 
 __all__ = ["evaluate", "Evaluator", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
@@ -62,6 +77,40 @@ def _type_name(value: CellValue) -> str:
 
 
 _Args = Sequence[FormulaNode]
+_Kernel = Callable[["Evaluator", list], CellValue]  # (evaluator, Shape.refs(text)) -> value
+
+
+# value-level rules, shared by eval_node and the kernels
+
+
+def _address(ref: str) -> str:
+    """The address a reference as written names ('$b$5' is B5); the row has no leading 0."""
+    return ref.replace("$", "").upper()
+
+
+def _range_at(refs: list[str], slot: int) -> RangeRef:
+    """The range whose corners are refs[slot] and refs[slot + 1]; the
+    constructor normalizes a reversed range as parse() does."""
+    return RangeRef(cell_ref(refs[slot]), cell_ref(refs[slot + 1]))
+
+
+def _propagated(address: str) -> ErrorValue:
+    return ErrorValue(ErrorKind.PROPAGATED, f"error propagated from {address}")
+
+
+def _scalar_range(ref: RangeRef) -> ErrorValue:
+    return ErrorValue(
+        ErrorKind.VALUE, f"range {ref.start.address}:{ref.end.address} used as a scalar"
+    )
+
+
+def _negate(value: CellValue) -> CellValue:
+    if isinstance(value, ErrorValue):
+        return value
+    if isinstance(value, float):
+        return -value
+    return ErrorValue(ErrorKind.VALUE, f"cannot negate a {_type_name(value)}")
+
 
 _COMPARISONS = {
     "=": operator.eq,
@@ -74,17 +123,164 @@ _COMPARISONS = {
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _binary(op: str, left: CellValue, right: CellValue) -> CellValue:
+    """op over the values of its two operands, neither an error."""
+    if op == "&":
+        return format_value(left) + format_value(right)
+    if op in _COMPARISONS:
+        # every operand here is exactly a float, a date or a str
+        if type(left) is not type(right):
+            return ErrorValue(
+                ErrorKind.VALUE,
+                f"cannot compare {_type_name(left)} with {_type_name(right)}",
+            )
+        return 1.0 if _COMPARISONS[op](left, right) else 0.0
+    both_numbers = isinstance(left, float) and isinstance(right, float)
+    if op == "-" and isinstance(left, dt.date) and isinstance(right, dt.date):
+        return float((left - right).days)
+    if not both_numbers:
+        return ErrorValue(
+            ErrorKind.VALUE,
+            f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}",
+        )
+    if op == "/" and right == 0.0:
+        return ErrorValue(ErrorKind.DIV0, "division by zero")
+    if op == "^":
+        try:
+            result = left ** right
+        except ZeroDivisionError:
+            return ErrorValue(ErrorKind.DIV0, "zero raised to a negative power")
+        except OverflowError:
+            result = math.inf
+        if isinstance(result, complex):
+            return ErrorValue(
+                ErrorKind.VALUE, "negative base with fractional exponent"
+            )
+    elif op in _ARITHMETIC:
+        result = _ARITHMETIC[op](left, right)
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    if math.isfinite(result):
+        return result
+    return ErrorValue(ErrorKind.VALUE, f"numeric overflow in {op!r}")
+
+
+# argument checks: each takes the value of a scalar argument, the function
+# name and the parameter name, and returns the checked value or an ErrorValue
+
+
+def _argument_error(node: EmptyArg | RangeRef, fname: str, param: str) -> ErrorValue:
+    """The error of a scalar parameter given an empty slot or a range."""
+    if type(node) is EmptyArg:
+        return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: argument '{param}' is required")
+    return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: '{param}' cannot be a range")
+
+
+def _as_number(value: CellValue, fname: str, param: str) -> float | ErrorValue:
+    if isinstance(value, (ErrorValue, float)):
+        return value
+    return ErrorValue(
+        ErrorKind.ARGUMENT, f"{fname}: '{param}' must be a number, got {_type_name(value)}"
+    )
+
+
+def _as_integer(value: CellValue, fname: str, param: str) -> int | ErrorValue:
+    value = _as_number(value, fname, param)
+    if isinstance(value, ErrorValue):
+        return value
+    if not math.isfinite(value) or value != int(value):
+        return ErrorValue(
+            ErrorKind.ARGUMENT, f"{fname}: '{param}' must be an integer, got {value}"
+        )
+    return int(value)
+
+
+def _as_date(value: CellValue, fname: str, param: str) -> dt.date | ErrorValue:
+    if isinstance(value, (ErrorValue, dt.date)):
+        return value
+    return ErrorValue(
+        ErrorKind.ARGUMENT, f"{fname}: '{param}' must be a date, got {_type_name(value)}"
+    )
+
+
+def _as_dates(value: CellValue, fname: str, param: str) -> list[dt.date] | ErrorValue:
+    value = _as_date(value, fname, param)
+    return value if isinstance(value, ErrorValue) else [value]
+
+
+def _as_basis(value: CellValue, fname: str, param: str) -> DayCountBasis | ErrorValue:
+    code = _as_integer(value, fname, param)
+    if isinstance(code, ErrorValue):
+        return code
+    if code not in BASIS_CODES:
+        return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: basis code must be 0..4, got {code}")
+    return BASIS_CODES[code]
+
+
+def _empty_slot(fname: str) -> ErrorValue:
+    return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
+
+
+def _append_number(value: CellValue, values: list, fname: str) -> ErrorValue | None:
+    """Append value, a scalar among collected values, or return why it cannot be one."""
+    if isinstance(value, ErrorValue):
+        return value
+    if not isinstance(value, float):
+        return ErrorValue(
+            ErrorKind.ARGUMENT, f"{fname}: values must be numbers, got {_type_name(value)}"
+        )
+    values.append(value)
+    return None
+
+
+# evaluation by an explicit stack
+
+
+class _Miss(Exception):
+    """A formula's read of a formula not yet evaluated: args[0] is its
+    address, or the _Rest of the range read that met it."""
+
+
+class _Rest:
+    """The rest of a range read that missed: addresses[at:] are read in
+    order, each formula among them evaluated first, until one stops the read
+    (an error, or, when strict, a value not of kind)."""
+
+    __slots__ = ("addresses", "at", "strict", "kind")
+
+    def __init__(self, addresses: list[str], at: int, strict: bool, kind: type) -> None:
+        self.addresses, self.at, self.strict, self.kind = addresses, at, strict, kind
+
+
 class Evaluator:
     def __init__(self, sheet: Sheet):
         self.sheet = sheet
         self.cache = sheet._values
         self.stack: dict[str, None] = {}  # addresses being evaluated, in call order
-        # the references of the cell whose shape's template is being evaluated,
-        # by slot, and the template's slots; None for a formula's own tree
+        self._evaluating = False  # a cell's formula runs: a miss aborts it
+        # for the audit's checks, which read a template's nodes: the
+        # references of the cell bound to the template, by slot, and the
+        # template's slots; None for a formula's own tree
         self._refs: list[str] | None = None
         self._slots: dict[int, int] | None = None
 
-    # cell resolution
+    def evaluate_all(self) -> dict[str, CellValue]:
+        """Evaluate every populated cell, row-major; returns address -> value."""
+        cache, cells = self.cache, self.sheet.cells
+        self._evaluating = True
+        try:
+            for address, cell in cells.items():
+                if address in cache:
+                    continue
+                try:
+                    cache[address] = self._value(cell)
+                except _Miss:  # evaluated again, on the stack
+                    self._settle(address)
+        finally:
+            self._evaluating = False
+        return {address: cache[address] for address in cells}
+
+    # binding, for the audit's checks
 
     def bind(self, cell: Cell) -> FormulaNode | None:
         """Bind ref() to cell and return the tree to evaluate for it, None for
@@ -105,12 +301,14 @@ class Evaluator:
         if refs is None:
             return node.address if type(node) is CellRef else node
         slot = self._slots[id(node)]
-        if type(node) is CellRef:
-            return refs[slot].replace("$", "").upper()  # CellRef.address: the row has no leading 0
-        # the constructor normalizes a reversed range as parse() does
-        return RangeRef(cell_ref(refs[slot]), cell_ref(refs[slot + 1]))
+        return _address(refs[slot]) if type(node) is CellRef else _range_at(refs, slot)
+
+    # the explicit stack
 
     def cell_value(self, address: str) -> CellValue:
+        """The value of the cell at address.  A formula not yet evaluated is a
+        cycle when on the stack; else a formula's read of it is a miss
+        (_Miss), and a read from outside any formula evaluates it in place."""
         value = self.cache.get(address)  # a CellValue is never None, so None is a miss
         if value is not None:
             return value
@@ -131,30 +329,76 @@ class Evaluator:
             for member in members:
                 self.cache[member] = error
             return error
-        self.stack[address] = None
-        bound = self._refs, self._slots
-        try:
-            result = self.eval_node(self.bind(cell))
-        finally:
-            del self.stack[address]
-            self._refs, self._slots = bound
-        marked = self.cache.get(address)
-        if marked is not None:  # marked as a cycle member while recursing
-            return marked
-        self.cache[address] = result
-        return result
+        if self._evaluating:
+            raise _Miss(address)
+        self._settle(address)
+        return self.cache[address]
 
-    # expression evaluation
+    def _settle(self, address: str) -> None:
+        """Evaluate the formula at address by an explicit stack: a formula
+        that misses stays on it, below what it missed, and is evaluated again
+        once that is cached.  The caller's bind is kept."""
+        cache, cells, stack = self.cache, self.sheet.cells, self.stack
+        outer = self._refs, self._slots, self._evaluating
+        self._evaluating = True
+        todo: list[str | _Rest] = [address]
+        stack[address] = None
+        try:
+            while todo:
+                item = todo[-1]
+                try:
+                    if type(item) is _Rest:
+                        self._read_rest(item)
+                    else:
+                        if item not in cache:  # else marked as a cycle member meanwhile
+                            value = self._value(cells[item])
+                            cache.setdefault(item, value)  # a mark made while it ran stands
+                        del stack[item]
+                except _Miss as miss:
+                    item = miss.args[0]
+                    if type(item) is str:
+                        stack[item] = None
+                    todo.append(item)
+                else:
+                    todo.pop()
+        finally:
+            self._refs, self._slots, self._evaluating = outer
+            stack.clear()  # the loop starts only on an empty stack
+
+    def _read_rest(self, rest: _Rest) -> None:
+        addresses, strict, kind = rest.addresses, rest.strict, rest.kind
+        while rest.at < len(addresses):
+            value = self.cell_value(addresses[rest.at])
+            if isinstance(value, ErrorValue) or (strict and not isinstance(value, kind)):
+                return
+            rest.at += 1
+
+    def _value(self, cell: Cell) -> CellValue:
+        """cell's value, reading only what is cached; raises _Miss otherwise."""
+        source = cell.source
+        if source is not None:
+            shape = cell.shape
+            return (shape.kernel or _build_kernel(shape))(self, shape.refs(source))
+        if cell.error is not None:
+            return cell.error
+        formula = cell.formula
+        if formula is None:
+            return cell.literal
+        self._refs = None
+        return self.eval_node(formula)
+
+    # a formula's own tree
 
     def eval_node(self, node: FormulaNode) -> CellValue:
+        """The value of node, a tree of the formula bound (see bind)."""
         kind = type(node)  # the commonest node types first
         if kind is CellRef:
-            address = self.ref(node)
+            address = node.address if self._refs is None else self.ref(node)
             value = self.cache.get(address)  # a cached value is read in place
             if value is None:
                 value = self.cell_value(address)
             if isinstance(value, ErrorValue):
-                return ErrorValue(ErrorKind.PROPAGATED, f"error propagated from {address}")
+                return _propagated(address)
             return value
         if kind is Binary:
             left = self.eval_node(node.left)
@@ -163,7 +407,7 @@ class Evaluator:
             right = self.eval_node(node.right)
             if isinstance(right, ErrorValue):
                 return right
-            return self._binary(node.op, left, right)
+            return _binary(node.op, left, right)
         if kind is NumberLit:
             return node.value
         if kind is Call:
@@ -173,212 +417,91 @@ class Evaluator:
         if kind is TextLit:
             return node.value
         if kind is RangeRef:
-            ref = self.ref(node)
-            return ErrorValue(
-                ErrorKind.VALUE,
-                f"range {ref.start.address}:{ref.end.address} used as a scalar",
-            )
+            return _scalar_range(self.ref(node))
         if kind is Unary:
-            value = self.eval_node(node.child)
-            if isinstance(value, ErrorValue):
-                return value
-            if isinstance(value, float):
-                return -value
-            return ErrorValue(
-                ErrorKind.VALUE, f"cannot negate a {_type_name(value)}"
-            )
+            return _negate(self.eval_node(node.child))
         if kind is EmptyArg:
             return ErrorValue(ErrorKind.ARGUMENT, "empty argument slot outside a call")
         raise TypeError(f"not a formula node: {node!r}")
 
-    def _binary(self, op: str, left: CellValue, right: CellValue) -> CellValue:
-        if op == "&":
-            return format_value(left) + format_value(right)
-        if op in _COMPARISONS:
-            # every operand here is exactly a float, a date or a str
-            if type(left) is not type(right):
-                return ErrorValue(
-                    ErrorKind.VALUE,
-                    f"cannot compare {_type_name(left)} with {_type_name(right)}",
-                )
-            return 1.0 if _COMPARISONS[op](left, right) else 0.0
-        both_numbers = isinstance(left, float) and isinstance(right, float)
-        if op == "-" and isinstance(left, dt.date) and isinstance(right, dt.date):
-            return float((left - right).days)
-        if not both_numbers:
-            return ErrorValue(
-                ErrorKind.VALUE,
-                f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}",
-            )
-        if op == "/" and right == 0.0:
-            return ErrorValue(ErrorKind.DIV0, "division by zero")
-        if op == "^":
-            try:
-                result = left ** right
-            except ZeroDivisionError:
-                return ErrorValue(ErrorKind.DIV0, "zero raised to a negative power")
-            except OverflowError:
-                result = math.inf
-            if isinstance(result, complex):
-                return ErrorValue(
-                    ErrorKind.VALUE, "negative base with fractional exponent"
-                )
-        elif op in _ARITHMETIC:
-            result = _ARITHMETIC[op](left, right)
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-        if math.isfinite(result):
-            return result
-        return ErrorValue(ErrorKind.VALUE, f"numeric overflow in {op!r}")
-
-    # function dispatch
-
     def _call(self, node: Call) -> CellValue:
         name = node.name.upper()
-        spec = FUNCTION_CATALOG.get(name)
-        if spec is None:
-            return ErrorValue(ErrorKind.UNKNOWN_FUNCTION, f"unknown function {name}")
         args = node.args
-        count = len(args)
-        if count < spec.min_args or (spec.max_args is not None and count > spec.max_args):
-            upper = "or more" if spec.max_args is None else f"to {spec.max_args}"
-            return ErrorValue(
-                ErrorKind.ARGUMENT,
-                f"{name} takes {spec.min_args} {upper} arguments, got {count}",
-            )
+        spec = _function(name, len(args))
+        if isinstance(spec, ErrorValue):
+            return spec
         values = []
-        for index, pname, coerce, optional, default in spec.steps:
-            if optional and (index >= count or isinstance(args[index], EmptyArg)):
-                values.append(default)
-                continue
-            value = coerce(self, args, index, name, pname)
+        for step in spec.steps:
+            how, reads, check = _argument(step, args, name)
+            if how is _DEFAULT:
+                value = reads
+            elif how is _COLLECT:
+                value = self._numbers(*reads)
+            else:
+                value = check(self.eval_node(reads), name, step[1])
             if isinstance(value, ErrorValue):
                 return value
             values.append(value)
-        try:
-            result = spec.compute(*values)
-        except ValueError as exc:
-            return ErrorValue(ErrorKind.ARGUMENT, f"{name}: {exc}")
-        except OverflowError:
-            result = math.inf
-        except ZeroDivisionError:
-            return ErrorValue(ErrorKind.DIV0, f"{name}: division by zero")
-        if math.isfinite(result):
-            return result
-        return ErrorValue(ErrorKind.VALUE, f"{name}: numeric overflow")
-
-    # argument coercion: each role's coercer (see _COERCERS) takes the call's
-    # arguments, the parameter's index, the function name and the parameter
-    # name, and returns the coerced value or an ErrorValue
-
-    def scalar(self, node: FormulaNode, fname: str, param: str) -> CellValue:
-        if isinstance(node, EmptyArg):
-            return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: argument '{param}' is required")
-        if isinstance(node, RangeRef):
-            return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: '{param}' cannot be a range")
-        return self.eval_node(node)
-
-    def number(self, args: _Args, index: int, fname: str, param: str) -> float | ErrorValue:
-        value = self.scalar(args[index], fname, param)
-        if isinstance(value, (ErrorValue, float)):
-            return value
-        return ErrorValue(
-            ErrorKind.ARGUMENT,
-            f"{fname}: '{param}' must be a number, got {_type_name(value)}",
-        )
-
-    def integer(self, args: _Args, index: int, fname: str, param: str) -> int | ErrorValue:
-        value = self.number(args, index, fname, param)
-        if isinstance(value, ErrorValue):
-            return value
-        if not math.isfinite(value) or value != int(value):
-            return ErrorValue(
-                ErrorKind.ARGUMENT, f"{fname}: '{param}' must be an integer, got {value}"
-            )
-        return int(value)
-
-    def date(self, args: _Args, index: int, fname: str, param: str) -> dt.date | ErrorValue:
-        value = self.scalar(args[index], fname, param)
-        if isinstance(value, (ErrorValue, dt.date)):
-            return value
-        return ErrorValue(
-            ErrorKind.ARGUMENT,
-            f"{fname}: '{param}' must be a date, got {_type_name(value)}",
-        )
+        return spec.apply(values)
 
     def day_count(self, args: _Args, index: int, fname: str, param: str) -> DayCountBasis | ErrorValue:
-        code = self.integer(args, index, fname, param)
-        if isinstance(code, ErrorValue):
-            return code
-        if code not in BASIS_CODES:
-            return ErrorValue(
-                ErrorKind.ARGUMENT, f"{fname}: basis code must be 0..4, got {code}"
-            )
-        return BASIS_CODES[code]
-
-    def values(self, args: _Args, index: int, fname: str, param: str) -> list[float] | ErrorValue:
-        return self._numbers(args[index:], fname, strict=False)
-
-    def strict_values(self, args: _Args, index: int, fname: str, param: str) -> list[float] | ErrorValue:
-        return self._numbers(args[index:index + 1], fname, strict=True)
+        """The day-count basis args[index] gives, checked as a BASIS argument."""
+        node = args[index]
+        if type(node) is EmptyArg or type(node) is RangeRef:
+            return _argument_error(node, fname, param)
+        return _as_basis(self.eval_node(node), fname, param)
 
     def _numbers(self, nodes: _Args, fname: str, strict: bool, kind=float, noun="number") -> list | ErrorValue:
-        """Collect values of kind from scalars and ranges, row-major within ranges.
-
-        Range cells of another type are skipped unless strict, else named as
-        not holding a noun.  A scalar must be a number.  A range of numbers
-        whose every cell holds a float, as its literal or as a cached value,
-        is taken whole, in C; any other range is read cell by cell, in order,
-        so its cells are evaluated and its messages made as they would be one
-        by one.
-        """
+        """Collect values of kind from scalars and ranges, row-major within
+        ranges (see _range); a scalar must be a number."""
         values: list = []
         for node in nodes:
-            if isinstance(node, EmptyArg):
-                return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
-            if isinstance(node, RangeRef):
-                addresses = self.sheet.range_addresses(self.ref(node))
-                # a literal is read from its cell, so that the cache holds
-                # only what was evaluated; None for a formula not yet evaluated
-                cells = map(self.sheet.cells.__getitem__, addresses)
-                literals = map(operator.attrgetter("literal"), cells)
-                known = list(map(self.cache.get, addresses, literals))
-                if kind is float and {*map(type, known)} <= {float}:
-                    values += known
-                    continue
-                for address in addresses:
-                    value = self.cell_value(address)
-                    if isinstance(value, ErrorValue):
-                        return ErrorValue(
-                            ErrorKind.PROPAGATED,
-                            f"{fname}: error propagated from {address}",
-                        )
-                    if isinstance(value, kind):
-                        values.append(value)
-                    elif strict:
-                        return ErrorValue(
-                            ErrorKind.ARGUMENT,
-                            f"{fname}: {address} holds {_type_name(value)}, expected a {noun}",
-                        )
-                continue
-            value = self.eval_node(node)
-            if isinstance(value, ErrorValue):
-                return value
-            if not isinstance(value, float):
-                return ErrorValue(
-                    ErrorKind.ARGUMENT,
-                    f"{fname}: values must be numbers, got {_type_name(value)}",
-                )
-            values.append(value)
+            if type(node) is EmptyArg:
+                return _empty_slot(fname)
+            if type(node) is RangeRef:
+                error = self._range(self.ref(node), values, fname, strict, kind, noun)
+            else:
+                error = _append_number(self.eval_node(node), values, fname)
+            if error is not None:
+                return error
         return values
 
-    def dates(self, args: _Args, index: int, fname: str, param: str) -> list[dt.date] | ErrorValue:
-        if isinstance(args[index], RangeRef):
-            return self._numbers(args[index:index + 1], fname, True, kind=dt.date, noun="date")
-        value = self.date(args, index, fname, param)
-        if isinstance(value, ErrorValue):
-            return value
-        return [value]
+    def _range(self, ref: RangeRef, values: list, fname: str, strict: bool, kind: type, noun: str) -> ErrorValue | None:
+        """Append the values of kind in ref, or return the error that stops the read.
+
+        Cells of another type are skipped unless strict, else named as not
+        holding a noun.  A range of numbers whose every cell holds a float, as
+        its literal or as a cached value, is taken whole, in C; any other
+        range is read cell by cell, in order, so its messages are made as
+        they would be one by one.  A formula not yet evaluated stops the read
+        with the rest of the range for the loop (_Rest).
+        """
+        addresses = self.sheet.range_addresses(ref)
+        # a literal is read from its cell, so that the cache holds only what
+        # was evaluated; None for a formula not yet evaluated
+        cells = map(self.sheet.cells.__getitem__, addresses)
+        literals = map(operator.attrgetter("literal"), cells)
+        known = list(map(self.cache.get, addresses, literals))
+        if kind is float and {*map(type, known)} <= {float}:
+            values += known
+            return None
+        for at, address in enumerate(addresses):
+            try:
+                value = self.cell_value(address)
+            except _Miss:
+                raise _Miss(_Rest(addresses, at, strict, kind)) from None
+            if isinstance(value, ErrorValue):
+                return ErrorValue(
+                    ErrorKind.PROPAGATED, f"{fname}: error propagated from {address}"
+                )
+            if isinstance(value, kind):
+                values.append(value)
+            elif strict:
+                return ErrorValue(
+                    ErrorKind.ARGUMENT,
+                    f"{fname}: {address} holds {_type_name(value)}, expected a {noun}",
+                )
+        return None
 
 
 # the catalog
@@ -398,16 +521,23 @@ class Role(Enum):
     DATES = "dates"  # a range of dates, or one date
 
 
-_COERCERS = {
-    Role.RATE: Evaluator.number,
-    Role.NUMBER: Evaluator.number,
-    Role.INTEGER: Evaluator.integer,
-    Role.DATE: Evaluator.date,
-    Role.BASIS: Evaluator.day_count,
-    Role.METHOD: Evaluator.number,
-    Role.VALUES: Evaluator.values,
-    Role.STRICT_VALUES: Evaluator.strict_values,
-    Role.DATES: Evaluator.dates,
+# How each role reads its argument: the check a scalar argument's value goes
+# through, and for a role that collects values (_numbers) whether it reads one
+# argument or every remaining one, strict, kind and noun.  DATES collects from
+# a range and checks a scalar.
+_CHECKS = {
+    Role.RATE: _as_number,
+    Role.NUMBER: _as_number,
+    Role.INTEGER: _as_integer,
+    Role.DATE: _as_date,
+    Role.BASIS: _as_basis,
+    Role.METHOD: _as_number,
+    Role.DATES: _as_dates,
+}
+_COLLECTS = {
+    Role.VALUES: (False, False, float, "number"),
+    Role.STRICT_VALUES: (True, True, float, "number"),
+    Role.DATES: (True, True, dt.date, "date"),
 }
 
 
@@ -437,9 +567,57 @@ class _FunctionSpec:
         self.max_args = None if variadic else len(self.params)
         # bound once here: looking roles up per call costs more than the coercion
         self.steps = tuple(
-            (index, p.name, _COERCERS[p.role], p.optional, p.default)
+            (index, p.name, _CHECKS.get(p.role), _COLLECTS.get(p.role), p.optional, p.default)
             for index, p in enumerate(self.params)
         )
+
+    def apply(self, values: list) -> CellValue:
+        """compute over the coerced values, its failures as ErrorValues."""
+        try:
+            result = self.compute(*values)
+        except ValueError as exc:
+            return ErrorValue(ErrorKind.ARGUMENT, f"{self.name}: {exc}")
+        except OverflowError:
+            result = math.inf
+        except ZeroDivisionError:
+            return ErrorValue(ErrorKind.DIV0, f"{self.name}: division by zero")
+        if math.isfinite(result):
+            return result
+        return ErrorValue(ErrorKind.VALUE, f"{self.name}: numeric overflow")
+
+
+def _function(name: str, count: int) -> _FunctionSpec | ErrorValue:
+    """The catalog's function name, called with count arguments, or why it cannot be."""
+    spec = FUNCTION_CATALOG.get(name)
+    if spec is None:
+        return ErrorValue(ErrorKind.UNKNOWN_FUNCTION, f"unknown function {name}")
+    if count < spec.min_args or (spec.max_args is not None and count > spec.max_args):
+        upper = "or more" if spec.max_args is None else f"to {spec.max_args}"
+        return ErrorValue(
+            ErrorKind.ARGUMENT, f"{name} takes {spec.min_args} {upper} arguments, got {count}"
+        )
+    return spec
+
+
+_DEFAULT, _COLLECT, _CHECK = "default", "collect", "check"
+
+
+def _argument(step: tuple, args: _Args, fname: str) -> tuple:
+    """How a call reads one parameter, decided by its step and the argument
+    nodes alone: (_DEFAULT, value, None) for an omitted optional one or an
+    argument error, (_COLLECT, _numbers's arguments, None), or (_CHECK, node,
+    check) for one scalar argument."""
+    index, param, check, collect, optional, default = step
+    if optional and (index >= len(args) or type(args[index]) is EmptyArg):
+        return _DEFAULT, default, None
+    node = args[index]
+    if collect is not None and (check is None or type(node) is RangeRef):
+        one, strict, kind, noun = collect
+        nodes = args[index:index + 1] if one else args[index:]
+        return _COLLECT, (nodes, fname, strict, kind, noun), None
+    if type(node) is EmptyArg or type(node) is RangeRef:
+        return _DEFAULT, _argument_error(node, fname, param), None
+    return _CHECK, node, check
 
 
 def _db(cost: float, salvage: float, life: int, period: int, month: int) -> float:
@@ -531,6 +709,138 @@ FUNCTION_CATALOG = {
         _FunctionSpec("SUM", (Param("values", Role.VALUES),), lambda values: float(sum(values))),
     ]
 }
+
+
+# kernels
+
+
+def _build_kernel(shape: Shape) -> _Kernel:
+    """Compile shape's template once and keep the kernel on the shape."""
+    shape.kernel = kernel = _compile(shape.template, shape.slots)
+    return kernel
+
+
+def _has_reference(node: FormulaNode) -> bool:
+    kind = type(node)
+    if kind is CellRef or kind is RangeRef:
+        return True
+    if kind is Unary:
+        return _has_reference(node.child)
+    if kind is Binary:
+        return _has_reference(node.left) or _has_reference(node.right)
+    if kind is Call:
+        return any(map(_has_reference, node.args))
+    return False
+
+
+def _constant(value: CellValue) -> _Kernel:
+    return lambda ev, refs: value
+
+
+def _compile(node: FormulaNode, slots: dict[int, int]) -> _Kernel:
+    """node of a template as a function of (evaluator, references of a cell's text)."""
+    if not _has_reference(node):  # its value is the same for every cell: take it now
+        return _constant(Evaluator(Sheet(())).eval_node(node))
+    kind = type(node)
+    if kind is CellRef:
+        return _cell_kernel(slots[id(node)])
+    if kind is Binary:
+        return _binary_kernel(_compile(node.left, slots), _compile(node.right, slots), node.op)
+    if kind is Call:
+        return _call_kernel(node, slots)
+    if kind is RangeRef:
+        slot = slots[id(node)]
+        return lambda ev, refs: _scalar_range(_range_at(refs, slot))
+    child = _compile(node.child, slots)  # a Unary
+    return lambda ev, refs: _negate(child(ev, refs))
+
+
+def _cell_kernel(slot: int) -> _Kernel:
+    def read(ev: Evaluator, refs: list[str]) -> CellValue:
+        ref = refs[slot]
+        value = ev.cache.get(ref)  # a reference written as its address hits as it is
+        if value is None:
+            ref = _address(ref)
+            value = ev.cell_value(ref)
+        if isinstance(value, ErrorValue):
+            return _propagated(ref)
+        return value
+
+    return read
+
+
+def _binary_kernel(left: _Kernel, right: _Kernel, op: str) -> _Kernel:
+    def binary(ev: Evaluator, refs: list[str]) -> CellValue:
+        value = left(ev, refs)
+        if isinstance(value, ErrorValue):
+            return value
+        other = right(ev, refs)
+        if isinstance(other, ErrorValue):
+            return other
+        return _binary(op, value, other)
+
+    return binary
+
+
+def _call_kernel(node: Call, slots: dict[int, int]) -> _Kernel:
+    name = node.name.upper()
+    spec = _function(name, len(node.args))
+    if isinstance(spec, ErrorValue):
+        return _constant(spec)
+    steps = []
+    for step in spec.steps:
+        how, reads, check = _argument(step, node.args, name)
+        if how is _DEFAULT:
+            steps.append(_constant(reads))
+        elif how is _COLLECT:
+            steps.append(_collect_kernel(*reads, slots))
+        else:
+            steps.append(_check_kernel(_compile(reads, slots), check, name, step[1]))
+    apply = spec.apply
+
+    def call(ev: Evaluator, refs: list[str]) -> CellValue:
+        values = []
+        for step in steps:
+            value = step(ev, refs)
+            if isinstance(value, ErrorValue):
+                return value
+            values.append(value)
+        return apply(values)
+
+    return call
+
+
+def _check_kernel(operand: _Kernel, check: Callable, fname: str, param: str) -> _Kernel:
+    return lambda ev, refs: check(operand(ev, refs), fname, param)
+
+
+def _collect_kernel(nodes: _Args, fname: str, strict: bool, kind: type, noun: str, slots: dict[int, int]) -> _Kernel:
+    """Evaluator._numbers over nodes, for a template."""
+    items = []  # each (evaluator, refs, values) -> the error that stops the collection, or None
+    for node in nodes:
+        if type(node) is EmptyArg:
+            error = _empty_slot(fname)
+            items.append(lambda ev, refs, values, error=error: error)
+        elif type(node) is RangeRef:
+            slot = slots[id(node)]
+            items.append(lambda ev, refs, values, slot=slot: ev._range(
+                _range_at(refs, slot), values, fname, strict, kind, noun
+            ))
+        else:
+            operand = _compile(node, slots)
+            items.append(lambda ev, refs, values, operand=operand: _append_number(
+                operand(ev, refs), values, fname
+            ))
+
+    def collect(ev: Evaluator, refs: list[str]) -> list | ErrorValue:
+        values: list = []
+        for item in items:
+            error = item(ev, refs, values)
+            if error is not None:
+                return error
+        return values
+
+    return collect
 
 
 def evaluate(node: FormulaNode, sheet: Sheet) -> CellValue:

@@ -10,12 +10,13 @@ too, so one cache serves every workbook of an audit run.  The first cell with
 a key is parsed as usual and gets the key's Shape.  When the key comes again,
 that cell's tree becomes the shape's template, whose reference nodes each
 hold a slot among a text's references, and each cell with the key keeps the
-shape and its text.  The evaluator and the audit walk the template and read
-each reference by its slot among the references of the cell's text, as the
-text writes it (Shape.refs: '$b$5', say), so no tree is built for the cell;
-its own tree is parse() of its text, made only when something reads
-cell.formula.  The key keeps the boundaries between the texts, since '=-A1'
-and '=A1-B1' join to the same string.
+shape and its text.  The evaluator runs the template compiled (the shape's
+kernel) and the audit walks it; both read each reference by its slot among
+the references of the cell's text, as the text writes it (Shape.refs:
+'$b$5', say), so no tree is built for the cell; its own tree is parse() of
+its text, made only when something reads cell.formula.  The key keeps the
+boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
+string.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ class Shape:
     CellRef and RangeRef nodes, by identity, to its place among a text's
     references: a range has its start corner's place and its end corner's
     next to it.  A key whose template check fails keeps neither.  rules is
-    where audit.run_rules keeps its plan of the template's nodes, once the
-    shape has a template."""
+    where audit.run_rules keeps its plan of the template's nodes, and kernel
+    the evaluator's compiled template, once the shape has a template."""
 
-    __slots__ = ("rules", "template", "slots", "_first")
+    __slots__ = ("rules", "kernel", "template", "slots", "_first")
 
     def __init__(self, tree: FormulaNode, text: str) -> None:
-        self.rules = None
+        self.rules = self.kernel = None
         self.template: FormulaNode | None = None
         self.slots: dict[int, int] | None = None
         self._first: tuple[weakref.ref, str] | None = (weakref.ref(tree), text)

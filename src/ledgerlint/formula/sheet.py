@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from ..daycount import ISO_DATE_RE, parse_date, read_number
-from .ast import CellRef, FormulaNode, column_to_index, format_number, index_to_column
+from .ast import FormulaNode, column_to_index, format_number, index_to_column
 from .parser import ParseError, parse, parse_address
 from .shapes import Shape, ShapeCache
 
@@ -228,14 +228,13 @@ class Sheet:
     def value(self, address: str) -> CellValue:
         from .evaluator import Evaluator
 
-        return Evaluator(self).cell_value(CellRef(*parse_address(address)).address)
+        return Evaluator(self).cell_value("{}{}".format(*parse_address(address)))
 
     def evaluate_all(self) -> dict[str, CellValue]:
         """Evaluate every populated cell; returns address -> value."""
         from .evaluator import Evaluator
 
-        evaluator = Evaluator(self)
-        return {address: evaluator.cell_value(address) for address in self.cells}
+        return Evaluator(self).evaluate_all()
 
 
 def _numbered(rows: Iterable[list[str]]) -> Iterator[tuple[int, Iterator[tuple[int, str]]]]:

@@ -328,14 +328,14 @@ def test_per_shape_findings_equal_a_per_cell_audit_across_sheets(walks, enabled)
 
 @pytest.mark.parametrize(
     "template,step,cells",
-    [("=A{n}+1", lambda v: v + 1, 300), ("=SUM(A{n},1)*2", lambda v: (v + 1) * 2, 130)],
+    [("=A{n}+1", lambda v: v + 1, 5000), ("=SUM(A{n},2)-1", lambda v: v + 1, 5000)],
+    ids=["reference", "sum"],
 )
 def test_a_downward_chain_of_one_shape_evaluates_and_audits(
     tmp_path, capsys, monkeypatch, template, step, cells
 ):
-    # The evaluator recurses from cell to cell, reading each cell of the
-    # shape through its template; these depths must stay within the recursion
-    # limit until evaluation stops recursing.
+    # each cell of the shape is read through its template's kernel, from a
+    # chain far deeper than the interpreter's recursion limit
     monkeypatch.delenv(RULES_ENV_VAR, raising=False)
     # A1:A{cells} each read the cell below, down to a 1; B1's rate reads A1
     rows = [[template.format(n=r + 1)] for r in range(1, cells + 1)] + [["1"]]
