@@ -8,8 +8,10 @@ with the audit's one evaluator bound to the cell, so that the node's
 references and values are the cell's own and no cell's tree is built.  A
 check returns what it found, a message and its evidence; run_rules alone
 turns that into a Finding, with the rule's id, its configured severity and
-the cell.  Checks are stateless, skip anything they cannot interpret, and
-never abort an audit.
+the cell.  A check reads a call's argument as the call itself would get it
+(Evaluator.argument, by FUNCTION_CATALOG): its default when omitted, its
+checked value, or the error that stops the call.  Checks are stateless, skip
+anything they cannot interpret, and never abort an audit.
 """
 
 from __future__ import annotations
@@ -158,18 +160,10 @@ def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None):
 
 
 def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
-    if len(node.args) < 4:
-        return None
-    settlement = _resolved(values, node.args[0], dt.date)
-    maturity = _resolved(values, node.args[1], dt.date)
-    if settlement is None or maturity is None:
-        return None
-    index = BASIS_POSITIONS["INTRATE"]
-    basis = FUNCTION_CATALOG["INTRATE"].params[index].default
-    if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
-        basis = values.day_count(node.args, index, "INTRATE", "basis")
-        if isinstance(basis, ErrorValue):  # 2.5, 5, nan, text and errors are no basis
-            return None
+    settlement, maturity = values.argument(node, 0), values.argument(node, 1)
+    basis = values.argument(node, BASIS_POSITIONS["INTRATE"])  # 2.5, 5, nan and text are no basis
+    if any(isinstance(value, ErrorValue) for value in (settlement, maturity, basis)):
+        return None  # INTRATE itself would fail
     try:
         span = year_fraction(settlement, maturity, basis)
     except ValueError:
@@ -185,26 +179,21 @@ def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
 
 
 def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None):
-    if len(node.args) < 5 or isinstance(node.args[4], EmptyArg):
-        return None
-    month_arg = node.args[4]
-    month = _resolved(values, month_arg, float)
-    if month is None or not month < 12.0:  # a nan month skips too
+    month = values.argument(node, 4)  # an integer, 12 when omitted
+    if isinstance(month, ErrorValue) or not 1 <= month < 12:  # DB itself fails outside 1..12
         return None
     return (
         f"DB with month={format_number(month)} takes a partial first year; "
         "the schedule needs an extra final period (life+1 rows) or total "
         "depreciation will not reconcile with cost minus salvage",
-        _ref_evidence(values, month_arg),
+        _ref_evidence(values, node.args[4]),
     )
 
 
 def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float):
     index = RATE_POSITIONS[node.name]
-    if len(node.args) <= index or isinstance(node.args[index], EmptyArg):
-        return None
-    rate = _resolved(values, node.args[index], float)
-    if rate is None or not rate >= threshold:  # a nan rate skips too
+    rate = values.argument(node, index)
+    if isinstance(rate, ErrorValue) or not rate >= threshold:  # a nan rate skips too
         return None
     return (
         f"rate argument of {node.name} resolves to {format_number(rate)}; "
@@ -409,9 +398,7 @@ class RuleConfig:
         unknown_fields = set(data) - {"enabled", "thresholds", "severities"}
         if unknown_fields:
             raise ValueError(f"unknown config fields: {sorted(unknown_fields)}")
-        enabled = data.get("enabled")
-        if enabled is None:
-            enabled = list(RULE_IDS)
+        enabled = data.get("enabled", list(RULE_IDS))
         if not isinstance(enabled, list) or not all(isinstance(r, str) for r in enabled):
             raise ValueError(f"enabled must be a list of rule ids, got {enabled!r}")
         for rule_id in sorted(set(enabled) - set(RULE_IDS)):

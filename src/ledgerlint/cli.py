@@ -34,7 +34,7 @@ def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
             raise ValueError(f"binding {binding!r} must look like A1=value")
         column, row = parse_address(address.strip().upper())
         placed.setdefault(row, {})[column_to_index(column)] = text
-    return Sheet(((row, sorted(placed[row].items())) for row in sorted(placed)), name="bindings")
+    return Sheet(((row, sorted(placed[row].items())) for row in sorted(placed)))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -19,9 +19,13 @@ closure per template node, built on the shape's first evaluation, that reads
 each reference from the cell's own text by its slot (Shape.refs), as the text
 writes it.  The catalog lookup, the arity check and the argument errors of
 EmptyArg and RangeRef nodes are decided when the kernel is built, and so is
-the value of a subtree with no reference.  Any other formula is its own tree,
-walked by eval_node.  Both share the value-level rules below (operators,
-negation, argument checks, range reads), so each is stated once.
+the value of a subtree with no reference; a step that collects values (NPV's,
+SUM's) runs Evaluator._numbers with the cell bound, as the audit binds it.
+Any other formula is its own tree, walked by eval_node.  Both share the
+value-level rules below (operators, negation, argument checks, range reads),
+so each is stated once.  Evaluator.argument gives what a call passes for one
+parameter, as FUNCTION_CATALOG reads it: the audit's rules read a call's
+arguments through it, and the evaluator's own calls through its _pass.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -217,22 +221,6 @@ def _as_basis(value: CellValue, fname: str, param: str) -> DayCountBasis | Error
     return BASIS_CODES[code]
 
 
-def _empty_slot(fname: str) -> ErrorValue:
-    return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
-
-
-def _append_number(value: CellValue, values: list, fname: str) -> ErrorValue | None:
-    """Append value, a scalar among collected values, or return why it cannot be one."""
-    if isinstance(value, ErrorValue):
-        return value
-    if not isinstance(value, float):
-        return ErrorValue(
-            ErrorKind.ARGUMENT, f"{fname}: values must be numbers, got {_type_name(value)}"
-        )
-    values.append(value)
-    return None
-
-
 # evaluation by an explicit stack
 
 
@@ -277,7 +265,7 @@ class Evaluator:
                 except _Miss:  # evaluated again, on the stack
                     self._settle(address)
         finally:
-            self._evaluating = False
+            self._refs, self._evaluating = None, False  # a kernel's collect step binds its cell
         return {address: cache[address] for address in cells}
 
     # binding, for the audit's checks
@@ -426,30 +414,37 @@ class Evaluator:
 
     def _call(self, node: Call) -> CellValue:
         name = node.name.upper()
-        args = node.args
-        spec = _function(name, len(args))
+        spec = _function(name, len(node.args))
         if isinstance(spec, ErrorValue):
             return spec
         values = []
         for step in spec.steps:
-            how, reads, check = _argument(step, args, name)
-            if how is _DEFAULT:
-                value = reads
-            elif how is _COLLECT:
-                value = self._numbers(*reads)
-            else:
-                value = check(self.eval_node(reads), name, step[1])
+            value = self._pass(step, node.args, name)
             if isinstance(value, ErrorValue):
                 return value
             values.append(value)
         return spec.apply(values)
 
-    def day_count(self, args: _Args, index: int, fname: str, param: str) -> DayCountBasis | ErrorValue:
-        """The day-count basis args[index] gives, checked as a BASIS argument."""
-        node = args[index]
-        if type(node) is EmptyArg or type(node) is RangeRef:
-            return _argument_error(node, fname, param)
-        return _as_basis(self.eval_node(node), fname, param)
+    def argument(self, node: Call, index: int) -> object:
+        """What the call node passes for its parameter at index (see
+        FUNCTION_CATALOG): the parameter's default when the argument is
+        omitted, the argument's value after the check of the parameter's role,
+        or the ErrorValue that stops the call there, an unknown function or a
+        wrong number of arguments included."""
+        name = node.name.upper()
+        spec = _function(name, len(node.args))
+        if isinstance(spec, ErrorValue):
+            return spec
+        return self._pass(spec.steps[index], node.args, name)
+
+    def _pass(self, step: tuple, args: _Args, fname: str) -> object:
+        """What a call passes for the parameter of step (see argument)."""
+        how, reads, check = _argument(step, args, fname)
+        if how is _DEFAULT:
+            return reads
+        if how is _COLLECT:
+            return self._numbers(*reads)
+        return check(self.eval_node(reads), fname, step[1])
 
     def _numbers(self, nodes: _Args, fname: str, strict: bool, kind=float, noun="number") -> list | ErrorValue:
         """Collect values of kind from scalars and ranges, row-major within
@@ -457,13 +452,20 @@ class Evaluator:
         values: list = []
         for node in nodes:
             if type(node) is EmptyArg:
-                return _empty_slot(fname)
+                return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if type(node) is RangeRef:
                 error = self._range(self.ref(node), values, fname, strict, kind, noun)
-            else:
-                error = _append_number(self.eval_node(node), values, fname)
-            if error is not None:
-                return error
+                if error is not None:
+                    return error
+                continue
+            value = self.eval_node(node)
+            if isinstance(value, ErrorValue):
+                return value
+            if not isinstance(value, float):
+                return ErrorValue(
+                    ErrorKind.ARGUMENT, f"{fname}: values must be numbers, got {_type_name(value)}"
+                )
+            values.append(value)
         return values
 
     def _range(self, ref: RangeRef, values: list, fname: str, strict: bool, kind: type, noun: str) -> ErrorValue | None:
@@ -793,7 +795,7 @@ def _call_kernel(node: Call, slots: dict[int, int]) -> _Kernel:
         if how is _DEFAULT:
             steps.append(_constant(reads))
         elif how is _COLLECT:
-            steps.append(_collect_kernel(*reads, slots))
+            steps.append(_collect_kernel(reads, slots))
         else:
             steps.append(_check_kernel(_compile(reads, slots), check, name, step[1]))
     apply = spec.apply
@@ -814,31 +816,13 @@ def _check_kernel(operand: _Kernel, check: Callable, fname: str, param: str) -> 
     return lambda ev, refs: check(operand(ev, refs), fname, param)
 
 
-def _collect_kernel(nodes: _Args, fname: str, strict: bool, kind: type, noun: str, slots: dict[int, int]) -> _Kernel:
-    """Evaluator._numbers over nodes, for a template."""
-    items = []  # each (evaluator, refs, values) -> the error that stops the collection, or None
-    for node in nodes:
-        if type(node) is EmptyArg:
-            error = _empty_slot(fname)
-            items.append(lambda ev, refs, values, error=error: error)
-        elif type(node) is RangeRef:
-            slot = slots[id(node)]
-            items.append(lambda ev, refs, values, slot=slot: ev._range(
-                _range_at(refs, slot), values, fname, strict, kind, noun
-            ))
-        else:
-            operand = _compile(node, slots)
-            items.append(lambda ev, refs, values, operand=operand: _append_number(
-                operand(ev, refs), values, fname
-            ))
+def _collect_kernel(reads: tuple, slots: dict[int, int]) -> _Kernel:
+    """Evaluator._numbers over a template's arguments, with the cell bound as
+    bind binds it; _settle restores the bind it found, and evaluate_all unbinds."""
 
     def collect(ev: Evaluator, refs: list[str]) -> list | ErrorValue:
-        values: list = []
-        for item in items:
-            error = item(ev, refs, values)
-            if error is not None:
-                return error
-        return values
+        ev._refs, ev._slots = refs, slots
+        return ev._numbers(*reads)
 
     return collect
 

@@ -14,7 +14,10 @@ shape and its text.  The evaluator runs the template compiled (the shape's
 kernel) and the audit walks it; both read each reference by its slot among
 the references of the cell's text, as the text writes it (Shape.refs:
 '$b$5', say), so no tree is built for the cell; its own tree is parse() of
-its text, made only when something reads cell.formula.  The key keeps the
+its text, made only when something reads cell.formula.  Where the kernel
+collects values (SUM's, NPV's), it binds the cell's references to the
+template's slots, as the audit does, and walks those arguments with the
+evaluator's own reader.  The key keeps the
 boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
 string.
 """

@@ -154,7 +154,6 @@ class Sheet:
     def __init__(
         self,
         rows: Iterable[tuple[int, Iterable[tuple[int, str]]]],
-        name: str = "sheet",
         shapes: ShapeCache | None = None,
     ):
         """Place raw cell texts given as (row, [(column, text), ...]), counting from 1.
@@ -165,7 +164,6 @@ class Sheet:
         None.
         """
         self.cells: dict[str, Cell] = {}
-        self.name = name
         self._values: dict[str, CellValue] = {}
         self._index: dict[int, tuple[str, list[int], list[str]]] = {}
         cells, index = self.cells, self._index
@@ -197,10 +195,12 @@ class Sheet:
 
     @classmethod
     def from_rows(
-        cls, rows: Iterable[list[str]], name: str = "sheet", shapes: ShapeCache | None = None
+        cls, rows: Iterable[list[str]], name: object = None, shapes: ShapeCache | None = None
     ) -> "Sheet":
-        """Place a grid given as one list of raw texts per row; rows may come lazily."""
-        return cls(_numbered(rows), name=name, shapes=shapes)
+        """Place a grid given as one list of raw texts per row; rows may come lazily.
+
+        A sheet has no name; name is ignored (perfbench/run.py passes one)."""
+        return cls(_numbered(rows), shapes=shapes)
 
     def range_addresses(self, ref) -> list[str]:
         """Populated addresses inside a RangeRef, row-major.
@@ -258,18 +258,9 @@ def load_workbook(path: str | os.PathLike, shapes: ShapeCache | None = None) -> 
     """Load a CSV grid; row 1 is the first CSV record, column A the first field.
 
     Records are placed as the reader yields them, so only one is held at a
-    time, not the whole grid with its empty fields.  The sheet is named after
-    the file, its extension dropped.  Formulas are parsed through shapes, a
-    fresh cache when None.
+    time, not the whole grid with its empty fields.  Formulas are parsed
+    through shapes, a fresh cache when None.
     """
-    name = _stem(path)
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        return Sheet.from_rows(csv.reader(handle), name=name, shapes=shapes)
-
-
-def _stem(path: str | os.PathLike) -> str:
-    """The file name without its last suffix, as pathlib's PurePath.stem has it."""
-    name = os.path.basename(os.fspath(path))
-    dot = name.rfind(".")
-    return name[:dot] if 0 < dot < len(name) - 1 else name
+        return Sheet.from_rows(csv.reader(handle), shapes=shapes)

@@ -12,7 +12,8 @@ must read as the same address.
 
 sheets() draws the layout with hypothesis and each cell's choices from a
 seeded Random, so that a grid of thousands of cells costs a handful of draws;
-every move costs the same at any size.
+every move costs the same at any size.  REPROS are the two books that broke
+evaluation when it recursed from cell to cell.
 """
 
 import random
@@ -98,3 +99,12 @@ def sheets(draw, min_rows: int = 1, max_rows: int = 30, max_cols: int = 3) -> li
         grid = {(r, c): text for (c, r), text in grid.items()}
         cols, n = n, cols
     return [[grid[c, r] for c in range(1, cols + 1)] for r in range(1, n + 1)]
+
+
+# the books that broke evaluation's recursion: a running balance read from
+# its far end by an NPV above it, and a chain running down from an NPV's rate
+REPROS = {
+    "running balance": [["1", "=NPV(A400/1000,1,2)"]] + [[f"=A{r - 1}+1"] for r in range(2, 402)],
+    "chain down": [[f"=A{r + 1}+1"] for r in range(1, 401)] + [["1"]],
+}
+REPROS["chain down"][0].append("=NPV(A2/1000,1,2)")

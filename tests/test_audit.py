@@ -19,7 +19,7 @@ from ledgerlint.audit import (
     run_rules,
     to_record,
 )
-from ledgerlint.formula import FUNCTION_CATALOG, Binary, Sheet, load_workbook, parse
+from ledgerlint.formula import FUNCTION_CATALOG, Binary, ErrorValue, Sheet, load_workbook, parse
 from ledgerlint.formula.evaluator import Evaluator
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -196,6 +196,7 @@ def test_rule_config_validation():
         ({"thresholds": {"R5": True}}, "threshold for R5 must be positive, got True"),
         ({"thresholds": {"R3": "2"}}, "threshold for R3 must be positive, got '2'"),
         ({"enabled": ["R1"], "extra": 1}, "unknown config fields: ['extra']"),
+        ({"enabled": None}, "enabled must be a list of rule ids, got None"),
     ],
 )
 def test_rule_config_shape_checks(data, message):
@@ -281,6 +282,31 @@ def test_r1_and_r5_resolve_whole_sheet_ranges():
     r5 = run_rules(Sheet.from_rows([[pmt, "5"]]))
     assert [(f.rule_id, f.cell) for f in r5] == [("R5", "A1")]
     assert "resolves to 5;" in r5[0].message
+
+
+@pytest.mark.parametrize("in_cell", [False, True], ids=["literal", "cell"])
+@pytest.mark.parametrize("month,fires", [("7", True), ("0", False), ("-3", False), ("7.5", False)])
+def test_r4_reads_the_month_as_db_does(month, fires, in_cell):
+    """Only an integer month from 1 to 11 is a partial first year; any other
+    month makes DB itself fail, so there is no schedule to warn about."""
+    sheet = Sheet.from_rows([[f"=DB(1000,100,5,1,{'B1' if in_cell else month})", month]])
+    assert isinstance(sheet.value("A1"), ErrorValue) is not fires
+    findings = run_rules(sheet)
+    assert [(f.rule_id, f.evidence) for f in findings] == (
+        [("R4", (("B1", month),) if in_cell else ())] if fires else []
+    )
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["=PMT(5,12)", "=NPV(5)", "=DB(1000,100,5,1,7,1)", "=INTRATE(B1,C1,100,125,0,1)"],
+)
+def test_a_call_with_the_wrong_number_of_arguments_gets_no_argument_finding(formula):
+    """R3, R4 and R5 read arguments as the call would get them, and a call of
+    the wrong arity gets none: its value is the arity error."""
+    sheet = Sheet.from_rows([[formula, "2020-01-01", "2024-01-01"]])
+    assert "arguments, got" in sheet.value("A1").message
+    assert run_rules(sheet, RuleConfig(enabled=frozenset({"R3", "R4", "R5"}))) == []
 
 
 def test_r6_bounds_on_date_components():

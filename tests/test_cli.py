@@ -1,13 +1,20 @@
 """Command-line behavior: subcommands, exit codes, output formats."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from sheet_strategies import REPROS, sheets
 
+from ledgerlint.audit import RULE_IDS
 from ledgerlint.cli import RULES_ENV_VAR, main
 from ledgerlint.loan import implied_monthly_rate
 
@@ -578,6 +585,71 @@ def test_invalid_input_prints_one_error_line_and_exits_2(tmp_path, capsys, argv)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith("\n") and "Traceback" not in captured.err
+
+
+def _csv_bytes(rows) -> bytes:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+_PIECES = [
+    "=", "A1", "$A$1", "b2", "A1:B3", "$A1:A$9", "SUM(", "NPV(", "PMT(", "DB(", "INTRATE(", "XNPV(",
+    "ACCRINT(", "DAYS360(", "EFFECT(", ")", ",", "+", "-", "*", "/", "^", "&", "<>", "1", "0.05",
+    "12", "1e308", "5%", '"', "x", "2024-01-31", " ", "\n", "\x00", "é",
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_RULE_ID = st.sampled_from([*RULE_IDS, "R99"])
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "enabled": st.lists(_RULE_ID, max_size=3) | _JSON,
+    "thresholds": st.dictionaries(_RULE_ID, st.floats() | st.integers() | _JSON, max_size=2) | _JSON,
+    "severities": st.dictionaries(_RULE_ID, st.sampled_from(["error", "info", "fatal"]) | _JSON, max_size=2),
+}) | st.dictionaries(st.text(max_size=10), _JSON, max_size=2)
+_CALLS = st.builds(
+    "={}({})".format,
+    st.sampled_from(["PMT", "NPV", "DB", "INTRATE", "ACCRINT", "DAYS360", "SUM"]),
+    st.lists(st.sampled_from(["A1", "B1", "A1:B2", "5", "0.05", "7", "0", "", "-1", '"x"']), max_size=6)
+    .map(",".join),
+)
+_CELLS = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join) | _CALLS
+BOOKS = (
+    st.binary(max_size=40)
+    | st.lists(st.lists(_CELLS, max_size=4), max_size=5).map(_csv_bytes)
+    | sheets(max_rows=20).map(_csv_bytes)
+)
+RULE_CONFIGS = st.one_of(
+    st.none(),
+    _CONFIGS.map(json.dumps).map(str.encode),
+    _JSON.map(json.dumps).map(str.encode),
+    st.binary(max_size=20),
+)
+
+
+# the autouse fixture clears the rules variable once, which holds for every example
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(BOOKS, RULE_CONFIGS, st.sampled_from(["text", "structured"]))
+@example(_csv_bytes(REPROS["running balance"]), None, "text")
+@example(_csv_bytes(REPROS["chain down"]), None, "structured")
+@example(_csv_bytes([["5", f"=PMT($A$1,12,{r}00)"] for r in range(1, 40)]), b'{"enabled": ["R5"]}', "text")
+def test_an_audit_exits_0_1_or_2_whatever_it_reads(book, config, fmt):
+    """Any CSV bytes and any rule config: exit 0, 1 or 2, no exception, and
+    stderr starts with an error: line exactly when the exit code is 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, rules = Path(tmp, "book.csv"), Path(tmp, "rules.json")
+        path.write_bytes(book)
+        argv = ["audit", "--format", fmt, str(path)]
+        if config is not None:
+            rules.write_bytes(config)
+            argv += ["--rules", str(rules)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
 
 
 # Runs the CLI as `python -m ledgerlint.cli` does, then lists every module loaded.

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sheet_strategies import sheets
+from sheet_strategies import REPROS, sheets
 
 from ledgerlint import audit
 from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
-from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, evaluator, shapes
+from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, evaluator, parse, shapes
 from ledgerlint.formula.ast import CellRef, format_number
 from ledgerlint.formula.evaluator import Evaluator, _propagated, _type_name
 
@@ -121,15 +121,6 @@ def _write(path, rows):
     return path
 
 
-# the books that broke evaluation's recursion: a running balance read from
-# its far end by an NPV above it, and a chain running down from an NPV's rate
-REPROS = {
-    "running balance": [["1", "=NPV(A400/1000,1,2)"]] + [[f"=A{r - 1}+1"] for r in range(2, 402)],
-    "chain down": [[f"=A{r + 1}+1"] for r in range(1, 401)] + [["1"]],
-}
-REPROS["chain down"][0].append("=NPV(A2/1000,1,2)")
-
-
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("name", REPROS)
 def test_the_recursion_repros_audit_with_no_traceback(tmp_path, name, fmt):
@@ -170,6 +161,14 @@ def test_a_100k_row_chain_evaluates_and_audits(tmp_path, capsys, monkeypatch, di
     assert main(["audit", str(path)]) == 1
     rate = format_number((n + 1) / 100)
     assert f"{path}:B1 R5 error rate argument of PMT resolves to {rate};" in capsys.readouterr().out
+
+
+def test_evaluate_all_leaves_no_cell_bound():
+    """A shape's collect step binds its cell's references; evaluate_all unbinds
+    when it ends, so a later walk of an own tree reads its own references."""
+    values = Evaluator(Sheet.from_rows([["1", "=SUM(A1,1)"], ["2", "=SUM(A2,1)"]]))
+    values.evaluate_all()
+    assert values.eval_node(parse("=B2*2")) == 6.0
 
 
 def _evaluated(sheet):

@@ -17,6 +17,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from sheet_strategies import sheets
 
 from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
@@ -83,6 +85,14 @@ def assert_as_parsed_per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
     assert repr(list(sheet.evaluate_all().items())) == repr(list(oracle.evaluate_all().items()))
     assert run_rules(sheet) == run_rules(oracle)
     return sheet
+
+
+@settings(max_examples=300, deadline=None)
+@given(sheets(max_rows=60))
+def test_generated_sheets_read_as_parsed_per_cell(rows):
+    assert_as_parsed_per_cell(
+        {(col, row): text for row, texts in enumerate(rows, 1) for col, text in enumerate(texts, 1)}
+    )
 
 
 def rewritten(text: str, new_ref) -> str | None:

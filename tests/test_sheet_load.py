@@ -1,14 +1,11 @@
 """Loading a grid: only populated fields reach the placing loop, with the same sheet."""
 
-import os
-from pathlib import Path, PurePath
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ledgerlint.formula import Cell, ErrorKind, ErrorValue, ParseError, Sheet, load_workbook, parse
 from ledgerlint.formula.ast import index_to_column
-from ledgerlint.formula.sheet import MAX_CELLS, _classify_literal, _stem
+from ledgerlint.formula.sheet import MAX_CELLS, _classify_literal
 
 FIELDS = [
     "", "", "", " ", "\t", " \t ", "x", "total", "1", " 2.5 ", "-3e2", "nan", "2024-01-31",
@@ -95,25 +92,3 @@ def test_max_cells_counts_every_field_read(last):
     with pytest.raises(ValueError, match=f"exceeds {MAX_CELLS} cells"):
         Sheet.from_rows(counted(full + [[""]] + [record], seen))
     assert len(seen) == len(full) + 1  # the one field past the limit stops the load
-
-
-@pytest.mark.parametrize(
-    "filename",
-    ["book.csv", "book", "book.tar.csv", ".hidden", ".hidden.csv", "..csv", "a.", "a..b", "...", "é ü.CSV"],
-)
-def test_a_sheet_is_named_as_pathlib_names_the_file(tmp_path, filename):
-    path = tmp_path / filename
-    path.write_text("1\n")
-
-    class Location:
-        def __fspath__(self):
-            return str(path)
-
-    for given_path in (path, str(path), Location(), os.path.relpath(path)):
-        assert load_workbook(given_path).name == Path(given_path).stem
-
-
-@given(st.text(st.sampled_from("ab.- _é"), min_size=1, max_size=8).filter(lambda name: name != "."))
-def test_stem_matches_pathlib(name):
-    for path in (name, f"dir/{name}", f"/d.x/{name}"):
-        assert _stem(path) == PurePath(path).stem
