@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .daycount import year_fraction
@@ -449,6 +450,18 @@ class RuleConfig:
     def severity(self, rule_id: str) -> Severity:
         return self.severities.get(rule_id, _RULES[rule_id].default_severity)
 
+    @cached_property
+    def _active(self) -> dict[str, tuple[Severity, float | None]]:
+        """(severity, threshold) of each enabled rule, by id, built once per config."""
+        return {
+            rule_id: (self.severity(rule_id), self.threshold(rule_id))
+            for rule_id in _RULES
+            if rule_id in self.enabled
+        }
+
+
+_DEFAULT_CONFIG = RuleConfig()
+
 
 def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
     """(spec, node, additive, found) for each rule and each of its trigger nodes
@@ -474,13 +487,7 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     evaluator bound to the cell.  Only a shape with a template keeps its plan:
     bind gives each of its cells that one tree, while a pending shape may
     outlive its sheet in the cache and must not keep that sheet's nodes."""
-    if config is None:
-        config = RuleConfig()
-    active = {
-        rule_id: (config.severity(rule_id), config.threshold(rule_id))
-        for rule_id in _RULES
-        if rule_id in config.enabled
-    }
+    active = (config or _DEFAULT_CONFIG)._active
     values = Evaluator(sheet)
     findings: list[Finding] = []
     for cell in sheet.cells.values():

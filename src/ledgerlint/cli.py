@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -222,11 +223,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return args.func(args)
         except ValueError as exc:  # the library's invalid-input signal, ParseError included
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_one_line(exc)}", file=sys.stderr)
             return 2
         finally:
             for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+                print(f"warning: {_one_line(warning.message)}", file=sys.stderr)
+
+
+def _one_line(message: object) -> str:
+    """str(message) with each control character escaped as repr writes it
+    ('\\n', '\\x85'), so that a diagnostic stays one line whatever it quotes."""
+    return re.sub(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]", lambda m: repr(m[0])[1:-1], str(message))
 
 
 def entrypoint() -> None:

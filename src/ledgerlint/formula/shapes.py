@@ -20,6 +20,15 @@ template's slots, as the audit does, and walks those arguments with the
 evaluator's own reader.  The key keeps the
 boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
 string.
+
+Where a cache does parse, a text that recurs verbatim (workbooks filled in
+from one template repeat them) is parsed about twice per process, not once
+per workbook: _parse keeps the last _MEMO_SIZE (512) distinct texts it was
+asked for, across caches and load_workbook calls, and keeps a text's tree only
+once it is asked for a second time among them, as TinyLFU admits only what
+recurs (Einziger, Friedman & Manes, ACM TOS 2017).  A text asked for once
+keeps only its string, so its tree still dies with its sheet, and a
+ParseError is never kept.  parse itself keeps no state.
 """
 
 from __future__ import annotations
@@ -111,14 +120,36 @@ class ShapeCache:
         if first is not None:
             shape._share(first, shape._first[1])
         elif shape is None or pending:
-            tree = parse(text)  # a ParseError leaves the key as it was
+            tree = _parse(text)  # a ParseError leaves the key as it was
             new = self._shapes[key] = Shape(tree, text)
             if shape is not None:  # the key comes again, but its first sheets are gone
                 new._share(tree, text)
             return tree, new, None
         if shape.template is None:
-            return parse(text), None, None
+            return _parse(text), None, None
         return None, shape, text
+
+
+# The texts that _parse was last asked for, least recently asked first: each
+# maps to its tree once it is asked for again, and to _ONCE until then.
+_MEMO_SIZE = 512  # distinct texts, as the re module's 512 patterns
+_ONCE = object()
+_memo: dict[str, object] = {}
+
+
+def _parse(text: str) -> FormulaNode:
+    """parse(text), keeping the tree of a text asked for again while it is
+    among the last _MEMO_SIZE distinct texts: a text asked for once keeps
+    only its string, and a ParseError is raised again, never kept."""
+    kept = _memo.pop(text, None)
+    if kept is None or kept is _ONCE:
+        tree = parse(text)  # a ParseError leaves the text unseen
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[text] = _ONCE if kept is None else tree
+        return tree
+    _memo[text] = kept
+    return kept
 
 
 def _number(node: FormulaNode, found: list[CellRef], slots: dict[int, int]) -> None:

@@ -652,6 +652,38 @@ def test_an_audit_exits_0_1_or_2_whatever_it_reads(book, config, fmt):
     assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
 
 
+# text that often breaks a line: each character str.splitlines splits at, and any other
+_LINES = st.text(st.sampled_from("\n\r\x0b\x0c\x1c\x85\u2028") | st.characters(), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["enabled", "thresholds", "severities", "severity name", "workbook"]),
+    _LINES.filter(lambda text: text not in RULE_IDS and text not in {"error", "warning", "info"}),
+)
+def test_a_diagnostic_is_one_line_whatever_it_quotes(where, text):
+    """A rule id, a severity name or a workbook path that holds a line break
+    still makes exactly one error: line, its control characters escaped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        book, rules = Path(tmp, "book.csv"), Path(tmp, "rules.json")
+        book.write_text("1\n")
+        config = {
+            "enabled": {"enabled": [text]},
+            "thresholds": {"thresholds": {text: 1}},
+            "severities": {"severities": {text: "error"}},
+            "severity name": {"severities": {"R1": text}},
+            "workbook": {},
+        }[where]
+        rules.write_text(json.dumps(config))
+        path = Path(tmp, "missing", text) if where == "workbook" else book
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["audit", str(path), "--rules", str(rules)])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+
+
 # Runs the CLI as `python -m ledgerlint.cli` does, then lists every module loaded.
 RUN_CLI = """
 import runpy, sys

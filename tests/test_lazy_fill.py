@@ -276,6 +276,7 @@ def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch
         return parse(text)
 
     monkeypatch.setattr(shapes, "parse", counted)
+    monkeypatch.setattr(shapes, "_memo", {})
     cache = shapes.ShapeCache()
     for row in range(1, 7):
         sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])], shapes=cache)

@@ -259,7 +259,7 @@ def test_repeated_unparsable_formulas_keep_their_own_messages():
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The texts that a sheet hands to parse(), in order."""
+    """The texts that a sheet hands to parse(), in order, from an empty memo."""
     texts = []
 
     def counted(text):
@@ -267,6 +267,7 @@ def parsed(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(shapes, "parse", counted)
+    monkeypatch.setattr(shapes, "_memo", {})
     return texts
 
 
@@ -334,7 +335,8 @@ def test_a_shape_once_in_each_of_three_sheets_parses_at_most_twice(parsed, dropp
             assert sheets[index].cells[f"C{row}"].formula == parse(PMT_TEXT.format(r=row))
 
 
-def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
+def test_the_cache_keeps_no_tree_of_a_dropped_sheet(monkeypatch):
+    monkeypatch.setattr(shapes, "_memo", {})  # its texts are each asked for once
     cache = shapes.ShapeCache()
     first = _pmt_sheet(1, cache)
     tree = weakref.ref(first.cells["C1"].formula)
