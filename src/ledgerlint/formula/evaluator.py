@@ -17,15 +17,19 @@ cycle: only the cells on it are CYCLE, each with its 'A1 -> B1 -> A1' path.
 A cell whose shape came before (shapes.Shape) runs the shape's kernel: a
 closure per template node, built on the shape's first evaluation, that reads
 each reference from the cell's own text by its slot (Shape.refs), as the text
-writes it.  The catalog lookup, the arity check and the argument errors of
-EmptyArg and RangeRef nodes are decided when the kernel is built, and so is
-the value of a subtree with no reference; a step that collects values (NPV's,
-SUM's) runs Evaluator._numbers with the cell bound, as the audit binds it.
-Any other formula is its own tree, walked by eval_node.  Both share the
-value-level rules below (operators, negation, argument checks, range reads),
-so each is stated once.  Evaluator.argument gives what a call passes for one
-parameter, as FUNCTION_CATALOG reads it: the audit's rules read a call's
-arguments through it, and the evaluator's own calls through its _pass.
+writes it.  evaluate_all calls a kernel itself, and _settle through _value.
+The catalog lookup, the arity check and the argument errors of EmptyArg and
+RangeRef nodes are decided when the kernel is built, and so is the value of
+a subtree with no reference; a step that collects values (NPV's, SUM's) runs
+Evaluator._numbers with the cell bound, as the audit binds it.  Any other
+formula is its own tree, walked by eval_node.  Both share the value-level
+rules below (operators, negation, argument checks, range reads), so each is
+stated once.  _binary tries its commonest case first, + - * / on two floats,
+and leaves a zero divisor, a result that is not finite and every other
+operator or operand to the case that states its rule.  Evaluator.argument
+gives what a call passes for one parameter, as FUNCTION_CATALOG reads it: the
+audit's rules read a call's arguments through it, and the evaluator's own
+calls through its _pass.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -129,9 +133,13 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 
 def _binary(op: str, left: CellValue, right: CellValue) -> CellValue:
     """op over the values of its two operands, neither an error."""
-    if op == "&":
+    # the commonest case first: + - * / on two floats, a divisor of 0.0 or
+    # -0.0 aside (both are false); every other case takes its branch below
+    if left.__class__ is float and right.__class__ is float and op in _ARITHMETIC and (right or op != "/"):
+        result = _ARITHMETIC[op](left, right)
+    elif op == "&":
         return format_value(left) + format_value(right)
-    if op in _COMPARISONS:
+    elif op in _COMPARISONS:
         # every operand here is exactly a float, a date or a str
         if type(left) is not type(right):
             return ErrorValue(
@@ -139,17 +147,16 @@ def _binary(op: str, left: CellValue, right: CellValue) -> CellValue:
                 f"cannot compare {_type_name(left)} with {_type_name(right)}",
             )
         return 1.0 if _COMPARISONS[op](left, right) else 0.0
-    both_numbers = isinstance(left, float) and isinstance(right, float)
-    if op == "-" and isinstance(left, dt.date) and isinstance(right, dt.date):
+    elif op == "-" and isinstance(left, dt.date) and isinstance(right, dt.date):
         return float((left - right).days)
-    if not both_numbers:
+    elif not (isinstance(left, float) and isinstance(right, float)):
         return ErrorValue(
             ErrorKind.VALUE,
             f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}",
         )
-    if op == "/" and right == 0.0:
+    elif op == "/" and right == 0.0:
         return ErrorValue(ErrorKind.DIV0, "division by zero")
-    if op == "^":
+    elif op == "^":
         try:
             result = left ** right
         except ZeroDivisionError:
@@ -160,8 +167,6 @@ def _binary(op: str, left: CellValue, right: CellValue) -> CellValue:
             return ErrorValue(
                 ErrorKind.VALUE, "negative base with fractional exponent"
             )
-    elif op in _ARITHMETIC:
-        result = _ARITHMETIC[op](left, right)
     else:
         raise ValueError(f"unknown operator {op!r}")
     if math.isfinite(result):
@@ -260,13 +265,18 @@ class Evaluator:
             for address, cell in cells.items():
                 if address in cache:
                     continue
+                source = cell.source
                 try:
-                    cache[address] = self._value(cell)
+                    if source is None:
+                        cache[address] = self._value(cell)
+                    else:  # a shared shape's kernel, called here as _value would
+                        shape = cell.shape
+                        cache[address] = (shape.kernel or _build_kernel(shape))(self, shape.refs(source))
                 except _Miss:  # evaluated again, on the stack
                     self._settle(address)
         finally:
             self._refs, self._evaluating = None, False  # a kernel's collect step binds its cell
-        return {address: cache[address] for address in cells}
+        return dict(zip(cells, map(cache.__getitem__, cells)))
 
     # binding, for the audit's checks
 

@@ -110,11 +110,14 @@ class ShapeCache:
         """(tree, shape, source) of a formula text, or the ParseError of parse(text).
 
         A text whose key came before and shares its tree gets tree None and
-        source text: it is read through shape's template.  Any other gets
-        tree parse(text) and its key's new shape, or None for a key whose
-        tree cannot be shared."""
+        source text: it is read through shape's template.  That is the
+        commonest case, so a key with a template is looked up first.  Any
+        other text gets tree parse(text) and its key's new shape, or None for
+        a key whose tree cannot be shared."""
         key = tuple(_REFS.split(text))
         shape = self._shapes.get(key)
+        if shape is not None and shape.template is not None:  # then _first is None
+            return None, shape, text
         pending = shape is not None and shape._first is not None
         first = shape._first[0]() if pending else None
         if first is not None:

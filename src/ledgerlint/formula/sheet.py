@@ -13,7 +13,9 @@ load.
 A load costs the populated fields of the CSV, not its grid: a record with no
 non-empty field, and each empty field of any other record, is passed over in C
 (``any`` and ``itertools.compress``), so the Python loop that places cells sees
-only fields with text.  ``MAX_CELLS`` still counts every field read.
+only fields with text.  ``MAX_CELLS`` still counts every field read.  That
+loop looks the cache's ``parse`` up once per sheet and passes each ``Cell`` its
+fields by position, the cheaper call.
 """
 
 from __future__ import annotations
@@ -167,8 +169,7 @@ class Sheet:
         self._values: dict[str, CellValue] = {}
         self._index: dict[int, tuple[str, list[int], list[str]]] = {}
         cells, index = self.cells, self._index
-        if shapes is None:
-            shapes = ShapeCache()
+        parse_text = (ShapeCache() if shapes is None else shapes).parse
         for row_index, fields in rows:
             row_text = str(row_index)
             for col_index, raw in fields:
@@ -181,13 +182,13 @@ class Sheet:
                 address = column[0] + row_text
                 if text.startswith("="):
                     try:
-                        tree, shape, source = shapes.parse(text)
+                        tree, shape, source = parse_text(text)
                     except ParseError as exc:
-                        cell = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
+                        cell = Cell(address, None, None, ErrorValue(ErrorKind.PARSE, str(exc)))
                     else:
-                        cell = Cell(address, formula=tree, shape=shape, source=source)
+                        cell = Cell(address, None, tree, None, shape, source)
                 else:
-                    cell = Cell(address, literal=_classify_literal(text))
+                    cell = Cell(address, _classify_literal(text))
                 cells[address] = cell
                 column[1].append(row_index)
                 column[2].append(address)

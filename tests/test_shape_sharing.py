@@ -7,6 +7,7 @@ the same, in the same order.  Sheets that share one cache, as the workbooks
 of an audit run do, are compared with sheets that each have their own.
 """
 
+import collections
 import gc
 import importlib.util
 import json
@@ -293,6 +294,48 @@ def test_the_loan_book_makes_at_most_10_parses(parsed):
         parsed.clear()
         Sheet(_rows(book.grid))
         assert 0 < len(parsed) <= 10, parsed
+
+
+@pytest.fixture
+def shaped(monkeypatch):
+    """The trees that get a new Shape, in order."""
+    trees = []
+    init = shapes.Shape.__init__
+
+    def counted(self, tree, text):
+        trees.append(tree)
+        init(self, tree, text)
+
+    monkeypatch.setattr(shapes.Shape, "__init__", counted)
+    return trees
+
+
+def test_template_hits_make_no_parse_and_no_shape(parsed, shaped):
+    # the full seed-5 loan book: 21,004 formulas, 20,996 of them template hits
+    book = _load_workloads().loanbook(5).books[0]
+    sheet = Sheet(_rows(book.grid))
+    hits = sum(cell.source is not None for cell in sheet.cells.values())
+    assert (len(parsed), len(shaped), hits) == (8, 8, 20_996)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheets(max_rows=60))
+def test_a_load_parses_each_formula_at_most_once(rows):
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    with pytest.MonkeyPatch.context() as patch:  # a fresh cache and an empty memo
+        patch.setattr(shapes, "parse", counted)
+        patch.setattr(shapes, "_memo", {})
+        sheet = Sheet.from_rows(rows)
+    formulas = [text.strip() for row in rows for text in row if text.strip().startswith("=")]
+    hits = sum(cell.source is not None for cell in sheet.cells.values())
+    # a template hit parses nothing, and any other formula parses at most once
+    assert len(texts) + hits <= len(formulas)
+    assert not collections.Counter(texts) - collections.Counter(formulas)
 
 
 def test_the_key_costs_less_than_a_parse():
