@@ -486,7 +486,7 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     A plan holds trigger nodes, and a cell's own checks run on them with the
     evaluator bound to the cell.  Only a shape with a template keeps its plan:
     bind gives each of its cells that one tree, while a pending shape may
-    outlive its sheet in the cache and must not keep that sheet's nodes."""
+    outlive its sheet in the shape table and must not keep that sheet's nodes."""
     active = (config or _DEFAULT_CONFIG)._active
     values = Evaluator(sheet)
     findings: list[Finding] = []

@@ -1,9 +1,11 @@
 """Command-line front end: evaluate formulas, audit workbooks, build schedules.
 
 Exit codes are a function of findings and input validity only, never of the
-output format: 0 clean, 1 findings or discrepancies, 2 invalid input.  A
-subcommand raises ValueError for invalid input and main alone prints: one
-`error:` line for it, and one `warning:` line for each library warning.
+output format: 0 clean, 1 findings or discrepancies, 2 invalid input or
+output that cannot be written (stdout closed early included).  A subcommand
+raises ValueError for invalid input and main alone prints: one `error:` line
+for it or for a closed stdout, and one `warning:` line for each library
+warning.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .audit import RuleConfig, Severity, render_text, run_rules, to_record
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
 from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse, parse_address
 from .formula.ast import column_to_index, format_number
-from .formula.shapes import ShapeCache
 from .formula.sheet import format_value
 from .rates import PeriodicConvention, parse_rate
 
@@ -76,10 +77,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             return json.dumps(to_record(finding, path))
 
     worst_is_actionable = False
-    shapes = ShapeCache()  # one for the run: a class's workbooks share their shapes
     for path in args.workbooks:
         try:
-            sheet = load_workbook(path, shapes)
+            sheet = load_workbook(path)
         except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, oversized
             raise ValueError(f"{path}: {exc}") from exc
         findings = run_rules(sheet, config)
@@ -221,7 +221,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+            return code
+        except BrokenPipeError as exc:  # the reader closed stdout, as `| head` does
+            # what stdout still holds goes to devnull, so the last flush at exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+            return 2
         except ValueError as exc:  # the library's invalid-input signal, ParseError included
             print(f"error: {_one_line(exc)}", file=sys.stderr)
             return 2

@@ -1,4 +1,4 @@
-"""Formulas that share a shape are parsed once per cache and read through one template.
+"""Formulas that share a shape are parsed once per process and read through one template.
 
 A formula filled down or across a sheet keeps its text and moves its
 references with the cell, so its shape key is the tuple of texts between its
@@ -6,29 +6,21 @@ reference tokens: the cells of a filled range share it, whatever their
 references and '$' anchors, as spreadsheet files share one formula over a
 filled range (ECMA-376, <f t="shared">; Sestoft, Spreadsheet Implementation
 Technology, 2014).  Workbooks built from one template or wizard share keys
-too, so one cache serves every workbook of an audit run.  The first cell with
-a key is parsed as usual and gets the key's Shape.  When the key comes again,
-that cell's tree becomes the shape's template, whose reference nodes each
-hold a slot among a text's references, and each cell with the key keeps the
-shape and its text.  The evaluator runs the template compiled (the shape's
-kernel) and the audit walks it; both read each reference by its slot among
-the references of the cell's text, as the text writes it (Shape.refs:
+too, so one table per process (_table) serves every sheet.  The first cell
+with a key is parsed as usual and gets the key's Shape.  When the key comes
+again, that cell's tree becomes the shape's template, whose reference nodes
+each hold a slot among a text's references, and each cell with the key keeps
+the shape and its text.  The evaluator runs the template compiled (the
+shape's kernel) and the audit walks it; both read each reference by its slot
+among the references of the cell's text, as the text writes it (Shape.refs:
 '$b$5', say), so no tree is built for the cell; its own tree is parse() of
 its text, made only when something reads cell.formula.  Where the kernel
 collects values (SUM's, NPV's), it binds the cell's references to the
 template's slots, as the audit does, and walks those arguments with the
 evaluator's own reader.  The key keeps the
 boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
-string.
-
-Where a cache does parse, a text that recurs verbatim (workbooks filled in
-from one template repeat them) is parsed about twice per process, not once
-per workbook: _parse keeps the last _MEMO_SIZE (512) distinct texts it was
-asked for, across caches and load_workbook calls, and keeps a text's tree only
-once it is asked for a second time among them, as TinyLFU admits only what
-recurs (Einziger, Friedman & Manes, ACM TOS 2017).  A text asked for once
-keeps only its string, so its tree still dies with its sheet, and a
-ParseError is never kept.  parse itself keeps no state.
+string.  The table holds at most _TABLE_SIZE keys and drops the oldest
+inserted first; parse itself keeps no state.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ import weakref
 from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
 from .parser import _REF_TOKEN, _make_ref, parse
 
-__all__ = ["Shape", "ShapeCache"]
+__all__ = ["Shape", "parse_shared"]
 
 # The lexer's reference token where it can start one: never right after a
 # letter, a digit or a '.' (inside a name or a number like 1E5).  A match
@@ -55,7 +47,7 @@ def cell_ref(ref: str) -> CellRef:
 
 
 class Shape:
-    """The formulas of one key, in every sheet of a cache.
+    """The formulas of one key, in every sheet that has it.
 
     Until the key comes again it holds the key's first text and, weakly, its
     tree.  Then that tree is the template, and slots maps each of its
@@ -95,64 +87,42 @@ class Shape:
         self._first = None
 
 
-class ShapeCache:
-    """Parses formulas once per shape key, for as many sheets as share it.
+# The process's shapes by key, oldest inserted first: every Sheet parses
+# through it, whoever loads the sheet.  A trapmix run of 1,500 books holds
+# 1,177-1,235 keys, and a shape with its template, kernel and plan about 1.9 KB.
+_TABLE_SIZE = 2048  # distinct keys
+_table: dict[tuple[str, ...], Shape] = {}
 
-    One cache may serve every sheet of a run (an audit of many workbooks); it
-    holds a Shape per key and, once the key comes again, its template.  Its
-    memory grows with the run's distinct keys.
-    """
 
-    def __init__(self) -> None:
-        self._shapes: dict[tuple[str, ...], Shape] = {}
+def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
+    """(tree, shape, source) of a formula text, or the ParseError of parse(text).
 
-    def parse(self, text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
-        """(tree, shape, source) of a formula text, or the ParseError of parse(text).
-
-        A text whose key came before and shares its tree gets tree None and
-        source text: it is read through shape's template.  That is the
-        commonest case, so a key with a template is looked up first.  Any
-        other text gets tree parse(text) and its key's new shape, or None for
-        a key whose tree cannot be shared."""
-        key = tuple(_REFS.split(text))
-        shape = self._shapes.get(key)
-        if shape is not None and shape.template is not None:  # then _first is None
-            return None, shape, text
-        pending = shape is not None and shape._first is not None
-        first = shape._first[0]() if pending else None
-        if first is not None:
-            shape._share(first, shape._first[1])
-        elif shape is None or pending:
-            tree = _parse(text)  # a ParseError leaves the key as it was
-            new = self._shapes[key] = Shape(tree, text)
-            if shape is not None:  # the key comes again, but its first sheets are gone
-                new._share(tree, text)
-            return tree, new, None
-        if shape.template is None:
-            return _parse(text), None, None
+    A text whose key came before and shares its tree gets tree None and
+    source text: it is read through shape's template.  That is the commonest
+    case, so a key with a template is looked up first, and a hit does no
+    bookkeeping.  Any other text gets tree parse(text) and its key's new
+    shape, or None for a key whose tree cannot be shared.  A new key past
+    _TABLE_SIZE drops the oldest inserted one: its cells keep their shape, and
+    its next text is parsed as a first text."""
+    key = tuple(_REFS.split(text))
+    shape = _table.get(key)
+    if shape is not None and shape.template is not None:  # then _first is None
         return None, shape, text
-
-
-# The texts that _parse was last asked for, least recently asked first: each
-# maps to its tree once it is asked for again, and to _ONCE until then.
-_MEMO_SIZE = 512  # distinct texts, as the re module's 512 patterns
-_ONCE = object()
-_memo: dict[str, object] = {}
-
-
-def _parse(text: str) -> FormulaNode:
-    """parse(text), keeping the tree of a text asked for again while it is
-    among the last _MEMO_SIZE distinct texts: a text asked for once keeps
-    only its string, and a ParseError is raised again, never kept."""
-    kept = _memo.pop(text, None)
-    if kept is None or kept is _ONCE:
-        tree = parse(text)  # a ParseError leaves the text unseen
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[text] = _ONCE if kept is None else tree
-        return tree
-    _memo[text] = kept
-    return kept
+    pending = shape is not None and shape._first is not None
+    first = shape._first[0]() if pending else None
+    if first is not None:
+        shape._share(first, shape._first[1])
+    elif shape is None or pending:
+        tree = parse(text)  # a ParseError leaves the key as it was
+        if shape is None and len(_table) >= _TABLE_SIZE:
+            del _table[next(iter(_table))]
+        new = _table[key] = Shape(tree, text)
+        if shape is not None:  # the key comes again, but its first sheets are gone
+            new._share(tree, text)
+        return tree, new, None
+    if shape.template is None:
+        return parse(text), None, None
+    return None, shape, text
 
 
 def _number(node: FormulaNode, found: list[CellRef], slots: dict[int, int]) -> None:

@@ -1,20 +1,19 @@
 """CSV-backed single-sheet workbooks.
 
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
-or text.  A sheet parses each shape of formula once (shapes.ShapeCache), and
-a cell of a shape that came before keeps the shape and its text: evaluation
-and the audit read it through the shape's template, and its own tree, parse()
-of its text, is built the first time its formula is read.  A caller that loads
-many workbooks, as an audit run does, may pass them all one cache, so that a
-shape they share is parsed once for the run.  Formula parse failures are
-recorded on the cell as error values so a bad formula never aborts a workbook
-load.
+or text.  Every sheet parses through the process's one shape table
+(shapes.parse_shared), so a shape that sheets share is parsed about once per
+process, and a cell of a shape that came before keeps the shape and its text:
+evaluation and the audit read it through the shape's template, and its own
+tree, parse() of its text, is built the first time its formula is read.
+Formula parse failures are recorded on the cell as error values so a bad
+formula never aborts a workbook load.
 
 A load costs the populated fields of the CSV, not its grid: a record with no
 non-empty field, and each empty field of any other record, is passed over in C
 (``any`` and ``itertools.compress``), so the Python loop that places cells sees
 only fields with text.  ``MAX_CELLS`` still counts every field read.  That
-loop looks the cache's ``parse`` up once per sheet and passes each ``Cell`` its
+loop looks ``parse_shared`` up once per sheet and passes each ``Cell`` its
 fields by position, the cheaper call.
 """
 
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator, Union
 from ..daycount import ISO_DATE_RE, parse_date, read_number
 from .ast import FormulaNode, column_to_index, format_number, index_to_column
 from .parser import ParseError, parse, parse_address
-from .shapes import Shape, ShapeCache
+from .shapes import Shape, parse_shared
 
 __all__ = [
     "MAX_CELLS",
@@ -153,23 +152,18 @@ class Sheet:
     and the cells inside it, not its area or its rows.
     """
 
-    def __init__(
-        self,
-        rows: Iterable[tuple[int, Iterable[tuple[int, str]]]],
-        shapes: ShapeCache | None = None,
-    ):
+    def __init__(self, rows: Iterable[tuple[int, Iterable[tuple[int, str]]]]):
         """Place raw cell texts given as (row, [(column, text), ...]), counting from 1.
 
         Rows ascend and come once each, and columns ascend within a row: cells
         keeps that row-major order and the index relies on it.  Blank texts
-        are skipped.  Formulas are parsed through shapes, a fresh cache when
-        None.
+        are skipped.
         """
         self.cells: dict[str, Cell] = {}
         self._values: dict[str, CellValue] = {}
         self._index: dict[int, tuple[str, list[int], list[str]]] = {}
         cells, index = self.cells, self._index
-        parse_text = (ShapeCache() if shapes is None else shapes).parse
+        parse_text = parse_shared
         for row_index, fields in rows:
             row_text = str(row_index)
             for col_index, raw in fields:
@@ -195,13 +189,11 @@ class Sheet:
         self._columns = sorted(index)
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[list[str]], name: object = None, shapes: ShapeCache | None = None
-    ) -> "Sheet":
+    def from_rows(cls, rows: Iterable[list[str]], name: object = None) -> "Sheet":
         """Place a grid given as one list of raw texts per row; rows may come lazily.
 
         A sheet has no name; name is ignored (perfbench/run.py passes one)."""
-        return cls(_numbered(rows), shapes=shapes)
+        return cls(_numbered(rows))
 
     def range_addresses(self, ref) -> list[str]:
         """Populated addresses inside a RangeRef, row-major.
@@ -255,13 +247,12 @@ def _numbered(rows: Iterable[list[str]]) -> Iterator[tuple[int, Iterator[tuple[i
             yield row_index, compress(enumerate(fields, start=1), fields)
 
 
-def load_workbook(path: str | os.PathLike, shapes: ShapeCache | None = None) -> Sheet:
+def load_workbook(path: str | os.PathLike) -> Sheet:
     """Load a CSV grid; row 1 is the first CSV record, column A the first field.
 
     Records are placed as the reader yields them, so only one is held at a
-    time, not the whole grid with its empty fields.  Formulas are parsed
-    through shapes, a fresh cache when None.
+    time, not the whole grid with its empty fields.
     """
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        return Sheet.from_rows(csv.reader(handle), shapes=shapes)
+        return Sheet.from_rows(csv.reader(handle))

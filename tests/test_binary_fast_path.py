@@ -12,7 +12,7 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from ledgerlint.formula import ErrorKind, ErrorValue, Sheet
+from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, shapes
 from ledgerlint.formula.evaluator import _ARITHMETIC, _COMPARISONS, _binary, _type_name
 from ledgerlint.formula.sheet import format_value
 
@@ -112,6 +112,7 @@ LITERALS = [
 def test_a_filled_down_column_runs_the_kernel_as_the_oracle(pairs):
     # columns A and B hold the operands, and each operator fills one column
     # down from row 1: every cell after the first reads its shape's kernel
+    shapes._table.clear()  # per example, so that row 1 is each key's first text
     rows = [
         [left, right, *(f"=A{row}{op}B{row}" for op in OPERATORS)]
         for row, (left, right) in enumerate(pairs, 1)

@@ -720,3 +720,24 @@ def test_a_text_audit_loads_only_what_it_uses(flags):
     if flags == ["-S"]:
         assert "pathlib" in unused
     assert modules & unused == set()
+
+
+def test_an_audit_into_a_closed_pipe_exits_2_with_one_error_line(tmp_path):
+    # about 400 KB of findings, far more than a pipe holds, so the audit is
+    # still writing when the reader closes it after one line, as `| head -1` does
+    book = tmp_path / "book.csv"
+    book.write_bytes(_csv_bytes([["0.05", "1000", f"=PMT(A{r}/12,60,B{r})"] for r in range(1, 2001)]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(RULES_ENV_VAR, None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "ledgerlint.cli", "audit", str(book)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert first.startswith(f"{book}:C1 R2 info ".encode())
+    # no traceback, and no 'Exception ignored' line from the interpreter's last flush
+    assert (code, err) == (2, b"error: stdout: Broken pipe\n")

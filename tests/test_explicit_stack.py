@@ -23,7 +23,7 @@ from sheet_strategies import REPROS, sheets
 from ledgerlint import audit
 from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
-from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, evaluator, parse, shapes
+from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, evaluator, parse
 from ledgerlint.formula.ast import CellRef, format_number
 from ledgerlint.formula.evaluator import Evaluator, _propagated, _type_name
 
@@ -220,8 +220,7 @@ def test_the_audit_matches_the_recursive_evaluator(rows):
 @settings(max_examples=100, deadline=None)
 @given(sheets(max_rows=300, max_cols=4))
 def test_a_kernel_equals_eval_node_over_its_template(rows):
-    cache = shapes.ShapeCache()
-    sheet = Sheet.from_rows(rows, shapes=cache)
+    sheet = Sheet.from_rows(rows)
     sheet.evaluate_all()  # every value cached, so neither side reads a formula not yet evaluated
     values = Evaluator(sheet)
     for cell in sheet.cells.values():

@@ -159,11 +159,10 @@ def test_evaluation_fills_no_tree_and_a_later_read_fills_once(fills):
 )
 def test_the_audit_and_evaluation_parse_no_cell_s_tree(fills, name, size):
     workload = _load_workloads().GENERATORS[name](7, **size)
-    cache = shapes.ShapeCache()  # one for the run, as ledgerlint audit has it
     shared = 0
     for book in workload.books + workload.probe:
-        run_rules(Sheet(_rows(book.grid), shapes=cache))
-        sheet = Sheet(_rows(book.grid), shapes=cache)
+        run_rules(Sheet(_rows(book.grid)))
+        sheet = Sheet(_rows(book.grid))
         sheet.evaluate_all()
         shared += sum(cell.source is not None for cell in sheet.cells.values())
     assert shared and fills == []
@@ -191,11 +190,10 @@ def scans(monkeypatch):
 
 def test_a_formula_is_scanned_once_for_its_key_and_a_shared_cell_once_for_its_references(scans):
     book = _load_workloads().loanbook(7, rows=120).books[0]
-    cache = shapes.ShapeCache()
-    sheet = Sheet(_rows(book.grid), shapes=cache)
+    sheet = Sheet(_rows(book.grid))
     formulas = sum(text.startswith("=") for text in book.grid.values())
     shared = [cell for cell in sheet.cells.values() if cell.source is not None]
-    checked_shapes = sum(shape._first is None for shape in cache._shapes.values())
+    checked_shapes = sum(shape._first is None for shape in shapes._table.values())
     assert len(shared) > 0.9 * formulas and checked_shapes <= 10
     # loading scans each formula's key once, and each shape's references once
     # for its template check
@@ -276,17 +274,15 @@ def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch
         return parse(text)
 
     monkeypatch.setattr(shapes, "parse", counted)
-    monkeypatch.setattr(shapes, "_memo", {})
-    cache = shapes.ShapeCache()
     for row in range(1, 7):
-        sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])], shapes=cache)
+        sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])])
         assert sheet.cells[f"B{row}"].formula == parse(PMT_COLUMN.format(r=row))
         del sheet
         gc.collect()
     assert parsed == [PMT_COLUMN.format(r=1), PMT_COLUMN.format(r=2)]
 
 
-def _shared_shape_books(cache: shapes.ShapeCache) -> list[tuple[dict, Sheet]]:
+def _shared_shape_books() -> list[tuple[dict, Sheet]]:
     """Three books whose formulas share shapes with R2, R6 and R7 verdicts."""
     templates = [
         "=PMT(A{r}/12,60,B{r})",  # R2, and R5 per cell
@@ -305,7 +301,7 @@ def _shared_shape_books(cache: shapes.ShapeCache) -> list[tuple[dict, Sheet]]:
             grid[3, r], grid[4, r] = "2024-01-31", "2025-03-01"
             for col, template in enumerate(templates, start=5):
                 grid[col, r] = template.format(r=r, s=r + 2)
-        books.append((grid, Sheet(_rows(grid), shapes=cache)))
+        books.append((grid, Sheet(_rows(grid))))
     return books
 
 
@@ -313,8 +309,7 @@ def _shared_shape_books(cache: shapes.ShapeCache) -> list[tuple[dict, Sheet]]:
     "enabled", [None, {"R2"}, {"R6"}, {"R7"}, {"R2", "R5", "R7"}, {"R1", "R6"}]
 )
 def test_per_shape_findings_equal_a_per_cell_audit_across_sheets(walks, enabled):
-    cache = shapes.ShapeCache()
-    books = _shared_shape_books(cache)
+    books = _shared_shape_books()
     config = RuleConfig() if enabled is None else RuleConfig(enabled=frozenset(enabled))
     for grid, sheet in books:
         findings = run_rules(sheet, config)

@@ -3,8 +3,9 @@
 Every test compares a sheet with an oracle placed from the same cells, whose
 formula cells are each parsed on their own by parse(): the trees or parse
 error messages, the evaluate_all values and the run_rules findings must be
-the same, in the same order.  Sheets that share one cache, as the workbooks
-of an audit run do, are compared with sheets that each have their own.
+the same, in the same order.  Every sheet parses through the process's one
+shape table, as the workbooks of an audit run do; each test starts with it
+empty.
 """
 
 import collections
@@ -260,7 +261,7 @@ def test_repeated_unparsable_formulas_keep_their_own_messages():
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The texts that a sheet hands to parse(), in order, from an empty memo."""
+    """The texts that a sheet hands to parse(), in order."""
     texts = []
 
     def counted(text):
@@ -268,7 +269,6 @@ def parsed(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(shapes, "parse", counted)
-    monkeypatch.setattr(shapes, "_memo", {})
     return texts
 
 
@@ -327,9 +327,9 @@ def test_a_load_parses_each_formula_at_most_once(rows):
         texts.append(text)
         return parse(text)
 
-    with pytest.MonkeyPatch.context() as patch:  # a fresh cache and an empty memo
+    shapes._table.clear()  # per example: an empty table, as in a new process
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shapes, "parse", counted)
-        patch.setattr(shapes, "_memo", {})
         sheet = Sheet.from_rows(rows)
     formulas = [text.strip() for row in rows for text in row if text.strip().startswith("=")]
     hits = sum(cell.source is not None for cell in sheet.cells.values())
@@ -351,37 +351,34 @@ def test_the_key_costs_less_than_a_parse():
     assert key_s < parse_s
 
 
-# One cache across sheets, as an audit run builds its workbooks.
+# Sheets that share the table, as an audit run's workbooks do.
 
 
 PMT_TEXT = "=PMT(A{r}/12,60,B{r})+$A${r}"  # one shape, whatever r
 
 
-def _pmt_sheet(row: int, cache: shapes.ShapeCache) -> Sheet:
+def _pmt_sheet(row: int) -> Sheet:
     """A sheet whose one formula, in column C, is PMT_TEXT for its row."""
-    return Sheet([(row, [(1, "0.06"), (2, "10000"), (3, PMT_TEXT.format(r=row))])], shapes=cache)
+    return Sheet([(row, [(1, "0.06"), (2, "10000"), (3, PMT_TEXT.format(r=row))])])
 
 
 @pytest.mark.parametrize("dropped_before", [None, 1, 2])
 def test_a_shape_once_in_each_of_three_sheets_parses_at_most_twice(parsed, dropped_before):
     # dropped_before: the index of the sheet before whose build the first is dropped
-    cache = shapes.ShapeCache()
     sheets = []
     for index, row in enumerate((1, 4, 9)):
         if index == dropped_before:
             sheets[0] = None
             gc.collect()
-        sheets.append(_pmt_sheet(row, cache))
+        sheets.append(_pmt_sheet(row))
     assert 1 <= len(parsed) <= 2
     for index, row in enumerate((1, 4, 9)):
         if sheets[index] is not None:
             assert sheets[index].cells[f"C{row}"].formula == parse(PMT_TEXT.format(r=row))
 
 
-def test_the_cache_keeps_no_tree_of_a_dropped_sheet(monkeypatch):
-    monkeypatch.setattr(shapes, "_memo", {})  # its texts are each asked for once
-    cache = shapes.ShapeCache()
-    first = _pmt_sheet(1, cache)
+def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
+    first = _pmt_sheet(1)
     tree = weakref.ref(first.cells["C1"].formula)
     # the audit plans the pending shape's one cell, and keeps no node of it
     assert [f.rule_id for f in run_rules(first)] == ["R2"]
@@ -390,7 +387,11 @@ def test_the_cache_keeps_no_tree_of_a_dropped_sheet(monkeypatch):
     del first
     gc.collect()
     assert tree() is None and call() is None
-    second = _pmt_sheet(2, cache)
+    # the table holds the key, which came once, with its text and no tree
+    (shape,) = shapes._table.values()
+    assert shape._first[0]() is None and shape._first[1] == PMT_TEXT.format(r=1)
+    assert shape.template is shape.rules is shape.kernel is None
+    second = _pmt_sheet(2)
     assert second.cells["C2"].formula == parse(PMT_TEXT.format(r=2))
 
 
@@ -418,18 +419,18 @@ PLANNED = [
 
 
 def test_a_plan_holds_only_nodes_of_its_shapes_template():
-    cache = shapes.ShapeCache()
-    sheets = []
+    grids, sheets, findings = [], [], []
     for offset in (1, 20):
-        rows = []
+        grid = {}
         for r in range(offset, offset + 3):
             texts = ["5" if r % 2 else "0.05", str(-r), "2024-01-31", "2026-03-01"]
             texts += [template.format(r=r, s=r + 2) for template in PLANNED]
             if r == 1:
                 texts.append("=EFFECT(A1,12)+NPV(A1,B1:B3)")  # a key seen once: pending
-            rows.append((r, list(enumerate(texts, start=1))))
-        sheets.append(Sheet(rows, shapes=cache))
-        assert run_rules(sheets[-1]) == run_rules(Sheet(rows))
+            grid.update({(col, r): text for col, text in enumerate(texts, start=1)})
+        grids.append(grid)
+        sheets.append(Sheet(_rows(grid)))
+        findings.append(run_rules(sheets[-1]))
     pending = sheets[0].cells[f"{index_to_column(len(PLANNED) + 5)}1"].shape
     assert pending.template is None and pending.rules is None
     planned = {id(cell.shape): cell.shape for sheet in sheets for cell in sheet.cells.values()
@@ -439,12 +440,13 @@ def test_a_plan_holds_only_nodes_of_its_shapes_template():
         assert shape.template is not None and shape.rules
         nodes = {id(node) for node in _branches(shape.template)}
         assert all(id(node) in nodes for _, node, _, _ in shape.rules)
+    # last, since the oracles' loads would give the pending key a template
+    assert findings == [run_rules(_sheets(grid)[1]) for grid in grids]
 
 
 def test_parse_errors_keep_their_own_columns_across_sheets():
-    cache = shapes.ShapeCache()
     texts = ["=A1+", "=AB10+", "=A1+"]
-    messages = [Sheet([(1, [(1, text)])], shapes=cache).cells["A1"].error.message for text in texts]
+    messages = [Sheet([(1, [(1, text)])]).cells["A1"].error.message for text in texts]
     expected = []
     for text in texts:
         with pytest.raises(ParseError) as exc:
@@ -456,11 +458,10 @@ def test_parse_errors_keep_their_own_columns_across_sheets():
 
 @pytest.mark.parametrize("keep", [True, False])
 def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, keep):
-    cache = shapes.ShapeCache()
     texts = ['="A1"&A1', '="B2"&B2', '="C3"&C3']
     kept = []
     for text in texts:
-        sheet = Sheet([(1, [(4, text)])], shapes=cache)
+        sheet = Sheet([(1, [(4, text)])])
         assert sheet.cells["D1"].formula == parse(text)
         if keep:
             kept.append(sheet)
