@@ -4,14 +4,15 @@ Each rule declares the function names or operators it inspects; one walk per
 shape (shapes.Shape) finds those nodes of its template and keeps them in the
 shape's plan, and a check that reads only the node runs there too, once for
 every formula of the shape.  Other checks run per cell on the plan's node,
-with the audit's one evaluator bound to the cell, so that the node's
-references and values are the cell's own and no cell's tree is built.  A
-check returns what it found, a message and its evidence; run_rules alone
-turns that into a Finding, with the rule's id, its configured severity and
-the cell.  A check reads a call's argument as the call itself would get it
-(Evaluator.argument, by FUNCTION_CATALOG): its default when omitted, its
-checked value, or the error that stops the call.  Checks are stateless, skip
-anything they cannot interpret, and never abort an audit.
+read for the cell (at, see evaluator.ref) by the audit's one evaluator, so
+that the node's references and values are the cell's own and no cell's tree
+is built.  A check returns what it found, a message and its evidence;
+run_rules alone turns that into a Finding, with the rule's id, its
+configured severity and the cell.  A check reads a call's argument as the
+call itself would get it (Evaluator.argument, by FUNCTION_CATALOG): its
+default when omitted, its checked value, or the error that stops the call.
+Checks are stateless, skip anything they cannot interpret, and never abort
+an audit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 from .daycount import year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.ast import format_number
-from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role
+from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, ref
 from .formula.sheet import ErrorValue, format_value
 
 __all__ = [
@@ -105,22 +106,17 @@ def _visit(node: FormulaNode, additive: bool, found: list) -> None:
             _visit(child, additive, found)
 
 
-def _ref_evidence(values: Evaluator, *nodes: FormulaNode) -> Evidence:
-    addresses = [values.ref(node) for node in nodes if isinstance(node, CellRef)]
+def _ref_evidence(values: Evaluator, at, *nodes: FormulaNode) -> Evidence:
+    addresses = [ref(node, at) for node in nodes if isinstance(node, CellRef)]
     return tuple((address, format_value(values.cell_value(address))) for address in addresses)
 
 
-def _resolved(values: Evaluator, node: FormulaNode, kind: type):
-    value = values.eval_node(node)
-    return value if isinstance(value, kind) else None
-
-
-def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None):
+def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
     if additive or len(node.args) < 2:
         return None  # under '+'/'-' a separate additive term holds the period-0 flow
     if not isinstance(node.args[1], RangeRef):
         return None
-    values_arg = values.ref(node.args[1])
+    values_arg = ref(node.args[1], at)
     for address in values.sheet.range_addresses(values_arg):
         first = values.cell_value(address)
         if isinstance(first, float):
@@ -140,7 +136,7 @@ def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None):
     )
 
 
-def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None):
+def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
     if not node.args:
         return None
     rate_arg = node.args[RATE_POSITIONS[node.name]]
@@ -160,9 +156,9 @@ def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None):
     )
 
 
-def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
-    settlement, maturity = values.argument(node, 0), values.argument(node, 1)
-    basis = values.argument(node, BASIS_POSITIONS["INTRATE"])  # 2.5, 5, nan and text are no basis
+def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float, at=None):
+    settlement, maturity = values.argument(node, 0, at), values.argument(node, 1, at)
+    basis = values.argument(node, BASIS_POSITIONS["INTRATE"], at)  # 2.5, 5, nan and text are no basis
     if any(isinstance(value, ErrorValue) for value in (settlement, maturity, basis)):
         return None  # INTRATE itself would fail
     try:
@@ -175,25 +171,25 @@ def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float):
         f"INTRATE spans {span:.2f} years; it computes simple interest "
         "only, so over multi-year spans it is not the compound "
         "equivalent yield",
-        _ref_evidence(values, node.args[0], node.args[1]),
+        _ref_evidence(values, at, node.args[0], node.args[1]),
     )
 
 
-def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None):
-    month = values.argument(node, 4)  # an integer, 12 when omitted
+def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
+    month = values.argument(node, 4, at)  # an integer, 12 when omitted
     if isinstance(month, ErrorValue) or not 1 <= month < 12:  # DB itself fails outside 1..12
         return None
     return (
         f"DB with month={format_number(month)} takes a partial first year; "
         "the schedule needs an extra final period (life+1 rows) or total "
         "depreciation will not reconcile with cost minus salvage",
-        _ref_evidence(values, node.args[4]),
+        _ref_evidence(values, at, node.args[4]),
     )
 
 
-def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float):
+def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float, at=None):
     index = RATE_POSITIONS[node.name]
-    rate = values.argument(node, index)
+    rate = values.argument(node, index, at)
     if isinstance(rate, ErrorValue) or not rate >= threshold:  # a nan rate skips too
         return None
     return (
@@ -201,11 +197,11 @@ def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float):
         "rates are fractions, so this reads as "
         f"{format_number(rate * 100)}% - a percentage was probably entered "
         "at a hundred times the value intended",
-        _ref_evidence(values, node.args[index]),
+        _ref_evidence(values, at, node.args[index]),
     )
 
 
-def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None):
+def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None, at=None):
     inner = node.left
     if not (isinstance(inner, Binary) and inner.op == "/"):
         return None
@@ -219,14 +215,14 @@ def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None):
         return None
     chain = f"{format_number(day)}/{format_number(month)}/{format_number(year)}"
     return (
-        f"{chain} is a division chain evaluating to {format_value(values.eval_node(node))}, "
+        f"{chain} is a division chain evaluating to {format_value(values.eval_node(node, at))}, "
         "not a date; dates typed into formulas become arithmetic - put an "
         "ISO date (YYYY-MM-DD) in a cell and reference it",
         (),
     )
 
 
-def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None):
+def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
     index = BASIS_POSITIONS[node.name]
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
         return None
@@ -239,7 +235,7 @@ def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None):
     )
 
 
-def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None):
+def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None, at=None):
     numerator = node.left
     if not (
         isinstance(node.right, NumberLit)
@@ -248,33 +244,33 @@ def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None):
         and numerator.op == "-"
     ):
         return None
-    left_date = _resolved(values, numerator.left, dt.date)
-    right_date = _resolved(values, numerator.right, dt.date)
-    if left_date is None or right_date is None:
+    dates = [values.eval_node(side, at) for side in (numerator.left, numerator.right)]
+    if not all(isinstance(date, dt.date) for date in dates):
         return None
     return (
         "actual-day difference divided by a literal 360 mixes conventions; "
         "a full year counts about 365/360 = 1.4% extra interest, a known "
         "revenue-inflating pattern - divide by 365 or use one basis "
         "throughout",
-        _ref_evidence(values, numerator.left, numerator.right),
+        _ref_evidence(values, at, numerator.left, numerator.right),
     )
 
 
 @dataclass(frozen=True)
 class _RuleSpec:
-    """check(node, additive, values, threshold) gets each node whose call name
-    or operator is in triggers, whether a '+' or '-' Binary sits above it, the
-    sheet's one Evaluator, and RuleConfig.threshold (threshold here unless
-    configured, None for a rule without one).  It returns (message, evidence),
-    evidence () when it has none, or None; run_rules builds the Finding.  A
-    per_shape check reads only the node, so it runs once for a whole shape."""
+    """check(node, additive, values, threshold, at=None) gets each node whose
+    call name or operator is in triggers, whether a '+' or '-' Binary sits
+    above it, the sheet's one Evaluator, RuleConfig.threshold (threshold here
+    unless configured, None for a rule without one) and at (evaluator.ref).
+    It returns (message, evidence), evidence () when it has none, or None;
+    run_rules builds the Finding.  A per_shape check reads only the node, so
+    it runs once per shape."""
 
     rule_id: str
     default_severity: Severity
     explanation: str
     triggers: frozenset[str]
-    check: Callable[[FormulaNode, bool, Evaluator, float | None], tuple[str, Evidence] | None]
+    check: Callable[..., tuple[str, Evidence] | None]
     threshold: float | None = None
     per_shape: bool = False
 
@@ -483,21 +479,21 @@ def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
 def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule).
 
-    A plan holds trigger nodes, and a cell's own checks run on them with the
-    evaluator bound to the cell.  Only a shape with a template keeps its plan:
-    bind gives each of its cells that one tree, while a pending shape may
-    outlive its sheet in the shape table and must not keep that sheet's nodes."""
+    A plan holds the trigger nodes of a cell's shape's template or own tree;
+    its per-cell checks get at for the cell (evaluator.ref), built only when
+    one runs.  Only a shape with a template keeps its plan: a pending shape
+    may outlive its sheet in the shape table and must not keep its nodes."""
     active = (config or _DEFAULT_CONFIG)._active
     values = Evaluator(sheet)
     findings: list[Finding] = []
     for cell in sheet.cells.values():
-        shape = cell.shape
+        shape, source, at = cell.shape, cell.source, None
         plan = shape and shape.rules
-        bound = plan is None
-        if bound:
-            if shape is None and cell.formula is None:
+        if plan is None:
+            tree = cell.formula if source is None else shape.template
+            if tree is None:
                 continue  # a literal or an error
-            plan = _plan(values.bind(cell), values)
+            plan = _plan(tree, values)
             if shape and shape.template is not None:
                 shape.rules = plan
         for spec, node, additive, found in plan:
@@ -505,10 +501,9 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
                 continue
             severity, threshold = active[spec.rule_id]
             if found is None:
-                if not bound:
-                    values.bind(cell)
-                    bound = True
-                found = spec.check(node, additive, values, threshold)
+                if at is None and source is not None:
+                    at = shape.refs(source), shape.slots
+                found = spec.check(node, additive, values, threshold, at)
             if found is not None:
                 findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings

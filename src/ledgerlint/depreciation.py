@@ -26,6 +26,7 @@ __all__ = [
     "db_rate",
     "db_period",
     "db_schedule",
+    "MAX_SCHEDULE_ROWS",
     "reconcile",
     "sln",
 ]
@@ -129,6 +130,20 @@ def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:
 # periods all come from the walk.
 EXACT_WALK_PERIODS = 10_000
 
+# The most rows db_schedule and loan.build_schedule build, checked before the
+# first: 8,333 years of monthly payments, so a schedule's memory has a bound.
+MAX_SCHEDULE_ROWS = 100_000
+
+
+def _check_rows(periods: int) -> None:
+    if periods > MAX_SCHEDULE_ROWS:
+        raise ValueError(f"a schedule of {periods} periods is longer than {MAX_SCHEDULE_ROWS}")
+
+
+def _check_finite(period: int, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"numeric overflow in period {period} of the schedule")
+
 
 def _charge(spec: DepreciationSpec, rate: float, book: float, period: int) -> float:
     """Depreciation in one period, given the book value it starts from."""
@@ -178,13 +193,16 @@ def db_period(spec: DepreciationSpec, period: int, mode: PrecisionMode) -> float
 
 
 def db_schedule(spec: DepreciationSpec, mode: PrecisionMode) -> DepreciationSchedule:
-    """Full declining-balance schedule for the spec."""
+    """Full declining-balance schedule for the spec; a ValueError for more
+    than MAX_SCHEDULE_ROWS periods or a period whose values are not finite."""
+    _check_rows(spec.periods)
     rate = db_rate(spec, mode)
     rows = []
     book = spec.cost
     for period in range(1, spec.periods + 1):
         dep = _charge(spec, rate, book, period)
         book -= dep
+        _check_finite(period, dep, book)
         rows.append(ScheduleRow(period=period, depreciation=dep, book_value_end=book))
     return DepreciationSchedule(spec=spec, mode=mode, rate=rate, rows=tuple(rows))
 

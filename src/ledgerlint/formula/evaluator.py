@@ -9,10 +9,10 @@ evaluates it, and evaluates the reader again once that cell is cached.  A miss
 inside a range read hands the loop the rest of the range with the read's
 stop rule (_Rest), so a range of n formulas costs one more run of its reader,
 not n.  A read from outside any formula (the audit's checks, Sheet.value,
-evaluate) runs the loop on the formula it misses, in place, and keeps the
-caller's bind.  So formulas are first evaluated in the order that evaluating
-each one where it is read would give, and a read of a cell on the stack is a
-cycle: only the cells on it are CYCLE, each with its 'A1 -> B1 -> A1' path.
+evaluate) runs the loop on the formula it misses, in place.  So formulas are
+first evaluated in the order that evaluating each one where it is read would
+give, and a read of a cell on the stack is a cycle: only the cells on it are
+CYCLE, each with its 'A1 -> B1 -> A1' path.
 
 A cell whose shape came before (shapes.Shape) runs the shape's kernel: a
 closure per template node, built on the shape's first evaluation, that reads
@@ -21,15 +21,17 @@ writes it.  evaluate_all calls a kernel itself, and _settle through _value.
 The catalog lookup, the arity check and the argument errors of EmptyArg and
 RangeRef nodes are decided when the kernel is built, and so is the value of
 a subtree with no reference; a step that collects values (NPV's, SUM's) runs
-Evaluator._numbers with the cell bound, as the audit binds it.  Any other
-formula is its own tree, walked by eval_node.  Both share the value-level
-rules below (operators, negation, argument checks, range reads), so each is
-stated once.  _binary tries its commonest case first, + - * / on two floats,
-and leaves a zero divisor, a result that is not finite and every other
-operator or operand to the case that states its rule.  Evaluator.argument
-gives what a call passes for one parameter, as FUNCTION_CATALOG reads it: the
-audit's rules read a call's arguments through it, and the evaluator's own
-calls through its _pass.
+Evaluator._numbers over the template's arguments.  Any other formula is its
+own tree, walked by eval_node.  eval_node and the readers under it, the
+audit's checks too, take the cell a template is read for as an argument, at =
+(Shape.refs(text), Shape.slots), or None for an own tree (see ref).  Both
+share the value-level rules below (operators, negation, argument checks,
+range reads), so each is stated once.  _binary tries its commonest case
+first, + - * / on two floats, and leaves a zero divisor, a result that is not
+finite and every other operator or operand to the case that states its rule.
+Evaluator.argument gives what a call passes for one parameter, as
+FUNCTION_CATALOG reads it: the audit's rules read a call's arguments through
+it, and the evaluator's own calls through its _pass.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -86,6 +88,7 @@ def _type_name(value: CellValue) -> str:
 
 _Args = Sequence[FormulaNode]
 _Kernel = Callable[["Evaluator", list], CellValue]  # (evaluator, Shape.refs(text)) -> value
+_At = tuple[list[str], dict[int, int]] | None  # (Shape.refs(text), Shape.slots), None for an own tree
 
 
 # value-level rules, shared by eval_node and the kernels
@@ -100,6 +103,16 @@ def _range_at(refs: list[str], slot: int) -> RangeRef:
     """The range whose corners are refs[slot] and refs[slot + 1]; the
     constructor normalizes a reversed range as parse() does."""
     return RangeRef(cell_ref(refs[slot]), cell_ref(refs[slot + 1]))
+
+
+def ref(node: CellRef | RangeRef, at: _At) -> str | RangeRef:
+    """What node, a reference of a tree, reads: a CellRef's address, or a RangeRef.
+    at is None for an own tree, or (refs, slots) for a template read for a cell."""
+    if at is None:
+        return node.address if type(node) is CellRef else node
+    refs, slots = at
+    slot = slots[id(node)]
+    return _address(refs[slot]) if type(node) is CellRef else _range_at(refs, slot)
 
 
 def _propagated(address: str) -> ErrorValue:
@@ -251,11 +264,6 @@ class Evaluator:
         self.cache = sheet._values
         self.stack: dict[str, None] = {}  # addresses being evaluated, in call order
         self._evaluating = False  # a cell's formula runs: a miss aborts it
-        # for the audit's checks, which read a template's nodes: the
-        # references of the cell bound to the template, by slot, and the
-        # template's slots; None for a formula's own tree
-        self._refs: list[str] | None = None
-        self._slots: dict[int, int] | None = None
 
     def evaluate_all(self) -> dict[str, CellValue]:
         """Evaluate every populated cell, row-major; returns address -> value."""
@@ -275,31 +283,8 @@ class Evaluator:
                 except _Miss:  # evaluated again, on the stack
                     self._settle(address)
         finally:
-            self._refs, self._evaluating = None, False  # a kernel's collect step binds its cell
+            self._evaluating = False
         return dict(zip(cells, map(cache.__getitem__, cells)))
-
-    # binding, for the audit's checks
-
-    def bind(self, cell: Cell) -> FormulaNode | None:
-        """Bind ref() to cell and return the tree to evaluate for it, None for
-        a literal or an error: for a cell read through its shape, the shape's
-        template, whose references ref() reads from the cell's own text by
-        slot; for any other cell, its own tree."""
-        if cell.source is None:
-            self._refs = None
-            return cell.formula
-        shape = cell.shape
-        self._refs, self._slots = shape.refs(cell.source), shape.slots
-        return shape.template
-
-    def ref(self, node: CellRef | RangeRef) -> str | RangeRef:
-        """What node, a reference of the tree being evaluated, reads in the
-        bound cell's formula: a CellRef's address, or a RangeRef."""
-        refs = self._refs
-        if refs is None:
-            return node.address if type(node) is CellRef else node
-        slot = self._slots[id(node)]
-        return _address(refs[slot]) if type(node) is CellRef else _range_at(refs, slot)
 
     # the explicit stack
 
@@ -335,9 +320,9 @@ class Evaluator:
     def _settle(self, address: str) -> None:
         """Evaluate the formula at address by an explicit stack: a formula
         that misses stays on it, below what it missed, and is evaluated again
-        once that is cached.  The caller's bind is kept."""
+        once that is cached."""
         cache, cells, stack = self.cache, self.sheet.cells, self.stack
-        outer = self._refs, self._slots, self._evaluating
+        outer = self._evaluating
         self._evaluating = True
         todo: list[str | _Rest] = [address]
         stack[address] = None
@@ -360,7 +345,7 @@ class Evaluator:
                 else:
                     todo.pop()
         finally:
-            self._refs, self._slots, self._evaluating = outer
+            self._evaluating = outer
             stack.clear()  # the loop starts only on an empty stack
 
     def _read_rest(self, rest: _Rest) -> None:
@@ -382,16 +367,16 @@ class Evaluator:
         formula = cell.formula
         if formula is None:
             return cell.literal
-        self._refs = None
         return self.eval_node(formula)
 
-    # a formula's own tree
+    # a tree: a formula's own, or a template read for a cell
 
-    def eval_node(self, node: FormulaNode) -> CellValue:
-        """The value of node, a tree of the formula bound (see bind)."""
+    def eval_node(self, node: FormulaNode, at: _At = None) -> CellValue:
+        """The value of node, of a formula's own tree (at None) or of a
+        template read for the cell that at gives (see ref)."""
         kind = type(node)  # the commonest node types first
         if kind is CellRef:
-            address = node.address if self._refs is None else self.ref(node)
+            address = node.address if at is None else ref(node, at)
             value = self.cache.get(address)  # a cached value is read in place
             if value is None:
                 value = self.cell_value(address)
@@ -399,76 +384,76 @@ class Evaluator:
                 return _propagated(address)
             return value
         if kind is Binary:
-            left = self.eval_node(node.left)
+            left = self.eval_node(node.left, at)
             if isinstance(left, ErrorValue):
                 return left
-            right = self.eval_node(node.right)
+            right = self.eval_node(node.right, at)
             if isinstance(right, ErrorValue):
                 return right
             return _binary(node.op, left, right)
         if kind is NumberLit:
             return node.value
         if kind is Call:
-            return self._call(node)
+            return self._call(node, at)
         if kind is PercentLit:
             return node.value / 100
         if kind is TextLit:
             return node.value
         if kind is RangeRef:
-            return _scalar_range(self.ref(node))
+            return _scalar_range(ref(node, at))
         if kind is Unary:
-            return _negate(self.eval_node(node.child))
+            return _negate(self.eval_node(node.child, at))
         if kind is EmptyArg:
             return ErrorValue(ErrorKind.ARGUMENT, "empty argument slot outside a call")
         raise TypeError(f"not a formula node: {node!r}")
 
-    def _call(self, node: Call) -> CellValue:
+    def _call(self, node: Call, at: _At) -> CellValue:
         name = node.name.upper()
         spec = _function(name, len(node.args))
         if isinstance(spec, ErrorValue):
             return spec
         values = []
         for step in spec.steps:
-            value = self._pass(step, node.args, name)
+            value = self._pass(step, node.args, name, at)
             if isinstance(value, ErrorValue):
                 return value
             values.append(value)
         return spec.apply(values)
 
-    def argument(self, node: Call, index: int) -> object:
+    def argument(self, node: Call, index: int, at: _At = None) -> object:
         """What the call node passes for its parameter at index (see
         FUNCTION_CATALOG): the parameter's default when the argument is
         omitted, the argument's value after the check of the parameter's role,
         or the ErrorValue that stops the call there, an unknown function or a
-        wrong number of arguments included."""
+        wrong number of arguments included; at as for eval_node."""
         name = node.name.upper()
         spec = _function(name, len(node.args))
         if isinstance(spec, ErrorValue):
             return spec
-        return self._pass(spec.steps[index], node.args, name)
+        return self._pass(spec.steps[index], node.args, name, at)
 
-    def _pass(self, step: tuple, args: _Args, fname: str) -> object:
+    def _pass(self, step: tuple, args: _Args, fname: str, at: _At) -> object:
         """What a call passes for the parameter of step (see argument)."""
         how, reads, check = _argument(step, args, fname)
         if how is _DEFAULT:
             return reads
         if how is _COLLECT:
-            return self._numbers(*reads)
-        return check(self.eval_node(reads), fname, step[1])
+            return self._numbers(*reads, at)
+        return check(self.eval_node(reads, at), fname, step[1])
 
-    def _numbers(self, nodes: _Args, fname: str, strict: bool, kind=float, noun="number") -> list | ErrorValue:
+    def _numbers(self, nodes: _Args, fname: str, strict: bool, kind=float, noun="number", at=None) -> list | ErrorValue:
         """Collect values of kind from scalars and ranges, row-major within
-        ranges (see _range); a scalar must be a number."""
+        ranges (see _range); a scalar must be a number.  at as for eval_node."""
         values: list = []
         for node in nodes:
             if type(node) is EmptyArg:
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if type(node) is RangeRef:
-                error = self._range(self.ref(node), values, fname, strict, kind, noun)
+                error = self._range(ref(node, at), values, fname, strict, kind, noun)
                 if error is not None:
                     return error
                 continue
-            value = self.eval_node(node)
+            value = self.eval_node(node, at)
             if isinstance(value, ErrorValue):
                 return value
             if not isinstance(value, float):
@@ -827,14 +812,8 @@ def _check_kernel(operand: _Kernel, check: Callable, fname: str, param: str) -> 
 
 
 def _collect_kernel(reads: tuple, slots: dict[int, int]) -> _Kernel:
-    """Evaluator._numbers over a template's arguments, with the cell bound as
-    bind binds it; _settle restores the bind it found, and evaluate_all unbinds."""
-
-    def collect(ev: Evaluator, refs: list[str]) -> list | ErrorValue:
-        ev._refs, ev._slots = refs, slots
-        return ev._numbers(*reads)
-
-    return collect
+    """Evaluator._numbers over a template's arguments, read for the cell of refs."""
+    return lambda ev, refs: ev._numbers(*reads, (refs, slots))
 
 
 def evaluate(node: FormulaNode, sheet: Sheet) -> CellValue:

@@ -10,23 +10,22 @@ too, so one table per process (_table) serves every sheet.  The first cell
 with a key is parsed as usual and gets the key's Shape.  When the key comes
 again, that cell's tree becomes the shape's template, whose reference nodes
 each hold a slot among a text's references, and each cell with the key keeps
-the shape and its text.  The evaluator runs the template compiled (the
-shape's kernel) and the audit walks it; both read each reference by its slot
-among the references of the cell's text, as the text writes it (Shape.refs:
-'$b$5', say), so no tree is built for the cell; its own tree is parse() of
-its text, made only when something reads cell.formula.  Where the kernel
-collects values (SUM's, NPV's), it binds the cell's references to the
-template's slots, as the audit does, and walks those arguments with the
-evaluator's own reader.  The key keeps the
-boundaries between the texts, since '=-A1' and '=A1-B1' join to the same
-string.  The table holds at most _TABLE_SIZE keys and drops the oldest
-inserted first; parse itself keeps no state.
+the shape and its text.  The evaluator runs the template compiled (the shape's
+kernel) and the audit walks it; both read each reference by its slot among the
+references of the cell's text, as the text writes it (Shape.refs: '$b$5',
+say), so no tree is built for the cell; its own tree is parse() of its text,
+made only when something reads cell.formula.  Where the kernel collects values
+(SUM's, NPV's), it passes the cell's references with the template's slots to
+the evaluator's own reader of those arguments, as the audit's checks pass
+them.  The key keeps the boundaries between the texts, since '=-A1' and
+'=A1-B1' join to the same string.  The table holds at most _TABLE_SIZE keys
+and drops the oldest inserted first; parse itself keeps no state.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
+from weakref import ref as weak_ref
 
 from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
 from .parser import _REF_TOKEN, _make_ref, parse
@@ -63,7 +62,7 @@ class Shape:
         self.rules = self.kernel = None
         self.template: FormulaNode | None = None
         self.slots: dict[int, int] | None = None
-        self._first: tuple[weakref.ref, str] | None = (weakref.ref(tree), text)
+        self._first: tuple[weak_ref, str] | None = (weak_ref(tree), text)
 
     # refs(text) lists the references that the key of text splits it at, each
     # as written in text ('$b$5', say): node of the template is

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .cashflow import pmt
 from .daycount import read_number
+from .depreciation import _check_finite, _check_rows
 from .rates import PeriodicConvention, periodic_rate
 
 __all__ = [
@@ -128,8 +129,10 @@ def build_schedule(spec: LoanSpec) -> AmortizationSchedule:
     """Compute the full month-by-month table for the spec.
 
     The last payment absorbs the accumulated float residual so the final
-    closing balance is exactly 0.0.
+    closing balance is exactly 0.0.  A ValueError for more than
+    MAX_SCHEDULE_ROWS months or a month whose values are not finite.
     """
+    _check_rows(spec.term_months)
     rate = spec.monthly_rate
     rows: list[AmortizationRow] = []
     balance = spec.principal
@@ -139,6 +142,7 @@ def build_schedule(spec: LoanSpec) -> AmortizationSchedule:
         closing = balance + interest
         rows.append(AmortizationRow(month=month, opening=balance, interest=interest,
                                     payment=0.0, principal_paid=0.0, closing=closing))
+        _check_finite(month, interest, closing)
         balance = closing
 
     remaining = spec.term_months - spec.holiday_months
@@ -154,6 +158,7 @@ def build_schedule(spec: LoanSpec) -> AmortizationSchedule:
         rows.append(AmortizationRow(month=month, opening=balance, interest=interest,
                                     payment=payment, principal_paid=payment - interest,
                                     closing=closing))
+        _check_finite(month, interest, payment, payment - interest, closing)
         balance = closing
 
     return AmortizationSchedule(spec=spec, monthly_rate=rate, level_payment=level,

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from sheet_strategies import REPROS, sheets
 
 from ledgerlint.audit import RULE_IDS
 from ledgerlint.cli import RULES_ENV_VAR, main
+from ledgerlint.depreciation import MAX_SCHEDULE_ROWS
 from ledgerlint.loan import implied_monthly_rate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -585,6 +587,82 @@ def test_invalid_input_prints_one_error_line_and_exits_2(tmp_path, capsys, argv)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith("\n") and "Traceback" not in captured.err
+
+
+# schedules whose arithmetic overflows in their first period, as =DB(1e308,1,5,1) does
+OVERFLOWS = [
+    ["depr", "--cost", "1e308", "--salvage", "1", "--life", "5"],
+    ["depr", "--cost", "2e307", "--salvage", "1", "--life", "3", "--mode", "compat"],
+    ["schedule", "--principal", "1e308", "--rate", "1000000", "--term", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWS, ids=["depr exact", "depr compat", "schedule"])
+def test_a_schedule_that_overflows_exits_2_naming_its_period(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: numeric overflow in period 1 of the schedule\n")
+
+
+CHILD_ADDRESS_SPACE = 256 << 20  # bytes: a builder that makes rows before the cap check dies of MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "100000000"],
+        ["depr", "--cost", "1000", "--salvage", "100", "--life", "100000000"],
+    ],
+    ids=["schedule", "depr"],
+)
+def test_a_schedule_past_the_row_cap_exits_2_before_building_a_row(argv):
+    """In a child whose address space is capped, so that a schedule built
+    row by row fails there rather than taking the host's memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "ledgerlint.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    message = f"error: a schedule of 100000000 periods is longer than {MAX_SCHEDULE_ROWS}\n"
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", message)
+
+
+_AMOUNTS = st.floats(max_value=1e308)
+_COUNTS = st.integers(max_value=24)
+SCHEDULES = st.builds(
+    lambda cost, salvage, life, month, mode: [
+        "depr", f"--cost={cost!r}", f"--salvage={salvage!r}", f"--life={life}", f"--month={month}",
+        "--mode", mode,
+    ],
+    _AMOUNTS, _AMOUNTS, _COUNTS, st.integers(0, 13), st.sampled_from(["exact", "compat"]),
+) | st.builds(
+    lambda principal, rate, term, holiday, convention: [
+        "schedule", f"--principal={principal!r}", f"--rate={rate!r}", f"--term={term}",
+        f"--holiday={holiday}", "--convention", convention,
+    ],
+    _AMOUNTS, _AMOUNTS, _COUNTS, st.integers(0, 24), st.sampled_from(["uk", "us"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCHEDULES)
+@example(OVERFLOWS[0])
+@example(OVERFLOWS[1])
+@example(OVERFLOWS[2])
+def test_a_schedule_exits_0_1_or_2_and_prints_only_finite_numbers(argv):
+    """Any amounts up to 1e308 and any term or life up to 24: exit 0, 1 or
+    2, an error: line exactly on 2, and no nan or inf in what is printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
+    if code != 2:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), out.getvalue()
 
 
 def _csv_bytes(rows) -> bytes:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgerlint import depreciation
 from ledgerlint.depreciation import (
+    MAX_SCHEDULE_ROWS,
     DepreciationSpec,
     FullWriteOffWarning,
     PrecisionMode,
@@ -328,3 +329,22 @@ def test_schedule_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == schedule.rows[0].depreciation
+
+
+def test_a_schedule_has_at_most_max_schedule_rows():
+    """The cap counts the extra period of a partial first year; db_period has none."""
+    at_cap = DepreciationSpec(cost=1000.0, salvage=100.0, life=MAX_SCHEDULE_ROWS - 1, month=7)
+    assert len(db_schedule(at_cap, PrecisionMode.EXACT).rows) == MAX_SCHEDULE_ROWS
+    past = DepreciationSpec(cost=1000.0, salvage=100.0, life=MAX_SCHEDULE_ROWS, month=7)
+    with pytest.raises(ValueError, match=f"a schedule of {MAX_SCHEDULE_ROWS + 1} periods is longer"):
+        db_schedule(past, PrecisionMode.COMPAT)
+    assert db_period(past, MAX_SCHEDULE_ROWS + 1, PrecisionMode.COMPAT) >= 0.0
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_a_schedule_that_overflows_names_its_first_period(mode):
+    """cost * rate * month overflows for a cost above about 1.5e307; the
+    arithmetic stays as it is and the schedule is refused."""
+    spec = DepreciationSpec(cost=1e308, salvage=1.0, life=5, month=12)
+    with pytest.raises(ValueError, match="numeric overflow in period 1 of the schedule"):
+        db_schedule(spec, mode)

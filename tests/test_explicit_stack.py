@@ -25,9 +25,18 @@ from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
 from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, evaluator, parse
 from ledgerlint.formula.ast import CellRef, format_number
-from ledgerlint.formula.evaluator import Evaluator, _propagated, _type_name
+from ledgerlint.formula.evaluator import Evaluator, _propagated, _type_name, ref
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _tree(cell):
+    """(node, at) to evaluate for a formula cell: a cell read through its
+    shape is the shape's template read for the cell, any other its own tree."""
+    if cell.source is None:
+        return cell.formula, None
+    shape = cell.shape
+    return shape.template, (shape.refs(cell.source), shape.slots)
 
 
 class Recursive(Evaluator):
@@ -61,32 +70,30 @@ class Recursive(Evaluator):
                 self.cache[member] = error
             return error
         self.stack[address] = None
-        bound = self._refs, self._slots
         try:
-            result = self.eval_node(self.bind(cell))
+            result = self.eval_node(*_tree(cell))
         finally:
             del self.stack[address]
-            self._refs, self._slots = bound
         marked = self.cache.get(address)
         if marked is not None:
             return marked
         self.cache[address] = result
         return result
 
-    def eval_node(self, node):
+    def eval_node(self, node, at=None):
         if type(node) is CellRef:
-            address = self.ref(node)
+            address = ref(node, at)
             value = self.cell_value(address)
             return _propagated(address) if isinstance(value, ErrorValue) else value
-        return super().eval_node(node)
+        return super().eval_node(node, at)
 
-    def _numbers(self, nodes, fname, strict, kind=float, noun="number"):
+    def _numbers(self, nodes, fname, strict, kind=float, noun="number", at=None):
         values = []
         for node in nodes:
             if isinstance(node, evaluator.EmptyArg):
                 return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
             if isinstance(node, evaluator.RangeRef):
-                addresses = self.sheet.range_addresses(self.ref(node))
+                addresses = self.sheet.range_addresses(ref(node, at))
                 literals = (self.sheet.cells[address].literal for address in addresses)
                 known = list(map(self.cache.get, addresses, literals))
                 if kind is float and {*map(type, known)} <= {float}:
@@ -104,7 +111,7 @@ class Recursive(Evaluator):
                             f"{fname}: {address} holds {_type_name(value)}, expected a {noun}",
                         )
                 continue
-            value = self.eval_node(node)
+            value = self.eval_node(node, at)
             if isinstance(value, ErrorValue):
                 return value
             if not isinstance(value, float):
@@ -164,12 +171,20 @@ def test_a_100k_row_chain_evaluates_and_audits(tmp_path, capsys, monkeypatch, di
 
 
 def test_evaluate_all_leaves_no_cell_bound():
-    """A shape's collect step binds its cell's references; evaluate_all unbinds
-    when it ends, so a later walk of an own tree reads its own references."""
+    """A shape's collect step reads its cell's references through the
+    argument it is passed, so a walk of an own tree after evaluate_all reads
+    its own references, not those of the last cell evaluated."""
     values = Evaluator(Sheet.from_rows([["1", "=SUM(A1,1)"], ["2", "=SUM(A2,1)"]]))
     values.evaluate_all()
     assert values.eval_node(parse("=B2*2")) == 6.0
 
+
+def test_an_evaluator_holds_no_state_for_the_cell_it_reads():
+    """The cell a template is read for is an argument, so an evaluator holds
+    the same attributes after evaluating shared cells as before."""
+    values = Evaluator(Sheet.from_rows([["1", "=SUM(A1,1)"], ["2", "=SUM(A2,1)"], ["=A1", "=B1+A3"]]))
+    assert values.evaluate_all()["B3"] == 3.0
+    assert sorted(vars(values)) == ["_evaluating", "cache", "sheet", "stack"]
 
 def _evaluated(sheet):
     """The cache in the order formulas and literals were first read, with messages."""
@@ -229,7 +244,7 @@ def test_a_kernel_equals_eval_node_over_its_template(rows):
         shape = cell.shape
         kernel = shape.kernel or evaluator._build_kernel(shape)
         compiled = kernel(values, shape.refs(cell.source))
-        assert repr(compiled) == repr(values.eval_node(values.bind(cell))), cell.source
+        assert repr(compiled) == repr(values.eval_node(*_tree(cell))), cell.source
 
 
 @settings(max_examples=25, deadline=None)
@@ -249,9 +264,9 @@ def entries(monkeypatch):
     counts = collections.Counter()
     eval_node, cell_value, build = Evaluator.eval_node, Evaluator.cell_value, evaluator._build_kernel
 
-    def counted_eval_node(self, node):
+    def counted_eval_node(self, node, at=None):
         counts["eval_node"] += 1
-        return eval_node(self, node)
+        return eval_node(self, node, at)
 
     def counted_cell_value(self, address):
         counts["cell_value"] += 1

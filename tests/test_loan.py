@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ledgerlint.cashflow import pmt
+from ledgerlint.depreciation import MAX_SCHEDULE_ROWS
 from ledgerlint.loan import (
     AmortizationRow,
     LoanSpec,
@@ -345,3 +346,18 @@ def test_load_published_partial_columns(tmp_path):
         AmortizationRow(month=2, payment=100.5),
     ]
     assert rows[0].opening is None
+
+
+def test_a_schedule_past_the_row_cap_is_refused_before_its_first_row():
+    spec = LoanSpec(principal=1000.0, annual_rate=0.1, term_months=MAX_SCHEDULE_ROWS + 1)
+    with pytest.raises(ValueError, match=f"longer than {MAX_SCHEDULE_ROWS}"):
+        build_schedule(spec)
+    with pytest.raises(ValueError, match=f"longer than {MAX_SCHEDULE_ROWS}"):
+        verify_schedule([], spec)
+
+
+@pytest.mark.parametrize("holiday", [0, 2])
+def test_a_schedule_that_overflows_names_its_first_period(holiday):
+    spec = LoanSpec(principal=1e308, annual_rate=1e6, term_months=3, holiday_months=holiday)
+    with pytest.raises(ValueError, match="numeric overflow in period 1 of the schedule"):
+        build_schedule(spec)

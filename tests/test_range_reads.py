@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ledgerlint.audit import run_rules
 from ledgerlint.formula import ErrorValue, Sheet, parse
 from ledgerlint.formula.ast import EmptyArg, RangeRef, index_to_column
-from ledgerlint.formula.evaluator import Evaluator, _type_name
+from ledgerlint.formula.evaluator import Evaluator, _type_name, ref
 from ledgerlint.formula.sheet import ErrorKind
 
 
@@ -58,7 +58,7 @@ def test_an_audit_of_a_cumulative_column_makes_a_bounded_number_of_reads_per_cel
     assert len(reads) <= 3 * len(sheet.cells)
 
 
-def numbers_oracle(self, nodes, fname, strict, kind=float, noun="number"):
+def numbers_oracle(self, nodes, fname, strict, kind=float, noun="number", at=None):
     """Evaluator._numbers reading every range cell by cell, as it did before
     a range of numbers was taken whole."""
     values = []
@@ -66,7 +66,7 @@ def numbers_oracle(self, nodes, fname, strict, kind=float, noun="number"):
         if isinstance(node, EmptyArg):
             return ErrorValue(ErrorKind.ARGUMENT, f"{fname}: empty argument slot")
         if isinstance(node, RangeRef):
-            for address in self.sheet.range_addresses(self.ref(node)):
+            for address in self.sheet.range_addresses(ref(node, at)):
                 value = self.cell_value(address)
                 if isinstance(value, ErrorValue):
                     return ErrorValue(
@@ -81,7 +81,7 @@ def numbers_oracle(self, nodes, fname, strict, kind=float, noun="number"):
                         f"{fname}: {address} holds {_type_name(value)}, expected a {noun}",
                     )
             continue
-        value = self.eval_node(node)
+        value = self.eval_node(node, at)
         if isinstance(value, ErrorValue):
             return value
         if not isinstance(value, float):
