@@ -4,11 +4,12 @@ Each rule declares the function names or operators it inspects; one walk per
 shape (shapes.Shape) finds those nodes of its template and keeps them in the
 shape's plan, and a check that reads only the node runs there too, once for
 every formula of the shape.  Other checks run per cell on the plan's node,
-read for the cell (at, see evaluator.ref) by the audit's one evaluator, so
-that the node's references and values are the cell's own and no cell's tree
-is built.  A check returns what it found, a message and its evidence;
-run_rules alone turns that into a Finding, with the rule's id, its
-configured severity and the cell.  A check reads a call's argument as the
+read for the cell (at, see evaluator.ref and literal) by the audit's one
+evaluator, so that the node's references, numbers and values are the cell's
+own and no cell's tree is built; on a SlotShape, whose numbers are the
+cell's, every check runs per cell.  A check returns what it found, a message
+and its evidence; run_rules alone turns that into a Finding, with the rule's
+id, its configured severity and the cell.  A check reads a call's argument as the
 call itself would get it (Evaluator.argument, by FUNCTION_CATALOG): its
 default when omitted, its checked value, or the error that stops the call.
 Checks are stateless, skip anything they cannot interpret, and never abort
@@ -28,7 +29,7 @@ from typing import Callable, Mapping
 from .daycount import year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.ast import format_number
-from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, ref
+from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, literal, ref
 from .formula.sheet import ErrorValue, format_value
 
 __all__ = [
@@ -144,7 +145,7 @@ def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None, at=
         isinstance(rate_arg, Binary)
         and rate_arg.op == "/"
         and isinstance(rate_arg.right, NumberLit)
-        and rate_arg.right.value == 12.0
+        and literal(rate_arg.right, at) == 12.0
     ):
         return None
     return (
@@ -208,7 +209,7 @@ def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None, a
     parts = (inner.left, inner.right, node.right)
     if not all(isinstance(p, NumberLit) for p in parts):
         return None
-    day, month, year = (p.value for p in parts)
+    day, month, year = (literal(p, at) for p in parts)
     if any(v != int(v) for v in (day, month, year)):
         return None
     if not (1 <= day <= 31 and 1 <= month <= 12 and (0 <= year <= 99 or 1900 <= year <= 2199)):
@@ -239,7 +240,7 @@ def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None, a
     numerator = node.left
     if not (
         isinstance(node.right, NumberLit)
-        and node.right.value == 360.0
+        and literal(node.right, at) == 360.0
         and isinstance(numerator, Binary)
         and numerator.op == "-"
     ):
@@ -263,8 +264,9 @@ class _RuleSpec:
     above it, the sheet's one Evaluator, RuleConfig.threshold (threshold here
     unless configured, None for a rule without one) and at (evaluator.ref).
     It returns (message, evidence), evidence () when it has none, or None;
-    run_rules builds the Finding.  A per_shape check reads only the node, so
-    it runs once per shape."""
+    run_rules builds the Finding.  A per_shape check reads only the node and
+    its numbers, so it runs once per shape, except on a shape whose numbers
+    are slots (Shape.literals): there every check runs per cell."""
 
     rule_id: str
     default_severity: Severity
@@ -459,17 +461,18 @@ class RuleConfig:
 _DEFAULT_CONFIG = RuleConfig()
 
 
-def _plan(formula: FormulaNode, values: Evaluator) -> list[tuple]:
+def _plan(formula: FormulaNode, values: Evaluator, literals: bool) -> list[tuple]:
     """(spec, node, additive, found) for each rule and each of its trigger nodes
     in formula, in finding order: found is a per-shape check's finding, made
-    here and left out when None, or None for a check to run per formula."""
+    here and left out when None, or None for a check to run per formula, as
+    every check does when the formula's numbers are slots (literals)."""
     triggers = _trigger_nodes(formula)
     plan = []
     for spec in _RULES.values():
         for key, node, additive in triggers:
             if key not in spec.triggers:
                 continue
-            if not spec.per_shape:
+            if literals or not spec.per_shape:
                 plan.append((spec, node, additive, None))
             elif (found := spec.check(node, additive, values, spec.threshold)) is not None:
                 plan.append((spec, node, additive, found))
@@ -493,7 +496,7 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
             tree = cell.formula if source is None else shape.template
             if tree is None:
                 continue  # a literal or an error
-            plan = _plan(tree, values)
+            plan = _plan(tree, values, shape is not None and shape.literals)
             if shape and shape.template is not None:
                 shape.rules = plan
         for spec, node, additive, found in plan:

@@ -3,9 +3,10 @@
 Exit codes are a function of findings and input validity only, never of the
 output format: 0 clean, 1 findings or discrepancies, 2 invalid input or
 output that cannot be written (stdout closed early included).  A subcommand
-raises ValueError for invalid input and main alone prints: one `error:` line
-for it or for a closed stdout, and one `warning:` line for each library
-warning.
+raises what the library raises (see the package docstring): ValueError for
+invalid input, ArithmeticError for arithmetic past the range of a float.
+main alone prints: one `error:` line for either or for a closed stdout, and
+one `warning:` line for each library warning.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         except ValueError as exc:  # the library's invalid-input signal, ParseError included
             print(f"error: {_one_line(exc)}", file=sys.stderr)
+            return 2
+        except ArithmeticError as exc:  # an overflow, as of pmt at a rate near -1
+            print(f"error: arithmetic out of range: {_one_line(exc)}", file=sys.stderr)
             return 2
         finally:
             for warning in caught:

@@ -20,15 +20,17 @@ each reference from the cell's own text by its slot (Shape.refs), as the text
 writes it.  evaluate_all calls a kernel itself, and _settle through _value.
 The catalog lookup, the arity check and the argument errors of EmptyArg and
 RangeRef nodes are decided when the kernel is built, and so is the value of
-a subtree with no reference; a step that collects values (NPV's, SUM's) runs
-Evaluator._numbers over the template's arguments.  Any other formula is its
-own tree, walked by eval_node.  eval_node and the readers under it, the
-audit's checks too, take the cell a template is read for as an argument, at =
-(Shape.refs(text), Shape.slots), or None for an own tree (see ref).  Both
-share the value-level rules below (operators, negation, argument checks,
-range reads), so each is stated once.  _binary tries its commonest case
-first, + - * / on two floats, and leaves a zero divisor, a result that is not
-finite and every other operator or operand to the case that states its rule.
+a subtree with no slot; a step that collects values (NPV's, SUM's) runs
+Evaluator._numbers over the template's arguments.  A SlotShape's numbers and
+strings are slots too, read from the cell's text like its references.  Any
+other formula is its own tree, walked by eval_node.  eval_node and the readers
+under it, the audit's checks too, take the cell a template is read for as an
+argument, at = (Shape.refs(text), Shape.slots), or None for an own tree (see
+ref and literal).  Both share the value-level rules below (operators,
+negation, argument checks, range reads), so each is stated once.  _binary
+tries its commonest case first, + - * / on two floats, and leaves a zero
+divisor, a result that is not finite and every other operator or operand to
+the case that states its rule.
 Evaluator.argument gives what a call passes for one parameter, as
 FUNCTION_CATALOG reads it: the audit's rules read a call's arguments through
 it, and the evaluator's own calls through its _pass.
@@ -64,10 +66,11 @@ from .ast import (
     TextLit,
     Unary,
 )
+from .parser import unquote
 from .shapes import Shape, cell_ref
 from .sheet import Cell, CellValue, ErrorKind, ErrorValue, Sheet, format_value
 
-__all__ = ["evaluate", "Evaluator", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role"]
+__all__ = ["evaluate", "Evaluator", "FUNCTION_CATALOG", "BASIS_CODES", "Param", "Role", "literal"]
 
 BASIS_CODES = {
     0: DayCountBasis.US_30_360,
@@ -113,6 +116,17 @@ def ref(node: CellRef | RangeRef, at: _At) -> str | RangeRef:
     refs, slots = at
     slot = slots[id(node)]
     return _address(refs[slot]) if type(node) is CellRef else _range_at(refs, slot)
+
+
+def literal(node: NumberLit | PercentLit | TextLit, at: _At) -> float | str:
+    """What node, a number or string of a tree, reads: its value, or the token
+    of the cell's text at its slot when at reads a SlotShape's template for a
+    cell (see ref).  A PercentLit reads the number before its '%'."""
+    slot = None if at is None else at[1].get(id(node))
+    if slot is None:
+        return node.value
+    token = at[0][slot]
+    return unquote(token) if type(node) is TextLit else float(token)
 
 
 def _propagated(address: str) -> ErrorValue:
@@ -392,13 +406,13 @@ class Evaluator:
                 return right
             return _binary(node.op, left, right)
         if kind is NumberLit:
-            return node.value
+            return node.value if at is None or id(node) not in at[1] else literal(node, at)
         if kind is Call:
             return self._call(node, at)
         if kind is PercentLit:
-            return node.value / 100
+            return literal(node, at) / 100
         if kind is TextLit:
-            return node.value
+            return literal(node, at)
         if kind is RangeRef:
             return _scalar_range(ref(node, at))
         if kind is Unary:
@@ -717,16 +731,18 @@ def _build_kernel(shape: Shape) -> _Kernel:
     return kernel
 
 
-def _has_reference(node: FormulaNode) -> bool:
-    kind = type(node)
-    if kind is CellRef or kind is RangeRef:
+def _has_slot(node: FormulaNode, slots: dict[int, int]) -> bool:
+    """Whether node is or holds a slot of its template: a reference, or a
+    number or string of a SlotShape's."""
+    if id(node) in slots:
         return True
+    kind = type(node)
     if kind is Unary:
-        return _has_reference(node.child)
+        return _has_slot(node.child, slots)
     if kind is Binary:
-        return _has_reference(node.left) or _has_reference(node.right)
+        return _has_slot(node.left, slots) or _has_slot(node.right, slots)
     if kind is Call:
-        return any(map(_has_reference, node.args))
+        return any(_has_slot(arg, slots) for arg in node.args)
     return False
 
 
@@ -735,8 +751,8 @@ def _constant(value: CellValue) -> _Kernel:
 
 
 def _compile(node: FormulaNode, slots: dict[int, int]) -> _Kernel:
-    """node of a template as a function of (evaluator, references of a cell's text)."""
-    if not _has_reference(node):  # its value is the same for every cell: take it now
+    """node of a template as a function of (evaluator, tokens of a cell's text)."""
+    if not _has_slot(node, slots):  # its value is the same for every cell: take it now
         return _constant(Evaluator(Sheet(())).eval_node(node))
     kind = type(node)
     if kind is CellRef:
@@ -748,8 +764,14 @@ def _compile(node: FormulaNode, slots: dict[int, int]) -> _Kernel:
     if kind is RangeRef:
         slot = slots[id(node)]
         return lambda ev, refs: _scalar_range(_range_at(refs, slot))
-    child = _compile(node.child, slots)  # a Unary
-    return lambda ev, refs: _negate(child(ev, refs))
+    if kind is Unary:
+        child = _compile(node.child, slots)
+        return lambda ev, refs: _negate(child(ev, refs))
+    slot = slots[id(node)]  # a number or string of the cell's own text
+    if kind is TextLit:
+        return lambda ev, refs: unquote(refs[slot])
+    scale = 100.0 if kind is PercentLit else 1.0
+    return lambda ev, refs: float(refs[slot]) / scale
 
 
 def _cell_kernel(slot: int) -> _Kernel:

@@ -69,14 +69,16 @@ class TokenKind(str, Enum):
 _REF_RE = re.compile(r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]*)")
 # _REF_RE without its groups: letters-then-digits is a cell ref unless a call's '(' follows
 _REF_TOKEN = _REF_RE.pattern.replace("(", "(?:") + "(?![A-Za-z0-9(])"
+_NUMBER_TOKEN = r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_STRING_TOKEN = r'"(?:[^"]|"")*"(?!")'
 _OPERATORS = sorted([*_BINARY_PREC, "%"], key=len, reverse=True)  # '<=' before '<'
 # one alternative per token kind, named after its TokenKind value; ASCII only,
 # since \d and str.isalpha would also accept characters such as '²' and 'é'
 _TOKEN_RE = re.compile(
     "|".join([
         r"[ \t]+",
-        r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)",
-        r'(?P<string>"(?:[^"]|"")*"(?!"))',
+        rf"(?P<number>{_NUMBER_TOKEN})",
+        rf"(?P<string>{_STRING_TOKEN})",
         rf"(?P<ref>{_REF_TOKEN})",
         r"(?P<ident>[A-Za-z][A-Za-z0-9]*)",
         "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
@@ -128,7 +130,7 @@ def _lex(text: str) -> list[tuple]:
                 raise ParseError(f"number {lexeme} is too large at column {pos}", pos)
             append((_NUMBER, lexeme, match.start(), value))
         elif kind == "string":
-            append((_STRING, lexeme[1:-1].replace('""', '"'), match.start(), None))
+            append((_STRING, unquote(lexeme), match.start(), None))
         elif kind == "bad":
             pos = match.start()
             if lexeme == '"':
@@ -137,6 +139,11 @@ def _lex(text: str) -> list[tuple]:
         else:
             append((_KINDS[kind], lexeme, match.start(), None))
     return tokens
+
+
+def unquote(lexeme: str) -> str:
+    """The text of a string token: its quotes dropped and each '""' read as '"'."""
+    return lexeme[1:-1].replace('""', '"')
 
 
 def tokenize(text: str) -> list[Token]:

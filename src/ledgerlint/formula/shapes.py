@@ -1,8 +1,8 @@
 """Formulas that share a shape are parsed once per process and read through one template.
 
 A formula filled down or across a sheet keeps its text and moves its
-references with the cell, so its shape key is the tuple of texts between its
-reference tokens: the cells of a filled range share it, whatever their
+references with the cell, so its reference key is the tuple of texts between
+its reference tokens: the cells of a filled range share it, whatever their
 references and '$' anchors, as spreadsheet files share one formula over a
 filled range (ECMA-376, <f t="shared">; Sestoft, Spreadsheet Implementation
 Technology, 2014).  Workbooks built from one template or wizard share keys
@@ -18,26 +18,43 @@ made only when something reads cell.formula.  Where the kernel collects values
 (SUM's, NPV's), it passes the cell's references with the template's slots to
 the evaluator's own reader of those arguments, as the audit's checks pass
 them.  The key keeps the boundaries between the texts, since '=-A1' and
-'=A1-B1' join to the same string.  The table holds at most _TABLE_SIZE keys
-and drops the oldest inserted first; parse itself keeps no state.
+'=A1-B1' join to the same string.
+
+Books filled in from one template differ mostly in the numbers typed into
+them, so a text also has a slot key: the kinds of its reference, number and
+string tokens and the texts between them, as grouping cells by structure with
+constants abstracted does (CUSTODES, Cheung et al., ICSE 2016).  Its shape, a
+SlotShape, reads those numbers and strings from the cell's text too, by their
+slots among its tokens.  A text whose reference key has a template, or a first
+tree still alive, is read through that, as above; any other is read through
+its slot key's template when there is one, and its reference key notes the
+text alone, so that the key's next text is parsed and becomes the template.
+A text with no number or string has no slot key.  The table holds at most
+_TABLE_SIZE keys of both kinds and drops the oldest inserted first; parse
+itself keeps no state.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from weakref import ref as weak_ref
 
-from .ast import Binary, Call, CellRef, FormulaNode, RangeRef, Unary
-from .parser import _REF_TOKEN, _make_ref, parse
+from .ast import Binary, Call, CellRef, FormulaNode, NumberLit, PercentLit, RangeRef, TextLit, Unary
+from .parser import _NUMBER_TOKEN, _REF_TOKEN, _STRING_TOKEN, _make_ref, parse, unquote
 
-__all__ = ["Shape", "parse_shared"]
+__all__ = ["Shape", "SlotShape", "parse_shared"]
 
-# The lexer's reference token where it can start one: never right after a
-# letter, a digit or a '.' (inside a name or a number like 1E5).  A match
-# inside a string literal is not a reference for the lexer, and the template
-# check below makes such a key unshareable.  The pattern has no groups, so
-# split gives the texts between references and findall each reference.
-_REFS = re.compile(rf"(?<![A-Za-z0-9.]){_REF_TOKEN}")
+# The lexer's reference, number and string tokens where they can start one:
+# never right after a letter, a digit or a '.' (inside a name like DAYS360 or
+# a number like 1E5).  A reference-like run inside a string is no reference
+# for the lexer: _SLOTS reads the string whole, and the template check below
+# makes such a reference key unshareable.  The patterns have no groups, so
+# split gives the texts between tokens and findall each token.
+_GUARD = "(?<![A-Za-z0-9.])"
+_REFS = re.compile(_GUARD + _REF_TOKEN)
+_SLOTS = re.compile(rf"{_GUARD}(?:{_STRING_TOKEN}|{_REF_TOKEN}|{_NUMBER_TOKEN})", re.ASCII)
+_KINDS = {'"': "s", **dict.fromkeys("0123456789.", "n")}  # a token's first character; else 'r'
 
 
 def cell_ref(ref: str) -> CellRef:
@@ -45,89 +62,156 @@ def cell_ref(ref: str) -> CellRef:
     return _make_ref(ref.upper())
 
 
+def _value(token: str) -> CellRef | float | str:
+    """What the parser makes of a token of _SLOTS: a CellRef, a number or a string's text."""
+    kind = _KINDS.get(token[0], "r")
+    if kind == "r":
+        return cell_ref(token)
+    return float(token) if kind == "n" else unquote(token)
+
+
+def _gone() -> None:
+    """The first tree of a key whose first text was read through a slot key: none."""
+
+
 class Shape:
-    """The formulas of one key, in every sheet that has it.
+    """The formulas of one reference key, in every sheet that has it.
 
     Until the key comes again it holds the key's first text and, weakly, its
-    tree.  Then that tree is the template, and slots maps each of its
-    CellRef and RangeRef nodes, by identity, to its place among a text's
-    references: a range has its start corner's place and its end corner's
-    next to it.  A key whose template check fails keeps neither.  rules is
-    where audit.run_rules keeps its plan of the template's nodes, and kernel
-    the evaluator's compiled template, once the shape has a template."""
+    tree (_first), or the text alone.  Then that tree is the template, and
+    slots maps each of its CellRef and RangeRef nodes, by identity, to its
+    place among a text's references: a range has its start corner's place and
+    its end corner's next to it.  A key whose template check fails keeps
+    neither.  rules is where audit.run_rules keeps its plan of the template's
+    nodes, and kernel the evaluator's compiled template, once the shape has a
+    template.  literals is set on a SlotShape, whose numbers and strings are
+    slots too."""
 
     __slots__ = ("rules", "kernel", "template", "slots", "_first")
+    literals = False
 
-    def __init__(self, tree: FormulaNode, text: str) -> None:
+    def __init__(self, tree: FormulaNode | None, text: str) -> None:
         self.rules = self.kernel = None
         self.template: FormulaNode | None = None
         self.slots: dict[int, int] | None = None
-        self._first: tuple[weak_ref, str] | None = (weak_ref(tree), text)
+        self._first = (_gone if tree is None else weak_ref(tree), text)
 
-    # refs(text) lists the references that the key of text splits it at, each
-    # as written in text ('$b$5', say): node of the template is
+    # refs(text) lists the tokens that the key of text splits it at, each as
+    # written in text ('$b$5', say): node of the template is
     # refs(text)[slots[id(node)]] in text
     refs = staticmethod(_REFS.findall)
 
     def _share(self, tree: FormulaNode, text: str) -> None:
-        """Make tree, the tree of text, the shape's template, if its references are the key's."""
-        found: list[CellRef] = []
+        """Make tree, the tree of text, the shape's template, if its slots are the key's."""
+        found: list = []
         slots: dict[int, int] = {}
-        _number(tree, found, slots)
-        # The template is accepted only when its references, in order, are
-        # exactly those the key found in its text: then the text's reference
-        # tokens are exactly those, and a text with the same key differs from
-        # it only there, so it parses to the same tree with its own
-        # references.  A reference-like run the lexer reads otherwise (inside
-        # a string, say), or a reversed range the parser normalized, makes the
+        _number(tree, found, slots, self.literals)
+        # The template is accepted only when its slot nodes, in order, are
+        # exactly those the key found in its text: then the text's tokens of
+        # those kinds are exactly those, and a text with the same key differs
+        # from it only there, so it parses to the same tree with its own
+        # tokens.  A reference-like run the lexer reads otherwise (inside a
+        # string, say), or a reversed range the parser normalized, makes the
         # key unshareable.
-        if found == [cell_ref(ref) for ref in self.refs(text)]:
+        if found == list(map(_value, self.refs(text))):
             self.template, self.slots = tree, slots
         self._first = None
 
 
+class SlotShape(Shape):
+    """The formulas of one slot key: numbers and strings are slots too, and
+    slots maps each NumberLit, PercentLit and TextLit node of the template to
+    its place among a text's tokens as well (a PercentLit's token is its
+    number)."""
+
+    __slots__ = ()
+    literals = True
+    refs = staticmethod(_SLOTS.findall)
+
+
 # The process's shapes by key, oldest inserted first: every Sheet parses
-# through it, whoever loads the sheet.  A trapmix run of 1,500 books holds
-# 1,177-1,235 keys, and a shape with its template, kernel and plan about 1.9 KB.
-_TABLE_SIZE = 2048  # distinct keys
-_table: dict[tuple[str, ...], Shape] = {}
+# through it, whoever loads the sheet.  An audit of the 1,579 seed-5 trapmix
+# books leaves 1,192 reference keys and 17 slot keys in it, and a shape with
+# its template, kernel and plan takes about 1.9 KB.
+_TABLE_SIZE = 2048  # distinct keys of both kinds
+_table: dict[tuple, Shape] = {}
 
 
 def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
     """(tree, shape, source) of a formula text, or the ParseError of parse(text).
 
-    A text whose key came before and shares its tree gets tree None and
-    source text: it is read through shape's template.  That is the commonest
-    case, so a key with a template is looked up first, and a hit does no
-    bookkeeping.  Any other text gets tree parse(text) and its key's new
-    shape, or None for a key whose tree cannot be shared.  A new key past
-    _TABLE_SIZE drops the oldest inserted one: its cells keep their shape, and
-    its next text is parsed as a first text."""
+    A text read through a template gets tree None, source text and the
+    template's shape: its reference key's if that has a template or can make
+    one from a first tree still alive, else its slot key's likewise.  That is
+    the commonest case, so a reference key with a template is looked up
+    first, and a hit does no bookkeeping.  Any other text gets tree
+    parse(text) and its reference key's new shape, or None for a key whose
+    tree cannot be shared.  A new key past _TABLE_SIZE drops the oldest
+    inserted one: its cells keep their shape, and its next text is parsed as
+    a first text."""
     key = tuple(_REFS.split(text))
     shape = _table.get(key)
     if shape is not None and shape.template is not None:  # then _first is None
         return None, shape, text
-    pending = shape is not None and shape._first is not None
-    first = shape._first[0]() if pending else None
-    if first is not None:
-        shape._share(first, shape._first[1])
-    elif shape is None or pending:
-        tree = parse(text)  # a ParseError leaves the key as it was
-        if shape is None and len(_table) >= _TABLE_SIZE:
-            del _table[next(iter(_table))]
-        new = _table[key] = Shape(tree, text)
-        if shape is not None:  # the key comes again, but its first sheets are gone
-            new._share(tree, text)
-        return tree, new, None
-    if shape.template is None:
-        return parse(text), None, None
-    return None, shape, text
+    if _ready(shape):
+        return None, shape, text
+    slot_key = None
+    if shape is None or shape._first is None:  # a new key, or one that cannot be shared
+        tokens = _SLOTS.findall(text)
+        kinds = "".join([_KINDS.get(token[0], "r") for token in tokens])
+        if "n" in kinds or "s" in kinds:
+            # None first: no reference key holds it
+            slot_key = (None, kinds, *_SLOTS.split(text))
+            slot = _table.get(slot_key)
+            # a number the lexer rejects (1E400) leaves the text to parse
+            numbers = [float(token) for token, kind in zip(tokens, kinds) if kind == "n"]
+            if _ready(slot) and math.inf not in numbers:
+                if shape is None:
+                    _insert(key, Shape(None, text))
+                return None, slot, text
+    tree = parse(text)  # a ParseError leaves the keys as they were
+    if slot_key is not None:
+        _record(slot_key, slot, tree, text, SlotShape)
+    return tree, _record(key, shape, tree, text, Shape), None
 
 
-def _number(node: FormulaNode, found: list[CellRef], slots: dict[int, int]) -> None:
-    """Append node's references to found in text order, and give each CellRef
-    and RangeRef node, by identity, its place in found as its slot: '=A1+A1'
-    has two slots, since another text with its key may hold '=B1+C1'."""
+def _ready(shape: Shape | None) -> bool:
+    """Whether shape has a template, made now from its first tree if that still lives."""
+    if shape is None:
+        return False
+    if shape._first is not None:
+        first, text = shape._first
+        first = first()
+        if first is not None:
+            shape._share(first, text)
+    return shape.template is not None
+
+
+def _record(key: tuple, shape: Shape | None, tree: FormulaNode, text: str, kind: type) -> Shape | None:
+    """The shape of key once tree, parsed from text, is noted: a new key's
+    first text, or the template of a key that came before, whose first tree is
+    gone.  A key that cannot be shared stays so, and gives None."""
+    if shape is not None and shape._first is None:
+        return None
+    new = kind(tree, text)
+    _insert(key, new)
+    if shape is not None:  # the key comes again, but its first sheets are gone
+        new._share(tree, text)
+    return new
+
+
+def _insert(key: tuple, shape: Shape) -> None:
+    """Put shape under key, first dropping the oldest key when a new one finds the table full."""
+    if key not in _table and len(_table) >= _TABLE_SIZE:
+        del _table[next(iter(_table))]
+    _table[key] = shape
+
+
+def _number(node: FormulaNode, found: list, slots: dict[int, int], literals: bool) -> None:
+    """Append node's slot values to found in text order, and give each slot
+    node, by identity, its place in found: each CellRef and RangeRef node,
+    and with literals each NumberLit, PercentLit and TextLit node too.
+    '=A1+A1' has two slots, since another text with its key may hold '=B1+C1'."""
     kind = type(node)
     if kind is CellRef:
         slots[id(node)] = len(found)
@@ -136,10 +220,13 @@ def _number(node: FormulaNode, found: list[CellRef], slots: dict[int, int]) -> N
         slots[id(node)] = len(found)
         found += (node.start, node.end)
     elif kind is Unary:
-        _number(node.child, found, slots)
+        _number(node.child, found, slots, literals)
     elif kind is Binary:
-        _number(node.left, found, slots)
-        _number(node.right, found, slots)
+        _number(node.left, found, slots, literals)
+        _number(node.right, found, slots, literals)
     elif kind is Call:
         for arg in node.args:
-            _number(arg, found, slots)
+            _number(arg, found, slots, literals)
+    elif literals and (kind is NumberLit or kind is PercentLit or kind is TextLit):
+        slots[id(node)] = len(found)
+        found.append(node.value)

@@ -665,6 +665,47 @@ def test_a_schedule_exits_0_1_or_2_and_prints_only_finite_numbers(argv):
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), out.getvalue()
 
 
+def test_a_schedule_whose_payment_overflows_is_one_error_line(capsys):
+    argv = ["schedule", "--principal", "1000", "--rate", "-0.9999999999999999", "--term", "1000"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: arithmetic out of range: math range error\n")
+
+
+_NEAR_MINUS_ONE = st.integers(-2, 8).map(lambda ulps: -1.0 + ulps * 2.0**-53)
+EXTREME_SCHEDULES = st.builds(
+    lambda cost, salvage, life, month, mode: [
+        "depr", f"--cost={cost!r}", f"--salvage={salvage!r}", f"--life={life}", f"--month={month}",
+        "--mode", mode,
+    ],
+    _AMOUNTS, _AMOUNTS, st.integers(1, 3000), st.integers(1, 12), st.sampled_from(["exact", "compat"]),
+) | st.builds(
+    lambda principal, rate, term, holiday, convention: [
+        "schedule", f"--principal={principal!r}", f"--rate={rate!r}", f"--term={term}",
+        f"--holiday={holiday}", "--convention", convention,
+    ],
+    _AMOUNTS, _NEAR_MINUS_ONE, st.integers(1, 3000), st.integers(0, 12),
+    st.sampled_from(["uk", "us"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXTREME_SCHEDULES)
+def test_a_long_schedule_at_extreme_rates_and_amounts_exits_0_1_or_2(argv):
+    """Terms and lives up to 3,000, rates within 8 ulps of -1 and amounts up
+    to 1e308: exit 0, 1 or 2, an error: line exactly on 2, and no nan or inf
+    in what is printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert [line for line in lines if not line.startswith("warning: ")] == lines[:code == 2]
+    assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
+    if code != 2:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), out.getvalue()
+
+
 def _csv_bytes(rows) -> bytes:
     text = io.StringIO()
     csv.writer(text).writerows(rows)

@@ -311,11 +311,12 @@ def shaped(monkeypatch):
 
 
 def test_template_hits_make_no_parse_and_no_shape(parsed, shaped):
-    # the full seed-5 loan book: 21,004 formulas, 20,996 of them template hits
+    # the full seed-5 loan book: 21,004 formulas, 20,996 of them template hits;
+    # the 8 parses make 8 reference-key shapes and note 3 slot keys
     book = _load_workloads().loanbook(5).books[0]
     sheet = Sheet(_rows(book.grid))
     hits = sum(cell.source is not None for cell in sheet.cells.values())
-    assert (len(parsed), len(shaped), hits) == (8, 8, 20_996)
+    assert (len(parsed), len(shaped), hits) == (8, 11, 20_996)
 
 
 @settings(max_examples=200, deadline=None)
@@ -387,10 +388,11 @@ def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
     del first
     gc.collect()
     assert tree() is None and call() is None
-    # the table holds the key, which came once, with its text and no tree
-    (shape,) = shapes._table.values()
-    assert shape._first[0]() is None and shape._first[1] == PMT_TEXT.format(r=1)
-    assert shape.template is shape.rules is shape.kernel is None
+    # the table holds the key and its slot key, which came once, with the text and no tree
+    assert len(shapes._table) == 2
+    for shape in shapes._table.values():
+        assert shape._first[0]() is None and shape._first[1] == PMT_TEXT.format(r=1)
+        assert shape.template is shape.rules is shape.kernel is None
     second = _pmt_sheet(2)
     assert second.cells["C2"].formula == parse(PMT_TEXT.format(r=2))
 
@@ -467,7 +469,10 @@ def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, kee
             kept.append(sheet)
         del sheet
         gc.collect()
-    assert parsed == texts
+    assert shapes._table[tuple(shapes._REFS.split(texts[0]))].template is None
+    # the slot key reads the string whole: its template comes from the first
+    # tree while that lives, else from the next text parsed once its key is unshareable
+    assert parsed == (texts[:1] if keep else texts)
 
 
 @pytest.fixture(scope="module")

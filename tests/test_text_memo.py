@@ -69,7 +69,9 @@ def test_fresh_cache_loads_parse_a_recurring_text_at_most_twice(parsed):
     for book in books:
         _load(book)  # each sheet dropped at once, as a caller of load_workbook(path) may
     assert {text: count for text, count in parsed.items() if count > 2} == {}
-    assert all(parsed[text] == 1 for text, count in texts.items() if count == 1)
+    # a text that occurs once is mostly read through its slot key's template
+    once = [text for text, count in texts.items() if count == 1]
+    assert sum(parsed[text] for text in once) <= len(once) // 10
     assert set(parsed) <= set(texts)
 
 
@@ -79,9 +81,11 @@ def test_trapmix_parse_counts(parsed):
     assert (sum(texts.values()), len(texts)) == (7160, 1153)  # each one parsed at the seed
     for book in books:
         _load(book)
-    assert sum(parsed.values()) <= 1500
-    assert all(parsed[text] == 1 for text, count in texts.items() if count == 1)
-    assert len(shapes._table) == len(_keys(texts))  # below the bound, no key is dropped
+    assert sum(parsed.values()) <= 300
+    once = [text for text, count in texts.items() if count == 1]
+    assert sum(parsed[text] for text in once) <= len(once) // 10
+    # below the bound, no key is dropped: each reference key is noted, if only its text
+    assert {key for key in shapes._table if key[0] is not None} == _keys(texts)
     pending = sum(1 for shape in shapes._table.values() if shape._first is not None)
     parsed.clear()
     for book in books:
@@ -91,7 +95,7 @@ def test_trapmix_parse_counts(parsed):
     shapes._table.clear()
     for book in books:
         sheet = _load(book)  # kept until the next load, as the audit keeps it
-    assert sum(parsed.values()) <= 1364
+    assert sum(parsed.values()) <= 300
     assert len(shapes._table) <= shapes._TABLE_SIZE
 
 
@@ -101,7 +105,10 @@ def test_a_text_asked_for_once_keeps_no_tree(parsed):
     assert tree is not None and source is None and shape.template is None
     del tree
     gc.collect()
-    assert list(shapes._table) == [tuple(shapes._REFS.split(text))]
-    first, kept = shape._first
-    assert first() is None and kept == text and shape.template is None
+    # the reference key and the slot key, whose tokens are a reference, two numbers and a reference
+    slot_key = (None, "rnnr", "=PMT(", "/", ",", ",", ")")
+    assert list(shapes._table) == [slot_key, tuple(shapes._REFS.split(text))]
+    for noted in shapes._table.values():
+        first, kept = noted._first
+        assert first() is None and kept == text and noted.template is None
     assert parsed[text] == 1
