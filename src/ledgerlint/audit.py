@@ -13,7 +13,8 @@ id, its configured severity and the cell.  A check reads a call's argument as th
 call itself would get it (Evaluator.argument, by FUNCTION_CATALOG): its
 default when omitted, its checked value, or the error that stops the call.
 Checks are stateless, skip anything they cannot interpret, and never abort
-an audit.
+an audit.  R0 inspects no node: it reports each formula that could not be
+parsed, which no other rule can read.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def _visit(node: FormulaNode, additive: bool, found: list) -> None:
 def _ref_evidence(values: Evaluator, at, *nodes: FormulaNode) -> Evidence:
     addresses = [ref(node, at) for node in nodes if isinstance(node, CellRef)]
     return tuple((address, format_value(values.cell_value(address))) for address in addresses)
+
+
+def _rule_r0(error: ErrorValue, additive: bool, values: Evaluator, threshold: None, at=None):
+    return f"formula could not be parsed: {error.message}; no rule checked it", ()
 
 
 def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
@@ -264,7 +269,8 @@ class _RuleSpec:
     above it, the sheet's one Evaluator, RuleConfig.threshold (threshold here
     unless configured, None for a rule without one) and at (evaluator.ref).
     It returns (message, evidence), evidence () when it has none, or None;
-    run_rules builds the Finding.  A per_shape check reads only the node and
+    run_rules builds the Finding.  R0 has no triggers: its check gets each
+    PARSE cell's ErrorValue as node.  A per_shape check reads only the node and
     its numbers, so it runs once per shape, except on a shape whose numbers
     are slots (Shape.literals): there every check runs per cell."""
 
@@ -280,6 +286,17 @@ class _RuleSpec:
 _RULES: dict[str, _RuleSpec] = {
     spec.rule_id: spec
     for spec in [
+        _RuleSpec(
+            "R0",
+            Severity.WARNING,
+            "A formula that cannot be parsed is a #PARSE! cell: it has no "
+            "value, and no rule can read it, so a misuse it holds goes "
+            "unreported and every formula that reads it fails too.  A formula "
+            "that holds a comma must be quoted in a CSV file, or the comma "
+            "splits it into several cells.  Fix the formula so that it parses.",
+            frozenset(),
+            _rule_r0,
+        ),
         _RuleSpec(
             "R1",
             Severity.WARNING,
@@ -484,8 +501,9 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
 
     A plan holds the trigger nodes of a cell's shape's template or own tree;
     its per-cell checks get at for the cell (evaluator.ref), built only when
-    one runs.  Only a shape with a template keeps its plan: a pending shape
-    may outlive its sheet in the shape table and must not keep its nodes."""
+    one runs.  A shape with a template keeps its plan.  A cell whose formula
+    could not be parsed has no tree: R0 reports it, so that such a workbook
+    is never reported clean."""
     active = (config or _DEFAULT_CONFIG)._active
     values = Evaluator(sheet)
     findings: list[Finding] = []
@@ -494,8 +512,11 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
         plan = shape and shape.rules
         if plan is None:
             tree = cell.formula if source is None else shape.template
-            if tree is None:
-                continue  # a literal or an error
+            if tree is None:  # a literal, or a formula that could not be parsed
+                if cell.error is not None and "R0" in active:
+                    found = _rule_r0(cell.error, False, values, None)
+                    findings.append(Finding("R0", active["R0"][0], cell.address, *found))
+                continue
             plan = _plan(tree, values, shape is not None and shape.literals)
             if shape and shape.template is not None:
                 shape.rules = plan

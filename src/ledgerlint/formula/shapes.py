@@ -7,38 +7,37 @@ references and '$' anchors, as spreadsheet files share one formula over a
 filled range (ECMA-376, <f t="shared">; Sestoft, Spreadsheet Implementation
 Technology, 2014).  Workbooks built from one template or wizard share keys
 too, so one table per process (_table) serves every sheet.  The first cell
-with a key is parsed as usual and gets the key's Shape.  When the key comes
-again, that cell's tree becomes the shape's template, whose reference nodes
-each hold a slot among a text's references, and each cell with the key keeps
-the shape and its text.  The evaluator runs the template compiled (the shape's
-kernel) and the audit walks it; both read each reference by its slot among the
-references of the cell's text, as the text writes it (Shape.refs: '$b$5',
-say), so no tree is built for the cell; its own tree is parse() of its text,
-made only when something reads cell.formula.  Where the kernel collects values
-(SUM's, NPV's), it passes the cell's references with the template's slots to
-the evaluator's own reader of those arguments, as the audit's checks pass
-them.  The key keeps the boundaries between the texts, since '=-A1' and
-'=A1-B1' join to the same string.
+with a key is parsed as usual, and its tree becomes the template of the key's
+Shape at once: each reference node of the template holds a slot among a
+text's references, and each later cell with the key keeps the shape and its
+text.  The evaluator runs the template compiled (the shape's kernel) and the
+audit walks it; both read each reference by its slot among the references of
+the cell's text, as the text writes it (Shape.refs: '$b$5', say), so no tree
+is built for the cell; its own tree is parse() of its text, made only when
+something reads cell.formula.  Where the kernel collects values (SUM's,
+NPV's), it passes the cell's references with the template's slots to the
+evaluator's own reader of those arguments, as the audit's checks pass them.
+The key keeps the boundaries between the texts, since '=-A1' and '=A1-B1'
+join to the same string.
 
 Books filled in from one template differ mostly in the numbers typed into
 them, so a text also has a slot key: the kinds of its reference, number and
 string tokens and the texts between them, as grouping cells by structure with
 constants abstracted does (CUSTODES, Cheung et al., ICSE 2016).  Its shape, a
 SlotShape, reads those numbers and strings from the cell's text too, by their
-slots among its tokens.  A text whose reference key has a template, or a first
-tree still alive, is read through that, as above; any other is read through
-its slot key's template when there is one, and its reference key notes the
-text alone, so that the key's next text is parsed and becomes the template.
-A text with no number or string has no slot key.  The table holds at most
-_TABLE_SIZE keys of both kinds and drops the oldest inserted first; parse
-itself keeps no state.
+slots among its tokens.  A text whose reference key has a template is read
+through that, as above; a text of a new or unshareable reference key is read
+through its slot key's template when there is one, and a new reference key is
+then noted (None in the table), so that its next text is parsed and becomes
+its template.  A text with no number or string has no slot key.  The table
+holds at most _TABLE_SIZE keys of both kinds, noted ones included, and drops
+the oldest inserted first; parse itself keeps no state.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from weakref import ref as weak_ref
 
 from .ast import Binary, Call, CellRef, FormulaNode, NumberLit, PercentLit, RangeRef, TextLit, Unary
 from .parser import _NUMBER_TOKEN, _REF_TOKEN, _STRING_TOKEN, _make_ref, parse, unquote
@@ -70,39 +69,23 @@ def _value(token: str) -> CellRef | float | str:
     return float(token) if kind == "n" else unquote(token)
 
 
-def _gone() -> None:
-    """The first tree of a key whose first text was read through a slot key: none."""
-
-
 class Shape:
     """The formulas of one reference key, in every sheet that has it.
 
-    Until the key comes again it holds the key's first text and, weakly, its
-    tree (_first), or the text alone.  Then that tree is the template, and
-    slots maps each of its CellRef and RangeRef nodes, by identity, to its
-    place among a text's references: a range has its start corner's place and
-    its end corner's next to it.  A key whose template check fails keeps
-    neither.  rules is where audit.run_rules keeps its plan of the template's
-    nodes, and kernel the evaluator's compiled template, once the shape has a
+    template is tree, the tree of the key's first text, and slots maps each
+    of its CellRef and RangeRef nodes, by identity, to its place among a
+    text's references: a range has its start corner's place and its end
+    corner's next to it.  A key whose first tree fails the template check is
+    unshareable and keeps neither.  rules is where audit.run_rules keeps its
+    plan of the template's nodes, and kernel the evaluator's compiled
     template.  literals is set on a SlotShape, whose numbers and strings are
     slots too."""
 
-    __slots__ = ("rules", "kernel", "template", "slots", "_first")
+    __slots__ = ("rules", "kernel", "template", "slots")
     literals = False
 
-    def __init__(self, tree: FormulaNode | None, text: str) -> None:
-        self.rules = self.kernel = None
-        self.template: FormulaNode | None = None
-        self.slots: dict[int, int] | None = None
-        self._first = (_gone if tree is None else weak_ref(tree), text)
-
-    # refs(text) lists the tokens that the key of text splits it at, each as
-    # written in text ('$b$5', say): node of the template is
-    # refs(text)[slots[id(node)]] in text
-    refs = staticmethod(_REFS.findall)
-
-    def _share(self, tree: FormulaNode, text: str) -> None:
-        """Make tree, the tree of text, the shape's template, if its slots are the key's."""
+    def __init__(self, tree: FormulaNode, text: str) -> None:
+        self.rules = self.kernel = self.template = self.slots = None
         found: list = []
         slots: dict[int, int] = {}
         _number(tree, found, slots, self.literals)
@@ -115,7 +98,11 @@ class Shape:
         # key unshareable.
         if found == list(map(_value, self.refs(text))):
             self.template, self.slots = tree, slots
-        self._first = None
+
+    # refs(text) lists the tokens that the key of text splits it at, each as
+    # written in text ('$b$5', say): node of the template is
+    # refs(text)[slots[id(node)]] in text
+    refs = staticmethod(_REFS.findall)
 
 
 class SlotShape(Shape):
@@ -130,33 +117,34 @@ class SlotShape(Shape):
 
 
 # The process's shapes by key, oldest inserted first: every Sheet parses
-# through it, whoever loads the sheet.  An audit of the 1,579 seed-5 trapmix
-# books leaves 1,192 reference keys and 17 slot keys in it, and a shape with
-# its template, kernel and plan takes about 1.9 KB.
+# through it, whoever loads the sheet.  An entry is a shape with a template,
+# an unshareable shape, or None for a noted reference key.  An audit of the
+# 1,579 seed-5 trapmix books leaves 1,192 reference keys (952 of them noted)
+# and 17 slot keys in it, and a shape with its template, kernel and plan takes
+# about 2 KB.
 _TABLE_SIZE = 2048  # distinct keys of both kinds
-_table: dict[tuple, Shape] = {}
+_table: dict[tuple, Shape | None] = {}
 
 
 def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
     """(tree, shape, source) of a formula text, or the ParseError of parse(text).
 
     A text read through a template gets tree None, source text and the
-    template's shape: its reference key's if that has a template or can make
-    one from a first tree still alive, else its slot key's likewise.  That is
-    the commonest case, so a reference key with a template is looked up
-    first, and a hit does no bookkeeping.  Any other text gets tree
-    parse(text) and its reference key's new shape, or None for a key whose
-    tree cannot be shared.  A new key past _TABLE_SIZE drops the oldest
-    inserted one: its cells keep their shape, and its next text is parsed as
-    a first text."""
+    template's shape: its reference key's if that has a template, else, for
+    a new or unshareable reference key, its slot key's.  That is the
+    commonest case, so a reference key with a template is looked up first,
+    and a hit does no bookkeeping.  Any other text gets tree parse(text),
+    which becomes the template of each of its keys that is new or noted, and
+    its reference key's shape, whose template is that tree unless the key is
+    unshareable.  A new key past _TABLE_SIZE drops the oldest inserted one:
+    its cells keep their shape, and its next text is parsed as a first
+    text."""
     key = tuple(_REFS.split(text))
     shape = _table.get(key)
-    if shape is not None and shape.template is not None:  # then _first is None
-        return None, shape, text
-    if _ready(shape):
+    if shape is not None and shape.template is not None:
         return None, shape, text
     slot_key = None
-    if shape is None or shape._first is None:  # a new key, or one that cannot be shared
+    if shape is not None or key not in _table:  # an unshareable key or a new one: not a noted one
         tokens = _SLOTS.findall(text)
         kinds = "".join([_KINDS.get(token[0], "r") for token in tokens])
         if "n" in kinds or "s" in kinds:
@@ -165,42 +153,20 @@ def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | Non
             slot = _table.get(slot_key)
             # a number the lexer rejects (1E400) leaves the text to parse
             numbers = [float(token) for token, kind in zip(tokens, kinds) if kind == "n"]
-            if _ready(slot) and math.inf not in numbers:
+            if slot is not None and slot.template is not None and math.inf not in numbers:
                 if shape is None:
-                    _insert(key, Shape(None, text))
+                    _insert(key, None)
                 return None, slot, text
     tree = parse(text)  # a ParseError leaves the keys as they were
-    if slot_key is not None:
-        _record(slot_key, slot, tree, text, SlotShape)
-    return tree, _record(key, shape, tree, text, Shape), None
-
-
-def _ready(shape: Shape | None) -> bool:
-    """Whether shape has a template, made now from its first tree if that still lives."""
+    if slot_key is not None and slot_key not in _table:
+        _insert(slot_key, SlotShape(tree, text))
     if shape is None:
-        return False
-    if shape._first is not None:
-        first, text = shape._first
-        first = first()
-        if first is not None:
-            shape._share(first, text)
-    return shape.template is not None
+        shape = Shape(tree, text)
+        _insert(key, shape)
+    return tree, shape, None
 
 
-def _record(key: tuple, shape: Shape | None, tree: FormulaNode, text: str, kind: type) -> Shape | None:
-    """The shape of key once tree, parsed from text, is noted: a new key's
-    first text, or the template of a key that came before, whose first tree is
-    gone.  A key that cannot be shared stays so, and gives None."""
-    if shape is not None and shape._first is None:
-        return None
-    new = kind(tree, text)
-    _insert(key, new)
-    if shape is not None:  # the key comes again, but its first sheets are gone
-        new._share(tree, text)
-    return new
-
-
-def _insert(key: tuple, shape: Shape) -> None:
+def _insert(key: tuple, shape: Shape | None) -> None:
     """Put shape under key, first dropping the oldest key when a new one finds the table full."""
     if key not in _table and len(_table) >= _TABLE_SIZE:
         del _table[next(iter(_table))]

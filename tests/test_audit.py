@@ -62,10 +62,11 @@ def test_nested_traps_keep_their_finding_order():
 
 
 def test_every_rule_declares_known_triggers():
-    """A misspelt trigger key would switch its rule off without a finding changing."""
+    """A misspelt trigger key would switch its rule off without a finding changing.
+    R0 alone has none: run_rules hands it the cells that could not be parsed."""
     for rule_id in RULE_IDS:
         triggers = _RULES[rule_id].triggers
-        assert triggers, rule_id
+        assert bool(triggers) == (rule_id != "R0"), rule_id
         for key in triggers:
             if key[0].isalpha():
                 assert key in FUNCTION_CATALOG, (rule_id, key)
@@ -266,7 +267,10 @@ def test_r1_evidence_names_the_offending_cell():
     # the head of the range is its first number: text, dates and errors are skipped
     rows = [["flows", "=NPV(0.1,A1:A6)"], ["=1/0"], ["=1+"], ["2024-01-01"], ["-1000"], ["400"]]
     findings = run_rules(Sheet.from_rows(rows))
-    assert [(f.rule_id, f.cell, f.evidence) for f in findings] == [("R1", "B1", (("A5", "-1000"),))]
+    assert [(f.rule_id, f.cell, f.evidence) for f in findings] == [
+        ("R1", "B1", (("A5", "-1000"),)),
+        ("R0", "A3", ()),  # '=1+' could not be parsed
+    ]
     rows = [["flows", "=NPV(0.1,A1:A3)"], ["400"], ["-1000"]]
     assert run_rules(Sheet.from_rows(rows)) == []
 
@@ -357,7 +361,12 @@ def test_rules_skip_strange_cells():
         ["2020-01-01", "2024-01-01", "=INTRATE(A2,B2,100,110,1e308*10)",
          f"=PMT({nan},12,100)", f"=DB(100,10,6,1,{nan})"],
     ]
-    assert run_rules(Sheet.from_rows(rows)) == []
+    # only the formula that could not be parsed is reported, and only by R0
+    findings = run_rules(Sheet.from_rows(rows))
+    assert [(f.rule_id, f.cell, f.severity) for f in findings] == [("R0", "A1", Severity.WARNING)]
+    assert findings[0].message == (
+        "formula could not be parsed: unexpected end of formula at column 3; no rule checked it"
+    )
 
 
 def test_finding_is_frozen_record():

@@ -206,8 +206,10 @@ class TestAudit:
     def test_non_ascii_formula_is_a_parse_cell(self, tmp_path, capsys):
         book = tmp_path / "book.csv"
         book.write_text("=1+é\n", encoding="utf-8")
-        assert main(["audit", str(book)]) == 0
-        assert capsys.readouterr().out == ""
+        assert main(["audit", str(book)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert finding_keys(out) == [("A1", "R0")]
+        assert " warning formula could not be parsed: " in out[0]
 
     def test_numeric_overflow_is_an_error_value(self, tmp_path, capsys):
         book = tmp_path / "book.csv"
@@ -221,8 +223,49 @@ class TestAudit:
         rows = ["=" + "-" * 3000 + "1", "=" + "2^" * 3000 + "1",
                 '"=PMT(0.01' + "+0.01" * 2000 + ',12,100)"']
         book.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        assert main(["audit", str(book)]) == 0
+        assert main(["audit", str(book)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert finding_keys(out) == [("A1", "R0"), ("A2", "R0"), ("A3", "R0")]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize(
+        "text,cells",
+        [
+            # an error chain whose only unchecked cell is a formula that does not parse
+            ('=1/0\n=A1+1\n=A2*2\n"=PMT(0.1,12"\n', ["A4"]),
+            # an unquoted formula: the CSV reader splits it at its commas
+            ("=PMT(5,12,1000)\n", ["A1"]),
+        ],
+        ids=["error-chain", "unquoted"],
+    )
+    def test_a_book_with_an_unparsable_formula_is_not_clean(
+        self, tmp_path, capsys, text, cells, fmt
+    ):
+        book = tmp_path / "book.csv"
+        book.write_text(text, encoding="utf-8")
+        assert main(["audit", str(book), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        if fmt == "structured":
+            records = [json.loads(line) for line in lines]
+            assert [(r["cell"], r["rule_id"], r["severity"]) for r in records] == [
+                (cell, "R0", "warning") for cell in cells
+            ]
+            assert all("could not be parsed: expected ')'" in r["message"] for r in records)
+        else:
+            assert finding_keys(lines) == [(cell, "R0") for cell in cells]
+
+    def test_the_rule_config_turns_the_parse_rule_off_or_down(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text("=PMT(5,12,1000)\n", encoding="utf-8")
+        config = tmp_path / "rules.json"
+        config.write_text(json.dumps({"enabled": ["R1", "R5"]}))
+        assert main(["audit", str(book), "--rules", str(config)]) == 0
         assert capsys.readouterr().out == ""
+        config.write_text(json.dumps({"severities": {"R0": "info"}}))
+        assert main(["audit", str(book), "--rules", str(config)]) == 0
+        assert " R0 info " in capsys.readouterr().out
 
     def test_rules_flag_disables(self, tmp_path, capsys):
         config = tmp_path / "rules.json"

@@ -193,11 +193,14 @@ def test_a_formula_is_scanned_once_for_its_key_and_a_shared_cell_once_for_its_re
     sheet = Sheet(_rows(book.grid))
     formulas = sum(text.startswith("=") for text in book.grid.values())
     shared = [cell for cell in sheet.cells.values() if cell.source is not None]
-    checked_shapes = sum(shape._first is None for shape in shapes._table.values())
-    assert len(shared) > 0.9 * formulas and checked_shapes <= 10
+    # each reference key's shape has a template (slot keys' shapes scan with their own refs)
+    templates = sum(type(shape) is shapes.Shape and shape.template is not None
+                    for shape in shapes._table.values())
+    noted = sum(shape is None for shape in shapes._table.values())
+    assert len(shared) > 0.9 * formulas and templates <= 10 and noted == 0
     # loading scans each formula's key once, and each shape's references once
     # for its template check
-    assert scans == {"key": formulas, "refs": checked_shapes}
+    assert scans == {"key": formulas, "refs": templates}
     scans.update(key=0, refs=0)
     sheet.evaluate_all()
     assert scans == {"key": 0, "refs": len(shared)}
@@ -264,9 +267,9 @@ def test_a_shared_shape_reads_each_cell_s_own_references(fills, case):
         ]
 
 
-def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch):
+def test_a_key_whose_sheets_are_gone_is_not_parsed_again(monkeypatch):
     # an audit run drops each sheet before the next but one: a key that comes
-    # once per sheet gets its template from the second sheet that has it
+    # once per sheet keeps the first sheet's tree as its template
     parsed = []
 
     def counted(text):
@@ -277,9 +280,10 @@ def test_a_key_whose_sheets_are_gone_is_parsed_once_more_then_filled(monkeypatch
     for row in range(1, 7):
         sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])])
         assert sheet.cells[f"B{row}"].formula == parse(PMT_COLUMN.format(r=row))
+        assert (sheet.cells[f"B{row}"].source is None) == (row == 1)
         del sheet
         gc.collect()
-    assert parsed == [PMT_COLUMN.format(r=1), PMT_COLUMN.format(r=2)]
+    assert parsed == [PMT_COLUMN.format(r=1)]
 
 
 def _shared_shape_books() -> list[tuple[dict, Sheet]]:

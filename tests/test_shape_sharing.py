@@ -312,7 +312,7 @@ def shaped(monkeypatch):
 
 def test_template_hits_make_no_parse_and_no_shape(parsed, shaped):
     # the full seed-5 loan book: 21,004 formulas, 20,996 of them template hits;
-    # the 8 parses make 8 reference-key shapes and note 3 slot keys
+    # the 8 parses make 8 reference-key shapes and 3 slot-key shapes, each with its template
     book = _load_workloads().loanbook(5).books[0]
     sheet = Sheet(_rows(book.grid))
     hits = sum(cell.source is not None for cell in sheet.cells.values())
@@ -378,23 +378,23 @@ def test_a_shape_once_in_each_of_three_sheets_parses_at_most_twice(parsed, dropp
             assert sheets[index].cells[f"C{row}"].formula == parse(PMT_TEXT.format(r=row))
 
 
-def test_the_cache_keeps_no_tree_of_a_dropped_sheet():
+def test_a_dropped_sheet_s_first_tree_stays_its_key_s_template(parsed):
     first = _pmt_sheet(1)
     tree = weakref.ref(first.cells["C1"].formula)
-    # the audit plans the pending shape's one cell, and keeps no node of it
+    # the first text's tree is at once the template of its slot key and of its key
+    assert [type(shape) for shape in shapes._table.values()] == [shapes.SlotShape, shapes.Shape]
+    assert list(shapes._table.values())[1] is first.cells["C1"].shape
     assert [f.rule_id for f in run_rules(first)] == ["R2"]
-    call = weakref.ref(first.cells["C1"].formula.left)
-    assert call().name == "PMT"
+    assert first.cells["C1"].shape.rules is not None  # the plan of the template's nodes
     del first
     gc.collect()
-    assert tree() is None and call() is None
-    # the table holds the key and its slot key, which came once, with the text and no tree
-    assert len(shapes._table) == 2
-    for shape in shapes._table.values():
-        assert shape._first[0]() is None and shape._first[1] == PMT_TEXT.format(r=1)
-        assert shape.template is shape.rules is shape.kernel is None
+    assert tree() is not None
+    assert all(shape.template is tree() for shape in shapes._table.values())
+    # the next sheet parses nothing: its cell reads through the template
     second = _pmt_sheet(2)
+    assert second.cells["C2"].source is not None
     assert second.cells["C2"].formula == parse(PMT_TEXT.format(r=2))
+    assert parsed == [PMT_TEXT.format(r=1)]
 
 
 def _branches(node) -> list:
@@ -428,21 +428,20 @@ def test_a_plan_holds_only_nodes_of_its_shapes_template():
             texts = ["5" if r % 2 else "0.05", str(-r), "2024-01-31", "2026-03-01"]
             texts += [template.format(r=r, s=r + 2) for template in PLANNED]
             if r == 1:
-                texts.append("=EFFECT(A1,12)+NPV(A1,B1:B3)")  # a key seen once: pending
+                texts.append("=EFFECT(A1,12)+NPV(A1,B1:B3)")  # a key seen once
             grid.update({(col, r): text for col, text in enumerate(texts, start=1)})
         grids.append(grid)
         sheets.append(Sheet(_rows(grid)))
         findings.append(run_rules(sheets[-1]))
-    pending = sheets[0].cells[f"{index_to_column(len(PLANNED) + 5)}1"].shape
-    assert pending.template is None and pending.rules is None
+    once = sheets[0].cells[f"{index_to_column(len(PLANNED) + 5)}1"]
+    assert once.shape.template is once.formula and once.shape.rules
     planned = {id(cell.shape): cell.shape for sheet in sheets for cell in sheet.cells.values()
                if cell.shape is not None and cell.shape.rules is not None}
-    assert len(planned) == len(PLANNED)
+    assert len(planned) == len(PLANNED) + 1  # the key seen once has a template and a plan too
     for shape in planned.values():
         assert shape.template is not None and shape.rules
         nodes = {id(node) for node in _branches(shape.template)}
         assert all(id(node) in nodes for _, node, _, _ in shape.rules)
-    # last, since the oracles' loads would give the pending key a template
     assert findings == [run_rules(_sheets(grid)[1]) for grid in grids]
 
 
@@ -470,9 +469,9 @@ def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, kee
         del sheet
         gc.collect()
     assert shapes._table[tuple(shapes._REFS.split(texts[0]))].template is None
-    # the slot key reads the string whole: its template comes from the first
-    # tree while that lives, else from the next text parsed once its key is unshareable
-    assert parsed == (texts[:1] if keep else texts)
+    # the slot key reads the string whole: its template is the first tree,
+    # whether or not that tree's sheet is kept
+    assert parsed == texts[:1]
 
 
 @pytest.fixture(scope="module")

@@ -109,7 +109,7 @@ def test_trapmix_books_loaded_one_at_a_time_parse_each_key_at_most_twice(
     assert sum(parsed.values()) <= 300
     assert kernels and set(kernels.values()) == {1}
     assert plans and set(plans.values()) == {1}
-    # below the bound, no key is dropped: each reference key is noted, if only its text
+    # below the bound, no key is dropped: each reference key has a template or is noted
     assert sum(key[0] is not None for key in shapes._table) == len(keys)
 
 
@@ -163,6 +163,19 @@ def test_at_the_bound_the_oldest_key_goes_first(parsed):
     for loaded in (sheet, again):
         assert loaded.evaluate_all() == oracle.evaluate_all()
         assert run_rules(loaded) == run_rules(oracle)
+
+
+def test_at_the_bound_a_noted_key_gets_its_template_and_drops_no_key(parsed):
+    with _table(4):
+        Sheet([(1, [(1, "=A1+1")])])  # its slot key and its reference key
+        Sheet([(1, [(1, "=A1+2")])])  # read through the slot key: its key is noted
+        Sheet([(1, [(1, "=A1*B1")])])  # no number, so no slot key: the table is full
+        keys = list(shapes._table)
+        assert len(keys) == 4 and keys[2] == ("=", "+2") and shapes._table[keys[2]] is None
+        sheet = Sheet([(1, [(3, "=B1+2")])])  # the noted key's next text is parsed
+        assert list(shapes._table) == keys
+        assert shapes._table[keys[2]].template is sheet.cells["C1"].formula
+    assert parsed == {"=A1+1": 1, "=A1*B1": 1, "=B1+2": 1}
 
 
 def test_a_failing_text_raises_the_same_parse_error_each_time(parsed):

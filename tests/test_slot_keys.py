@@ -176,14 +176,29 @@ def _with_literals(rows: list[list[str]], rng: random.Random) -> list[list[str]]
 
 
 @settings(max_examples=200, deadline=None)
-@given(sheets(max_rows=40), st.integers(0, 2**32 - 1), st.booleans())
-def test_sheets_with_random_literals_read_as_parsed_per_cell(rows, seed, fresh):
+@given(
+    sheets(max_rows=40),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([4, shapes._TABLE_SIZE]),
+)
+def test_sheets_with_random_literals_read_as_parsed_per_cell(rows, seed, fresh, size):
     """Values and findings equal those of each formula parsed on its own,
-    through an empty table or the one that earlier examples left."""
+    through an empty table or the one that earlier examples left, with its
+    newest size keys; a table of 4 keys drops slot keys and noted keys as it
+    loads."""
     rows = _with_literals(rows, random.Random(seed))
     if fresh:
         shapes._table.clear()
-    sheet = Sheet.from_rows(rows)
+    bound = shapes._TABLE_SIZE
+    shapes._TABLE_SIZE = size
+    try:
+        for key in list(shapes._table)[:-size]:
+            del shapes._table[key]
+        sheet = Sheet.from_rows(rows)
+        assert len(shapes._table) <= size
+    finally:
+        shapes._TABLE_SIZE = bound
     oracle = _per_cell(
         {(col, row): text for row, texts in enumerate(rows, 1) for col, text in enumerate(texts, 1)}
     )
