@@ -2,19 +2,25 @@
 
 Each rule declares the function names or operators it inspects; one walk per
 shape (shapes.Shape) finds those nodes of its template and keeps them in the
-shape's plan, and a check that reads only the node runs there too, once for
-every formula of the shape.  Other checks run per cell on the plan's node,
-read for the cell (at, see evaluator.ref and literal) by the audit's one
-evaluator, so that the node's references, numbers and values are the cell's
-own and no cell's tree is built; on a SlotShape, whose numbers are the
-cell's, every check runs per cell.  A check returns what it found, a message
-and its evidence; run_rules alone turns that into a Finding, with the rule's
-id, its configured severity and the cell.  A check reads a call's argument as the
-call itself would get it (Evaluator.argument, by FUNCTION_CATALOG): its
-default when omitted, its checked value, or the error that stops the call.
-Checks are stateless, skip anything they cannot interpret, and never abort
-an audit.  R0 inspects no node: it reports each formula that could not be
-parsed, which no other rule can read.
+shape's plan, with what the template alone decides.  A rule's gate reads only
+the node (R1's call form, R8's '-' over a literal 360) and leaves out of the
+plan a node it rules out; a per_shape check reads only the node too (R2, R6,
+R7), and its finding is made there, once for every formula of the shape.
+Other checks run per cell on the plan's node, read for the cell (at, see
+evaluator.ref and literal) by the audit's one evaluator, so that the node's
+references, numbers and values are the cell's own and no cell's tree is
+built; on a SlotShape, whose numbers are the cell's, a gate tests only the
+node's form, and every check runs per cell.  A check returns what it found,
+a message and its evidence; run_rules alone turns that into a Finding, with
+the rule's id, its configured severity and the cell.  A check reads a call's
+argument as the call itself would get it (Evaluator.argument, by
+FUNCTION_CATALOG): its default when omitted, its checked value, or the error
+that stops the call.  For a template the plan keeps a reader of those
+arguments, built by the evaluator's own kernel steps
+(evaluator.argument_readers) on the template's first read for a cell, so a
+check pays no catalog lookup.  Checks are stateless, skip anything they
+cannot interpret, and never abort an audit.  R0 inspects no node: it reports
+each formula that could not be parsed, which no other rule can read.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Callable, Mapping
 from .daycount import year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.ast import format_number
-from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, literal, ref
+from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, argument_readers, literal, ref
 from .formula.sheet import ErrorValue, format_value
 
 __all__ = [
@@ -113,15 +119,16 @@ def _ref_evidence(values: Evaluator, at, *nodes: FormulaNode) -> Evidence:
     return tuple((address, format_value(values.cell_value(address))) for address in addresses)
 
 
-def _rule_r0(error: ErrorValue, additive: bool, values: Evaluator, threshold: None, at=None):
+def _rule_r0(error: ErrorValue, values: Evaluator, threshold: None, at=None, read=None):
     return f"formula could not be parsed: {error.message}; no rule checked it", ()
 
 
-def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
-    if additive or len(node.args) < 2:
-        return None  # under '+'/'-' a separate additive term holds the period-0 flow
-    if not isinstance(node.args[1], RangeRef):
-        return None
+def _gate_r1(node: Call, additive: bool, literals: bool) -> bool:
+    # under '+'/'-' a separate additive term holds the period-0 flow
+    return not additive and len(node.args) >= 2 and isinstance(node.args[1], RangeRef)
+
+
+def _rule_r1(node: Call, values: Evaluator, threshold: None, at=None, read=None):
     values_arg = ref(node.args[1], at)
     for address in values.sheet.range_addresses(values_arg):
         first = values.cell_value(address)
@@ -142,7 +149,7 @@ def _rule_r1(node: Call, additive: bool, values: Evaluator, threshold: None, at=
     )
 
 
-def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
+def _rule_r2(node: Call, values: Evaluator, threshold: None, at=None, read=None):
     if not node.args:
         return None
     rate_arg = node.args[RATE_POSITIONS[node.name]]
@@ -162,9 +169,8 @@ def _rule_r2(node: Call, additive: bool, values: Evaluator, threshold: None, at=
     )
 
 
-def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float, at=None):
-    settlement, maturity = values.argument(node, 0, at), values.argument(node, 1, at)
-    basis = values.argument(node, BASIS_POSITIONS["INTRATE"], at)  # 2.5, 5, nan and text are no basis
+def _rule_r3(node: Call, values: Evaluator, threshold: float, at=None, read=None):
+    settlement, maturity, basis = read(values, at)  # 2.5, 5, nan and text are no basis
     if any(isinstance(value, ErrorValue) for value in (settlement, maturity, basis)):
         return None  # INTRATE itself would fail
     try:
@@ -181,8 +187,8 @@ def _rule_r3(node: Call, additive: bool, values: Evaluator, threshold: float, at
     )
 
 
-def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
-    month = values.argument(node, 4, at)  # an integer, 12 when omitted
+def _rule_r4(node: Call, values: Evaluator, threshold: None, at=None, read=None):
+    [month] = read(values, at)  # an integer, 12 when omitted
     if isinstance(month, ErrorValue) or not 1 <= month < 12:  # DB itself fails outside 1..12
         return None
     return (
@@ -193,9 +199,8 @@ def _rule_r4(node: Call, additive: bool, values: Evaluator, threshold: None, at=
     )
 
 
-def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float, at=None):
-    index = RATE_POSITIONS[node.name]
-    rate = values.argument(node, index, at)
+def _rule_r5(node: Call, values: Evaluator, threshold: float, at=None, read=None):
+    [rate] = read(values, at)
     if isinstance(rate, ErrorValue) or not rate >= threshold:  # a nan rate skips too
         return None
     return (
@@ -203,11 +208,11 @@ def _rule_r5(node: Call, additive: bool, values: Evaluator, threshold: float, at
         "rates are fractions, so this reads as "
         f"{format_number(rate * 100)}% - a percentage was probably entered "
         "at a hundred times the value intended",
-        _ref_evidence(values, at, node.args[index]),
+        _ref_evidence(values, at, node.args[RATE_POSITIONS[node.name]]),
     )
 
 
-def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None, at=None):
+def _rule_r6(node: Binary, values: Evaluator, threshold: None, at=None, read=None):
     inner = node.left
     if not (isinstance(inner, Binary) and inner.op == "/"):
         return None
@@ -228,7 +233,7 @@ def _rule_r6(node: Binary, additive: bool, values: Evaluator, threshold: None, a
     )
 
 
-def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None, at=None):
+def _rule_r7(node: Call, values: Evaluator, threshold: None, at=None, read=None):
     index = BASIS_POSITIONS[node.name]
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
         return None
@@ -241,15 +246,21 @@ def _rule_r7(node: Call, additive: bool, values: Evaluator, threshold: None, at=
     )
 
 
-def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None, at=None):
+def _gate_r8(node: Binary, additive: bool, literals: bool) -> bool:
+    # a literal 360 over a '-': on a SlotShape the divisor is the cell's, so any number
     numerator = node.left
-    if not (
+    return (
         isinstance(node.right, NumberLit)
-        and literal(node.right, at) == 360.0
+        and (literals or node.right.value == 360.0)
         and isinstance(numerator, Binary)
         and numerator.op == "-"
-    ):
+    )
+
+
+def _rule_r8(node: Binary, values: Evaluator, threshold: None, at=None, read=None):
+    if literal(node.right, at) != 360.0:  # a SlotShape's divisor, read for the cell
         return None
+    numerator = node.left
     dates = [values.eval_node(side, at) for side in (numerator.left, numerator.right)]
     if not all(isinstance(date, dt.date) for date in dates):
         return None
@@ -264,15 +275,19 @@ def _rule_r8(node: Binary, additive: bool, values: Evaluator, threshold: None, a
 
 @dataclass(frozen=True)
 class _RuleSpec:
-    """check(node, additive, values, threshold, at=None) gets each node whose
-    call name or operator is in triggers, whether a '+' or '-' Binary sits
-    above it, the sheet's one Evaluator, RuleConfig.threshold (threshold here
-    unless configured, None for a rule without one) and at (evaluator.ref).
-    It returns (message, evidence), evidence () when it has none, or None;
+    """check(node, values, threshold, at=None, read=None) gets each node whose
+    call name or operator is in triggers and that gate, when set, lets through,
+    the sheet's one Evaluator, RuleConfig.threshold (threshold here unless
+    configured, None for a rule without one), at (evaluator.ref) and, for a
+    rule with arguments, read: read(values, at) lists what the call passes for
+    its parameters at arguments(node), as Evaluator.argument gives them.  It
+    returns (message, evidence), evidence () when it has none, or None;
     run_rules builds the Finding.  R0 has no triggers: its check gets each
-    PARSE cell's ErrorValue as node.  A per_shape check reads only the node and
-    its numbers, so it runs once per shape, except on a shape whose numbers
-    are slots (Shape.literals): there every check runs per cell."""
+    PARSE cell's ErrorValue as node.  gate(node, additive, literals) reads only
+    the node, whether a '+' or '-' Binary sits above it and whether the shape's
+    numbers are slots (Shape.literals), so it runs once per shape.  A per_shape
+    check reads only the node and its numbers, so it runs once per shape too,
+    except on a shape whose numbers are slots: there it runs per cell."""
 
     rule_id: str
     default_severity: Severity
@@ -281,6 +296,8 @@ class _RuleSpec:
     check: Callable[..., tuple[str, Evidence] | None]
     threshold: float | None = None
     per_shape: bool = False
+    gate: Callable[[FormulaNode, bool, bool], bool] | None = None
+    arguments: Callable[[Call], tuple[int, ...]] | None = None
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -310,6 +327,7 @@ _RULES: dict[str, _RuleSpec] = {
             "shape.",
             frozenset({"NPV"}),
             _rule_r1,
+            gate=_gate_r1,
         ),
         _RuleSpec(
             "R2",
@@ -337,6 +355,8 @@ _RULES: dict[str, _RuleSpec] = {
             frozenset({"INTRATE"}),
             _rule_r3,
             threshold=1.0,
+            # settlement, maturity and basis
+            arguments=lambda node: (0, 1, BASIS_POSITIONS["INTRATE"]),
         ),
         _RuleSpec(
             "R4",
@@ -347,6 +367,7 @@ _RULES: dict[str, _RuleSpec] = {
             "total depreciation will not reconcile with cost minus salvage.",
             frozenset({"DB"}),
             _rule_r4,
+            arguments=lambda node: (4,),  # month
         ),
         _RuleSpec(
             "R5",
@@ -358,6 +379,7 @@ _RULES: dict[str, _RuleSpec] = {
             frozenset(RATE_POSITIONS),
             _rule_r5,
             threshold=1.0,
+            arguments=lambda node: (RATE_POSITIONS[node.name],),
         ),
         _RuleSpec(
             "R6",
@@ -393,6 +415,7 @@ _RULES: dict[str, _RuleSpec] = {
             "single day-count basis on both sides.",
             frozenset({"/"}),
             _rule_r8,
+            gate=_gate_r8,
         ),
     ]
 }
@@ -478,21 +501,43 @@ class RuleConfig:
 _DEFAULT_CONFIG = RuleConfig()
 
 
+def _reader(node: Call, indices: tuple[int, ...]) -> Callable:
+    """read(values, at): what the call node passes for its parameters at
+    indices.  A formula's own tree (at None) reads them by Evaluator.argument;
+    a template read for a cell, by argument_readers' kernels, built with the
+    template's slots (at[1]) on its first such read and kept."""
+    readers = None
+
+    def read(values: Evaluator, at) -> list:
+        nonlocal readers
+        if at is None:
+            return [values.argument(node, index) for index in indices]
+        if readers is None:
+            readers = argument_readers(node, indices, at[1])
+        refs = at[0]
+        return [reader(values, refs) for reader in readers]
+
+    return read
+
+
 def _plan(formula: FormulaNode, values: Evaluator, literals: bool) -> list[tuple]:
-    """(spec, node, additive, found) for each rule and each of its trigger nodes
-    in formula, in finding order: found is a per-shape check's finding, made
-    here and left out when None, or None for a check to run per formula, as
-    every check does when the formula's numbers are slots (literals)."""
+    """(spec, node, read, found) for each rule and each of its trigger nodes
+    in formula that its gate lets through, in finding order: read as for
+    _RuleSpec.check, or None for a rule without arguments, and found a
+    per-shape check's finding, made here and left out when None, or None for a
+    check to run per formula, as every check does when the formula's numbers
+    are slots (literals)."""
     triggers = _trigger_nodes(formula)
     plan = []
     for spec in _RULES.values():
         for key, node, additive in triggers:
-            if key not in spec.triggers:
+            if key not in spec.triggers or (spec.gate and not spec.gate(node, additive, literals)):
                 continue
             if literals or not spec.per_shape:
-                plan.append((spec, node, additive, None))
-            elif (found := spec.check(node, additive, values, spec.threshold)) is not None:
-                plan.append((spec, node, additive, found))
+                read = spec.arguments and _reader(node, spec.arguments(node))
+                plan.append((spec, node, read, None))
+            elif (found := spec.check(node, values, spec.threshold)) is not None:
+                plan.append((spec, node, None, found))
     return plan
 
 
@@ -514,20 +559,20 @@ def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
             tree = cell.formula if source is None else shape.template
             if tree is None:  # a literal, or a formula that could not be parsed
                 if cell.error is not None and "R0" in active:
-                    found = _rule_r0(cell.error, False, values, None)
+                    found = _rule_r0(cell.error, values, None)
                     findings.append(Finding("R0", active["R0"][0], cell.address, *found))
                 continue
             plan = _plan(tree, values, shape is not None and shape.literals)
             if shape and shape.template is not None:
                 shape.rules = plan
-        for spec, node, additive, found in plan:
+        for spec, node, read, found in plan:
             if spec.rule_id not in active:
                 continue
             severity, threshold = active[spec.rule_id]
             if found is None:
                 if at is None and source is not None:
                     at = shape.refs(source), shape.slots
-                found = spec.check(node, additive, values, threshold, at)
+                found = spec.check(node, values, threshold, at, read)
             if found is not None:
                 findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings

@@ -32,8 +32,10 @@ tries its commonest case first, + - * / on two floats, and leaves a zero
 divisor, a result that is not finite and every other operator or operand to
 the case that states its rule.
 Evaluator.argument gives what a call passes for one parameter, as
-FUNCTION_CATALOG reads it: the audit's rules read a call's arguments through
-it, and the evaluator's own calls through its _pass.
+FUNCTION_CATALOG reads it: the evaluator's own calls read their arguments
+through its _pass, and the audit's rules a formula's own tree through it.  For
+a template, argument_readers gives the audit those parameters' steps of the
+call's kernel, built by the same _step_kernels.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.
 Errors reached through a cell reference surface as PROPAGATED at the
@@ -802,20 +804,10 @@ def _binary_kernel(left: _Kernel, right: _Kernel, op: str) -> _Kernel:
 
 
 def _call_kernel(node: Call, slots: dict[int, int]) -> _Kernel:
-    name = node.name.upper()
-    spec = _function(name, len(node.args))
-    if isinstance(spec, ErrorValue):
-        return _constant(spec)
-    steps = []
-    for step in spec.steps:
-        how, reads, check = _argument(step, node.args, name)
-        if how is _DEFAULT:
-            steps.append(_constant(reads))
-        elif how is _COLLECT:
-            steps.append(_collect_kernel(reads, slots))
-        else:
-            steps.append(_check_kernel(_compile(reads, slots), check, name, step[1]))
-    apply = spec.apply
+    steps = _step_kernels(node, slots)
+    if isinstance(steps, ErrorValue):
+        return _constant(steps)
+    apply = FUNCTION_CATALOG[node.name.upper()].apply
 
     def call(ev: Evaluator, refs: list[str]) -> CellValue:
         values = []
@@ -827,6 +819,38 @@ def _call_kernel(node: Call, slots: dict[int, int]) -> _Kernel:
         return apply(values)
 
     return call
+
+
+def _step_kernels(
+    node: Call, slots: dict[int, int], indices: Sequence[int] | None = None
+) -> list[_Kernel] | ErrorValue:
+    """What the call node of a template passes for each of its parameters, in
+    call order, or for those at indices, as a kernel (see Evaluator.argument),
+    or the ErrorValue of a call that cannot be made: the catalog lookup and
+    each argument's decision are made here, once."""
+    name = node.name.upper()
+    spec = _function(name, len(node.args))
+    if isinstance(spec, ErrorValue):
+        return spec
+    steps = []
+    for step in spec.steps if indices is None else [spec.steps[index] for index in indices]:
+        how, reads, check = _argument(step, node.args, name)
+        if how is _DEFAULT:
+            steps.append(_constant(reads))
+        elif how is _COLLECT:
+            steps.append(_collect_kernel(reads, slots))
+        else:
+            steps.append(_check_kernel(_compile(reads, slots), check, name, step[1]))
+    return steps
+
+
+def argument_readers(node: Call, indices: Sequence[int], slots: dict[int, int]) -> list[_Kernel]:
+    """Evaluator.argument(node, index, at) for each of indices, of the call
+    node of a template, as a function of (evaluator, at[0]) for the template's
+    slots: built once per template, so that a read pays no catalog lookup and
+    no argument decision."""
+    steps = _step_kernels(node, slots, indices)
+    return [_constant(steps)] * len(indices) if isinstance(steps, ErrorValue) else steps
 
 
 def _check_kernel(operand: _Kernel, check: Callable, fname: str, param: str) -> _Kernel:

@@ -7,7 +7,7 @@ import pytest
 
 from ledgerlint.audit import (
     _RULES,
-    _trigger_nodes,
+    _plan,
     BASIS_POSITIONS,
     RATE_POSITIONS,
     RULE_IDS,
@@ -156,15 +156,16 @@ def test_severity_overrides_and_defaults():
 
 @pytest.mark.parametrize("filename,rule_id,cell", TRAPS)
 def test_a_check_returns_message_and_evidence(filename, rule_id, cell):
-    """run_rules adds the rule id, the severity and the cell to what the check returns."""
+    """run_rules adds the rule id, the severity and the cell to what the check
+    returns: a per-shape check's finding in the plan, or the per-cell check's."""
     sheet = load_workbook(FIXTURES / "traps" / filename)
     spec = _RULES[rule_id]
     values = Evaluator(sheet)
     threshold = RuleConfig().threshold(rule_id)
     results = [
-        spec.check(node, additive, values, threshold)
-        for key, node, additive in _trigger_nodes(sheet.cells[cell].formula)
-        if key in spec.triggers
+        spec.check(node, values, threshold, None, read) if found is None else found
+        for planned, node, read, found in _plan(sheet.cells[cell].formula, values, None)
+        if planned is spec
     ]
     [(message, evidence)] = [result for result in results if result is not None]
     assert isinstance(message, str) and isinstance(evidence, tuple)
