@@ -12,15 +12,14 @@ references, numbers and values are the cell's own and no cell's tree is
 built; on a SlotShape, whose numbers are the cell's, a gate tests only the
 node's form, and every check runs per cell.  A check returns what it found,
 a message and its evidence; run_rules alone turns that into a Finding, with
-the rule's id, its configured severity and the cell.  A check reads a call's
-argument as the call itself would get it (Evaluator.argument, by
-FUNCTION_CATALOG): its default when omitted, its checked value, or the error
-that stops the call.  For a template the plan keeps a reader of those
-arguments, built by the evaluator's own kernel steps
-(evaluator.argument_readers) on the template's first read for a cell, so a
-check pays no catalog lookup.  Checks are stateless, skip anything they
-cannot interpret, and never abort an audit.  R0 inspects no node: it reports
-each formula that could not be parsed, which no other rule can read.
+the rule's id, its configured severity and the cell.  R3, R4 and R5 get a
+call's arguments, named by FUNCTION_CATALOG, as the call would get them,
+read by run_rules through readers the plan keeps, built by the evaluator's own
+kernel steps (evaluator.argument_readers), so a check pays no catalog lookup;
+where one is an error the call itself fails, and no check runs.  Checks are
+stateless, skip anything they cannot interpret, and never abort an audit.  R0
+inspects no node: it reports each formula that could not be parsed, which no
+other rule can read.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Mapping
 
 from .daycount import year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
+from .formula.shapes import Shape
 from .formula.ast import format_number
 from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, argument_readers, literal, ref
 from .formula.sheet import ErrorValue, format_value
@@ -79,9 +79,18 @@ def _positions(*roles: Role) -> dict[str, int]:
     }
 
 
+def _indices(function: str, *names: str) -> tuple[int, ...]:
+    """The positions of function's parameters named names, from the catalog."""
+    params = [param.name for param in FUNCTION_CATALOG[function].params]
+    return tuple(map(params.index, names))
+
+
 # which argument of a call is a rate, and which sets the day-count convention
 RATE_POSITIONS = _positions(Role.RATE)
 BASIS_POSITIONS = _positions(Role.BASIS, Role.METHOD)
+# the parameters R3 and R4 read
+_SETTLEMENT, _MATURITY, _INTRATE_BASIS = _indices("INTRATE", "settlement", "maturity", "basis")
+[_MONTH] = _indices("DB", "month")
 
 
 _BRANCHES = frozenset({Call, Binary, Unary})  # the nodes that have children
@@ -119,7 +128,7 @@ def _ref_evidence(values: Evaluator, at, *nodes: FormulaNode) -> Evidence:
     return tuple((address, format_value(values.cell_value(address))) for address in addresses)
 
 
-def _rule_r0(error: ErrorValue, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r0(error: ErrorValue, values: Evaluator, threshold: None, at=None):
     return f"formula could not be parsed: {error.message}; no rule checked it", ()
 
 
@@ -128,7 +137,7 @@ def _gate_r1(node: Call, additive: bool, literals: bool) -> bool:
     return not additive and len(node.args) >= 2 and isinstance(node.args[1], RangeRef)
 
 
-def _rule_r1(node: Call, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r1(node: Call, values: Evaluator, threshold: None, at=None):
     values_arg = ref(node.args[1], at)
     for address in values.sheet.range_addresses(values_arg):
         first = values.cell_value(address)
@@ -149,7 +158,7 @@ def _rule_r1(node: Call, values: Evaluator, threshold: None, at=None, read=None)
     )
 
 
-def _rule_r2(node: Call, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r2(node: Call, values: Evaluator, threshold: None, at=None):
     if not node.args:
         return None
     rate_arg = node.args[RATE_POSITIONS[node.name]]
@@ -169,10 +178,7 @@ def _rule_r2(node: Call, values: Evaluator, threshold: None, at=None, read=None)
     )
 
 
-def _rule_r3(node: Call, values: Evaluator, threshold: float, at=None, read=None):
-    settlement, maturity, basis = read(values, at)  # 2.5, 5, nan and text are no basis
-    if any(isinstance(value, ErrorValue) for value in (settlement, maturity, basis)):
-        return None  # INTRATE itself would fail
+def _rule_r3(node: Call, values: Evaluator, threshold: float, at, settlement, maturity, basis):
     try:
         span = year_fraction(settlement, maturity, basis)
     except ValueError:
@@ -183,25 +189,23 @@ def _rule_r3(node: Call, values: Evaluator, threshold: float, at=None, read=None
         f"INTRATE spans {span:.2f} years; it computes simple interest "
         "only, so over multi-year spans it is not the compound "
         "equivalent yield",
-        _ref_evidence(values, at, node.args[0], node.args[1]),
+        _ref_evidence(values, at, node.args[_SETTLEMENT], node.args[_MATURITY]),
     )
 
 
-def _rule_r4(node: Call, values: Evaluator, threshold: None, at=None, read=None):
-    [month] = read(values, at)  # an integer, 12 when omitted
-    if isinstance(month, ErrorValue) or not 1 <= month < 12:  # DB itself fails outside 1..12
+def _rule_r4(node: Call, values: Evaluator, threshold: None, at, month):
+    if not 1 <= month < 12:  # an integer, 12 when omitted; DB itself fails outside 1..12
         return None
     return (
         f"DB with month={format_number(month)} takes a partial first year; "
         "the schedule needs an extra final period (life+1 rows) or total "
         "depreciation will not reconcile with cost minus salvage",
-        _ref_evidence(values, at, node.args[4]),
+        _ref_evidence(values, at, node.args[_MONTH]),
     )
 
 
-def _rule_r5(node: Call, values: Evaluator, threshold: float, at=None, read=None):
-    [rate] = read(values, at)
-    if isinstance(rate, ErrorValue) or not rate >= threshold:  # a nan rate skips too
+def _rule_r5(node: Call, values: Evaluator, threshold: float, at, rate):
+    if not rate >= threshold:  # a nan rate skips too
         return None
     return (
         f"rate argument of {node.name} resolves to {format_number(rate)}; "
@@ -212,7 +216,7 @@ def _rule_r5(node: Call, values: Evaluator, threshold: float, at=None, read=None
     )
 
 
-def _rule_r6(node: Binary, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r6(node: Binary, values: Evaluator, threshold: None, at=None):
     inner = node.left
     if not (isinstance(inner, Binary) and inner.op == "/"):
         return None
@@ -233,7 +237,7 @@ def _rule_r6(node: Binary, values: Evaluator, threshold: None, at=None, read=Non
     )
 
 
-def _rule_r7(node: Call, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r7(node: Call, values: Evaluator, threshold: None, at=None):
     index = BASIS_POSITIONS[node.name]
     if len(node.args) > index and not isinstance(node.args[index], EmptyArg):
         return None
@@ -257,7 +261,7 @@ def _gate_r8(node: Binary, additive: bool, literals: bool) -> bool:
     )
 
 
-def _rule_r8(node: Binary, values: Evaluator, threshold: None, at=None, read=None):
+def _rule_r8(node: Binary, values: Evaluator, threshold: None, at=None):
     if literal(node.right, at) != 360.0:  # a SlotShape's divisor, read for the cell
         return None
     numerator = node.left
@@ -275,19 +279,19 @@ def _rule_r8(node: Binary, values: Evaluator, threshold: None, at=None, read=Non
 
 @dataclass(frozen=True)
 class _RuleSpec:
-    """check(node, values, threshold, at=None, read=None) gets each node whose
+    """check(node, values, threshold, at=None, *arguments) gets each node whose
     call name or operator is in triggers and that gate, when set, lets through,
     the sheet's one Evaluator, RuleConfig.threshold (threshold here unless
     configured, None for a rule without one), at (evaluator.ref) and, for a
-    rule with arguments, read: read(values, at) lists what the call passes for
-    its parameters at arguments(node), as Evaluator.argument gives them.  It
-    returns (message, evidence), evidence () when it has none, or None;
-    run_rules builds the Finding.  R0 has no triggers: its check gets each
-    PARSE cell's ErrorValue as node.  gate(node, additive, literals) reads only
-    the node, whether a '+' or '-' Binary sits above it and whether the shape's
-    numbers are slots (Shape.literals), so it runs once per shape.  A per_shape
-    check reads only the node and its numbers, so it runs once per shape too,
-    except on a shape whose numbers are slots: there it runs per cell."""
+    rule with arguments, what the call passes for its parameters at
+    arguments[node.name], as Evaluator.argument gives them, none of them an
+    ErrorValue.  It returns (message, evidence), evidence () when it has none,
+    or None; run_rules builds the Finding.  R0 has no triggers: its check gets
+    each PARSE cell's ErrorValue as node.  gate(node, additive, literals)
+    reads only the node, whether a '+' or '-' Binary sits above it and whether
+    the shape's numbers are slots (Shape.literals), so it runs once per shape.
+    A per_shape check reads only the node and its numbers, so it runs once per
+    shape too, but per cell on a shape whose numbers are slots."""
 
     rule_id: str
     default_severity: Severity
@@ -297,7 +301,7 @@ class _RuleSpec:
     threshold: float | None = None
     per_shape: bool = False
     gate: Callable[[FormulaNode, bool, bool], bool] | None = None
-    arguments: Callable[[Call], tuple[int, ...]] | None = None
+    arguments: Mapping[str, tuple[int, ...]] | None = None
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -355,8 +359,7 @@ _RULES: dict[str, _RuleSpec] = {
             frozenset({"INTRATE"}),
             _rule_r3,
             threshold=1.0,
-            # settlement, maturity and basis
-            arguments=lambda node: (0, 1, BASIS_POSITIONS["INTRATE"]),
+            arguments={"INTRATE": (_SETTLEMENT, _MATURITY, _INTRATE_BASIS)},
         ),
         _RuleSpec(
             "R4",
@@ -367,7 +370,7 @@ _RULES: dict[str, _RuleSpec] = {
             "total depreciation will not reconcile with cost minus salvage.",
             frozenset({"DB"}),
             _rule_r4,
-            arguments=lambda node: (4,),  # month
+            arguments={"DB": (_MONTH,)},
         ),
         _RuleSpec(
             "R5",
@@ -379,7 +382,7 @@ _RULES: dict[str, _RuleSpec] = {
             frozenset(RATE_POSITIONS),
             _rule_r5,
             threshold=1.0,
-            arguments=lambda node: (RATE_POSITIONS[node.name],),
+            arguments={name: (index,) for name, index in RATE_POSITIONS.items()},
         ),
         _RuleSpec(
             "R6",
@@ -501,32 +504,13 @@ class RuleConfig:
 _DEFAULT_CONFIG = RuleConfig()
 
 
-def _reader(node: Call, indices: tuple[int, ...]) -> Callable:
-    """read(values, at): what the call node passes for its parameters at
-    indices.  A formula's own tree (at None) reads them by Evaluator.argument;
-    a template read for a cell, by argument_readers' kernels, built with the
-    template's slots (at[1]) on its first such read and kept."""
-    readers = None
-
-    def read(values: Evaluator, at) -> list:
-        nonlocal readers
-        if at is None:
-            return [values.argument(node, index) for index in indices]
-        if readers is None:
-            readers = argument_readers(node, indices, at[1])
-        refs = at[0]
-        return [reader(values, refs) for reader in readers]
-
-    return read
-
-
-def _plan(formula: FormulaNode, values: Evaluator, literals: bool) -> list[tuple]:
-    """(spec, node, read, found) for each rule and each of its trigger nodes
-    in formula that its gate lets through, in finding order: read as for
-    _RuleSpec.check, or None for a rule without arguments, and found a
-    per-shape check's finding, made here and left out when None, or None for a
-    check to run per formula, as every check does when the formula's numbers
-    are slots (literals)."""
+def _plan(formula: FormulaNode, values: Evaluator, shape: Shape | None = None) -> list[tuple]:
+    """(spec, node, readers, found) for each rule and each trigger node of
+    formula, shape's template or an own tree, that its gate lets through, in
+    finding order: readers the argument_readers of a template's call whose
+    arguments the rule reads, else None, and found a per-shape check's
+    finding, or None for a check to run per formula (always on a SlotShape)."""
+    literals = shape is not None and shape.literals
     triggers = _trigger_nodes(formula)
     plan = []
     for spec in _RULES.values():
@@ -534,8 +518,9 @@ def _plan(formula: FormulaNode, values: Evaluator, literals: bool) -> list[tuple
             if key not in spec.triggers or (spec.gate and not spec.gate(node, additive, literals)):
                 continue
             if literals or not spec.per_shape:
-                read = spec.arguments and _reader(node, spec.arguments(node))
-                plan.append((spec, node, read, None))
+                readers = shape and spec.arguments and argument_readers(
+                    node, spec.arguments[node.name], shape.slots)
+                plan.append((spec, node, readers, None))
             elif (found := spec.check(node, values, spec.threshold)) is not None:
                 plan.append((spec, node, None, found))
     return plan
@@ -544,35 +529,44 @@ def _plan(formula: FormulaNode, values: Evaluator, literals: bool) -> list[tuple
 def run_rules(sheet: Sheet, config: RuleConfig | None = None) -> list[Finding]:
     """Audit every formula cell; findings come back ordered by (row, column, rule).
 
-    A plan holds the trigger nodes of a cell's shape's template or own tree;
-    its per-cell checks get at for the cell (evaluator.ref), built only when
-    one runs.  A shape with a template keeps its plan.  A cell whose formula
-    could not be parsed has no tree: R0 reports it, so that such a workbook
-    is never reported clean."""
+    A cell with a shape is read through its template, whose plan the shape
+    keeps, and at for the cell (evaluator.ref); a formula with no shape, its
+    own tree, gets a plan of its own, at None, and its checks' arguments from
+    Evaluator.argument.  A cell whose formula could not be parsed has no tree:
+    R0 reports it, so that such a workbook is never reported clean."""
     active = (config or _DEFAULT_CONFIG)._active
     values = Evaluator(sheet)
     findings: list[Finding] = []
     for cell in sheet.cells.values():
-        shape, source, at = cell.shape, cell.source, None
-        plan = shape and shape.rules
-        if plan is None:
-            tree = cell.formula if source is None else shape.template
-            if tree is None:  # a literal, or a formula that could not be parsed
-                if cell.error is not None and "R0" in active:
-                    found = _rule_r0(cell.error, values, None)
-                    findings.append(Finding("R0", active["R0"][0], cell.address, *found))
+        shape = cell.shape
+        if shape is not None:
+            plan = shape.rules
+            if plan is None:
+                plan = shape.rules = _plan(shape.template, values, shape)
+            if not plan:
                 continue
-            plan = _plan(tree, values, shape is not None and shape.literals)
-            if shape and shape.template is not None:
-                shape.rules = plan
-        for spec, node, read, found in plan:
+            at = shape.refs(cell.source), shape.slots
+        elif cell.formula is not None:
+            plan, at = _plan(cell.formula, values), None
+        else:  # a literal, or a formula that could not be parsed
+            if cell.error is not None and "R0" in active:
+                found = _rule_r0(cell.error, values, None)
+                findings.append(Finding("R0", active["R0"][0], cell.address, *found))
+            continue
+        for spec, node, readers, found in plan:
             if spec.rule_id not in active:
                 continue
             severity, threshold = active[spec.rule_id]
             if found is None:
-                if at is None and source is not None:
-                    at = shape.refs(source), shape.slots
-                found = spec.check(node, values, threshold, at, read)
+                arguments = ()
+                if spec.arguments is not None:
+                    if at is None:
+                        arguments = [values.argument(node, index) for index in spec.arguments[node.name]]
+                    else:
+                        arguments = [read(values, at[0]) for read in readers]
+                    if ErrorValue in map(type, arguments):
+                        continue  # the call itself fails there
+                found = spec.check(node, values, threshold, at, *arguments)
             if found is not None:
                 findings.append(Finding(spec.rule_id, severity, cell.address, *found))
     return findings

@@ -10,11 +10,13 @@ Exact mode keeps the full-precision rate.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 __all__ = [
     "PrecisionMode",
@@ -90,11 +92,7 @@ class DepreciationSchedule:
     rows: tuple[ScheduleRow, ...]
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        buffer.write("period,depreciation,book_value_end\r\n")
-        for row in self.rows:
-            buffer.write(f"{row.period},{row.depreciation!r},{row.book_value_end!r}\r\n")
-        return buffer.getvalue()
+        return _schedule_csv(self.rows, ("period", "depreciation", "book_value_end"))
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,15 @@ EXACT_WALK_PERIODS = 10_000
 # The most rows db_schedule and loan.build_schedule build, checked before the
 # first: 8,333 years of monthly payments, so a schedule's memory has a bound.
 MAX_SCHEDULE_ROWS = 100_000
+
+
+def _schedule_csv(rows: tuple, fields: tuple[str, ...]) -> str:
+    """A header of fields, then each row's fields by repr, as CSV with '\r\n' line ends."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(fields)
+    writer.writerows(map(repr, row) for row in map(attrgetter(*fields), rows))
+    return buffer.getvalue()
 
 
 def _check_rows(periods: int) -> None:

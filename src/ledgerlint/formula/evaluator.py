@@ -14,7 +14,7 @@ first evaluated in the order that evaluating each one where it is read would
 give, and a read of a cell on the stack is a cycle: only the cells on it are
 CYCLE, each with its 'A1 -> B1 -> A1' path.
 
-A cell whose shape came before (shapes.Shape) runs the shape's kernel: a
+A cell with a shape (shapes.Shape) runs the shape's kernel: a
 closure per template node, built on the shape's first evaluation, that reads
 each reference from the cell's own text by its slot (Shape.refs), as the text
 writes it.  evaluate_all calls a kernel itself, and _settle through _value.
@@ -33,8 +33,8 @@ divisor, a result that is not finite and every other operator or operand to
 the case that states its rule.
 Evaluator.argument gives what a call passes for one parameter, as
 FUNCTION_CATALOG reads it: the evaluator's own calls read their arguments
-through its _pass, and the audit's rules a formula's own tree through it.  For
-a template, argument_readers gives the audit those parameters' steps of the
+through its _pass, and the audit a formula's own tree through it.  For a
+template, argument_readers gives the audit those parameters' steps of the
 call's kernel, built by the same _step_kernels.
 
 Evaluation is total: every failure becomes an ErrorValue, never an exception.

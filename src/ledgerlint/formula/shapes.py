@@ -6,19 +6,19 @@ its reference tokens: the cells of a filled range share it, whatever their
 references and '$' anchors, as spreadsheet files share one formula over a
 filled range (ECMA-376, <f t="shared">; Sestoft, Spreadsheet Implementation
 Technology, 2014).  Workbooks built from one template or wizard share keys
-too, so one table per process (_table) serves every sheet.  The first cell
+too, so one table per process (_table) serves every sheet.  The first text
 with a key is parsed as usual, and its tree becomes the template of the key's
-Shape at once: each reference node of the template holds a slot among a
-text's references, and each later cell with the key keeps the shape and its
-text.  The evaluator runs the template compiled (the shape's kernel) and the
-audit walks it; both read each reference by its slot among the references of
-the cell's text, as the text writes it (Shape.refs: '$b$5', say), so no tree
-is built for the cell; its own tree is parse() of its text, made only when
-something reads cell.formula.  Where the kernel collects values (SUM's,
-NPV's), it passes the cell's references with the template's slots to the
-evaluator's own reader of those arguments, as the audit's checks pass them.
-The key keeps the boundaries between the texts, since '=-A1' and '=A1-B1'
-join to the same string.
+Shape at once: each reference node of the template holds a slot among a text's
+references.  Every cell with the key, the first one too, keeps the shape and
+its text and is read through the template.  The evaluator runs the template
+compiled (the shape's kernel) and the audit walks it; both read each reference
+by its slot among the references of the cell's text, as the text writes it
+(Shape.refs: '$b$5', say), so no tree is built for a later cell; its own tree
+is parse() of its text, made only when something reads cell.formula.  Where
+the kernel collects values (SUM's, NPV's), it passes the cell's references
+with the template's slots to the evaluator's own reader of those arguments, as
+the audit's checks pass them.  The key keeps the boundaries between the texts,
+since '=-A1' and '=A1-B1' join to the same string.
 
 Books filled in from one template differ mostly in the numbers typed into
 them, so a text also has a slot key: the kinds of its reference, number and
@@ -29,9 +29,10 @@ slots among its tokens.  A text whose reference key has a template is read
 through that, as above; a text of a new or unshareable reference key is read
 through its slot key's template when there is one, and a new reference key is
 then noted (None in the table), so that its next text is parsed and becomes
-its template.  A text with no number or string has no slot key.  The table
-holds at most _TABLE_SIZE keys of both kinds, noted ones included, and drops
-the oldest inserted first; parse itself keeps no state.
+its template.  A parsed text is read through the template it made, if any.  A
+text with no number or string has no slot key.  The table holds at most
+_TABLE_SIZE keys of both kinds, noted ones included, and drops the oldest
+inserted first; parse itself keeps no state.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class Shape:
     of its CellRef and RangeRef nodes, by identity, to its place among a
     text's references: a range has its start corner's place and its end
     corner's next to it.  A key whose first tree fails the template check is
-    unshareable and keeps neither.  rules is where audit.run_rules keeps its
-    plan of the template's nodes, and kernel the evaluator's compiled
-    template.  literals is set on a SlotShape, whose numbers and strings are
-    slots too."""
+    unshareable and keeps neither, and no cell gets it.  rules is where
+    audit.run_rules keeps its plan of the template's nodes, and kernel the
+    evaluator's compiled template.  literals is set on a SlotShape, whose
+    numbers and strings are slots too."""
 
     __slots__ = ("rules", "kernel", "template", "slots")
     literals = False
@@ -129,21 +130,22 @@ _table: dict[tuple, Shape | None] = {}
 def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | None]:
     """(tree, shape, source) of a formula text, or the ParseError of parse(text).
 
-    A text read through a template gets tree None, source text and the
-    template's shape: its reference key's if that has a template, else, for
-    a new or unshareable reference key, its slot key's.  That is the
+    A text read through an existing template gets tree None, source text and
+    the template's shape: its reference key's if that has a template, else,
+    for a new or unshareable reference key, its slot key's.  That is the
     commonest case, so a reference key with a template is looked up first,
     and a hit does no bookkeeping.  Any other text gets tree parse(text),
-    which becomes the template of each of its keys that is new or noted, and
-    its reference key's shape, whose template is that tree unless the key is
-    unshareable.  A new key past _TABLE_SIZE drops the oldest inserted one:
-    its cells keep their shape, and its next text is parsed as a first
-    text."""
+    which becomes the template of each of its keys that is new or noted; the
+    text is read through its reference key's, or, when that key is
+    unshareable, through its new slot key's, with source text, else it gets
+    shape and source None.  A new key past _TABLE_SIZE drops the oldest
+    inserted one: its cells keep their shape, and its next text is parsed as
+    a first text."""
     key = tuple(_REFS.split(text))
     shape = _table.get(key)
     if shape is not None and shape.template is not None:
         return None, shape, text
-    slot_key = None
+    slot_key = slot = None
     if shape is not None or key not in _table:  # an unshareable key or a new one: not a noted one
         tokens = _SLOTS.findall(text)
         kinds = "".join([_KINDS.get(token[0], "r") for token in tokens])
@@ -158,12 +160,14 @@ def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | Non
                     _insert(key, None)
                 return None, slot, text
     tree = parse(text)  # a ParseError leaves the keys as they were
-    if slot_key is not None and slot_key not in _table:
-        _insert(slot_key, SlotShape(tree, text))
+    if slot_key is not None and slot is None:
+        _insert(slot_key, slot := SlotShape(tree, text))
     if shape is None:
         shape = Shape(tree, text)
         _insert(key, shape)
-    return tree, shape, None
+    if shape.template is None:  # an unshareable reference key: the slot key's template, if any
+        shape = slot if slot is not None and slot.template is not None else None
+    return tree, shape, None if shape is None else text
 
 
 def _insert(key: tuple, shape: Shape | None) -> None:

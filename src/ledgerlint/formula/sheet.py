@@ -3,9 +3,9 @@
 Cells starting with '=' are formulas; other cells become numbers, ISO dates,
 or text.  Every sheet parses through the process's one shape table
 (shapes.parse_shared), so a shape that sheets share is parsed about once per
-process, and a cell of a shape that came before keeps the shape and its text:
-evaluation and the audit read it through the shape's template, and its own
-tree, parse() of its text, is built the first time its formula is read.
+process, and a cell with a shape keeps the shape and its text: evaluation and
+the audit read it through the shape's template.  Its own tree, unless kept from
+a parse at load, is parse() of its text, built when its formula is first read.
 Formula parse failures are recorded on the cell as error values so a bad
 formula never aborts a workbook load.
 
@@ -88,10 +88,10 @@ def format_value(value: CellValue) -> str:
 
 class Cell:
     """One populated cell.  Exactly one of literal/formula/error is set.  A
-    cell whose shape came before keeps its text as source: an evaluator reads
-    it through the shape's template, and formula, parse(source), is built when
-    first read and kept.  Cells compare and print by address, literal, formula
-    and error."""
+    cell with a shape keeps its text as source: an evaluator reads it through
+    the shape's template, and formula, the tree parsed at load or else
+    parse(source), is built when first read and kept.  Cells compare and print
+    by address, literal, formula and error."""
 
     __slots__ = ("address", "literal", "error", "shape", "source", "_formula")
 

@@ -11,7 +11,6 @@ module would compute, tolerating penny rounding by default.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .cashflow import pmt
 from .daycount import read_number
-from .depreciation import _check_finite, _check_rows
+from .depreciation import _check_finite, _check_rows, _schedule_csv
 from .rates import PeriodicConvention, periodic_rate
 
 __all__ = [
@@ -101,13 +100,7 @@ class AmortizationSchedule:
         return sum(row.interest for row in self.rows)
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["month", "opening", "interest", "payment", "closing"])
-        for row in self.rows:
-            writer.writerow([row.month, repr(row.opening), repr(row.interest),
-                             repr(row.payment), repr(row.closing)])
-        return buffer.getvalue()
+        return _schedule_csv(self.rows, ("month", "opening", "interest", "payment", "closing"))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from ledgerlint.audit import (
     to_record,
 )
 from ledgerlint.formula import FUNCTION_CATALOG, Binary, ErrorValue, Sheet, load_workbook, parse
-from ledgerlint.formula.evaluator import Evaluator
+from ledgerlint.formula.evaluator import Evaluator, Role
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,6 +81,26 @@ def test_rate_and_basis_positions():
         "NPV": 0, "XNPV": 0, "PMT": 0, "EFFECT": 0, "NOMINAL": 0, "ACCRINT": 2,
     }
     assert BASIS_POSITIONS == {"ACCRINT": 4, "INTRATE": 4, "DAYS360": 2}
+
+
+def test_r3_r4_and_r5_read_the_catalog_s_parameters():
+    """The argument positions R3, R4 and R5 read are those of the catalog's
+    parameters they name: INTRATE's settlement, maturity and basis, DB's
+    month, and each rate function's rate."""
+    def read(rule_id: str) -> dict:
+        return {name: [FUNCTION_CATALOG[name].params[index] for index in indices]
+                for name, indices in _RULES[rule_id].arguments.items()}
+
+    assert {name: [p.name for p in params] for name, params in read("R3").items()} == {
+        "INTRATE": ["settlement", "maturity", "basis"]
+    }
+    assert {name: [p.name for p in params] for name, params in read("R4").items()} == {
+        "DB": ["month"]
+    }
+    assert {name: [p.role for p in params] for name, params in read("R5").items()} == {
+        name: [Role.RATE] for name in RATE_POSITIONS
+    }
+    assert {rule_id for rule_id, spec in _RULES.items() if spec.arguments} == {"R3", "R4", "R5"}
 
 
 def test_findings_reference_existing_cells():
@@ -157,14 +177,23 @@ def test_severity_overrides_and_defaults():
 @pytest.mark.parametrize("filename,rule_id,cell", TRAPS)
 def test_a_check_returns_message_and_evidence(filename, rule_id, cell):
     """run_rules adds the rule id, the severity and the cell to what the check
-    returns: a per-shape check's finding in the plan, or the per-cell check's."""
+    returns: a per-shape check's finding in the plan, or the per-cell check's,
+    which gets the call's arguments that the rule reads, as Evaluator.argument
+    reads them for the formula's own tree."""
     sheet = load_workbook(FIXTURES / "traps" / filename)
     spec = _RULES[rule_id]
     values = Evaluator(sheet)
     threshold = RuleConfig().threshold(rule_id)
+
+    def check(node, found):
+        if found is not None:
+            return found
+        indices = spec.arguments[node.name] if spec.arguments else ()
+        return spec.check(node, values, threshold, None, *[values.argument(node, i) for i in indices])
+
     results = [
-        spec.check(node, values, threshold, None, read) if found is None else found
-        for planned, node, read, found in _plan(sheet.cells[cell].formula, values, None)
+        check(node, found)
+        for planned, node, _, found in _plan(sheet.cells[cell].formula, values)
         if planned is spec
     ]
     [(message, evidence)] = [result for result in results if result is not None]

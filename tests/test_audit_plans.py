@@ -2,59 +2,28 @@
 
 run_rules keeps, per shape, a plan of the template's trigger nodes.  A rule's
 gate, which reads only the node, runs there once (R1's call form, R8's
-divisor), and a rule that reads a call's arguments (R3, R4, R5) keeps a reader
+divisor), and a rule that reads a call's arguments (R3, R4, R5) keeps readers
 of them, compiled once from the template with the shape's slots by the
-kernels' own step builder.  Work is counted, not timed: the evaluator's
-catalog lookups (_function) and argument decisions (_argument).  Every reader
-is compared with Evaluator.argument, which reads the same template for the
-same cell.
+kernels' own step builder.  Every cell with a shape, the first of its key too,
+is read through them.  Work is counted, not timed: the evaluator's catalog
+lookups (_function) and argument decisions (_argument), and the calls of
+Evaluator.argument, the read path of a formula with no shape.  Every reader is
+compared with Evaluator.argument, which reads the same template for the same
+cell.
 """
 
 import collections
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
+from workbooks import grid_rows, load_workloads, per_cell
 
 import ledgerlint.formula.evaluator as evaluator
 from ledgerlint.audit import run_rules
 from ledgerlint.daycount import DayCountBasis
-from ledgerlint.formula import Cell, ErrorKind, ErrorValue, Sheet, parse, shapes
-from ledgerlint.formula.ast import index_to_column
+from ledgerlint.formula import ErrorKind, ErrorValue, Sheet, shapes
 from ledgerlint.formula.evaluator import Evaluator
 
-ROOT = Path(__file__).resolve().parent.parent
 READING = ("R3", "R4", "R5")  # the rules whose checks read a call's arguments
-
-
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _rows(grid: dict[tuple[int, int], str]):
-    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
-        rows.setdefault(row, []).append((col, text))
-    return rows.items()
-
-
-def _per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
-    """The sheet of grid with every formula parsed on its own, sharing nothing."""
-    oracle = Sheet(_rows(grid))
-    for (col, row), text in grid.items():
-        if text.startswith("="):
-            address = f"{index_to_column(col)}{row}"
-            oracle.cells[address] = Cell(address, formula=parse(text))
-    return oracle
 
 
 @pytest.fixture
@@ -71,9 +40,9 @@ def decisions(monkeypatch):
 
 
 def test_a_warm_audit_makes_no_catalog_lookup_and_no_argument_decision(decisions):
-    book = _load_workloads().loanbook(1, rows=80).books[0]
-    expected = run_rules(Sheet(_rows(book.grid)))  # builds each shape's plan and kernel
-    sheet = Sheet(_rows(book.grid))
+    book = load_workloads().loanbook(1, rows=80).books[0]
+    expected = run_rules(Sheet(grid_rows(book.grid)))  # builds each shape's plan and kernel
+    sheet = Sheet(grid_rows(book.grid))
     formulas = [cell for cell in sheet.cells.values() if cell.shape is not None]
     assert formulas and all(cell.source is not None for cell in formulas)
     decisions.clear()
@@ -87,12 +56,43 @@ def test_a_warm_audit_makes_no_catalog_lookup_and_no_argument_decision(decisions
         assert shape.rules is not None
         assert "R8" not in {spec.rule_id for spec, *_ in shape.rules}
     pmt = sheet.cells["E2"].shape
-    [(_, _, read, found)] = [entry for entry in pmt.rules if entry[0].rule_id == "R5"]
-    assert read is not None and found is None
+    [(_, _, readers, found)] = [entry for entry in pmt.rules if entry[0].rule_id == "R5"]
+    assert len(readers) == 1 and found is None
+
+
+@pytest.mark.parametrize("name", ["loanbook", "trapmix"])
+def test_a_cold_audit_reads_every_argument_through_a_plan_s_readers(name, monkeypatch):
+    """No benchmark book has a formula without a shape, so an audit from an
+    empty table never falls back to Evaluator.argument, not even for the first
+    cell of a key."""
+    calls = collections.Counter()
+    argument = Evaluator.argument
+
+    def counted(self, node, index, at=None):
+        calls[node.name] += 1
+        return argument(self, node, index, at)
+
+    monkeypatch.setattr(Evaluator, "argument", counted)
+    workload = load_workloads().GENERATORS[name](5)
+    planned = set()
+    for book in workload.books + workload.probe:
+        sheet = Sheet(grid_rows(book.grid))
+        run_rules(sheet)
+        for cell in sheet.cells.values():
+            assert (cell.shape is None) == (cell.source is None and cell._formula is None)
+            if cell.shape is not None:
+                planned.update(spec.rule_id for spec, *_ in cell.shape.rules)
+    assert calls == {}
+    assert planned & set(READING) == ({"R5"} if name == "loanbook" else set(READING))
+
+
+def _reads(values: Evaluator, cell, readers) -> list:
+    """What readers, of cell's shape's plan, read for cell."""
+    return [read(values, cell.shape.refs(cell.source)) for read in readers]
 
 
 def _compare_reads(sheet: Sheet, oracle: Sheet, counts: collections.Counter) -> None:
-    """Each R3, R4 and R5 entry's reader over sheet against Evaluator.argument
+    """Each R3, R4 and R5 entry's readers over sheet against Evaluator.argument
     over oracle, the same book loaded again, for the same template and cell."""
     values, argument = Evaluator(sheet), Evaluator(oracle)
     for address, cell in sheet.cells.items():
@@ -100,27 +100,26 @@ def _compare_reads(sheet: Sheet, oracle: Sheet, counts: collections.Counter) -> 
         if shape is None or shape.rules is None:
             continue
         assert oracle.cells[address].source == cell.source
-        at = None if cell.source is None else (shape.refs(cell.source), shape.slots)
-        for spec, node, read, _ in shape.rules:
+        at = shape.refs(cell.source), shape.slots
+        for spec, node, readers, _ in shape.rules:
             if spec.rule_id not in READING:
                 continue
-            got = read(values, at)
-            want = [argument.argument(node, index, at) for index in spec.arguments(node)]
-            assert list(map(repr, got)) == list(map(repr, want)), (address, spec.rule_id)
-            counts[spec.rule_id, at is not None, type(shape).__name__] += 1
+            want = [argument.argument(node, index, at) for index in spec.arguments[node.name]]
+            assert list(map(repr, _reads(values, cell, readers))) == list(map(repr, want)), (
+                address, spec.rule_id)
+            counts[spec.rule_id, type(shape).__name__] += 1
 
 
 @pytest.mark.parametrize("name", ["loanbook", "trapmix"])
 def test_a_plan_s_reader_reads_as_evaluator_argument(name):
-    workload = _load_workloads().GENERATORS[name](1)
+    workload = load_workloads().GENERATORS[name](1)
     books = workload.books + workload.probe
     for book in books:  # every key gets its template and its plan
-        run_rules(Sheet(_rows(book.grid)))
+        run_rules(Sheet(grid_rows(book.grid)))
     counts = collections.Counter()
     for book in books:
-        _compare_reads(Sheet(_rows(book.grid)), Sheet(_rows(book.grid)), counts)
-    through_templates = {rule for rule, at, _ in counts if at}
-    assert through_templates == ({"R5"} if name == "loanbook" else set(READING))
+        _compare_reads(Sheet(grid_rows(book.grid)), Sheet(grid_rows(book.grid)), counts)
+    assert {rule for rule, _ in counts} == ({"R5"} if name == "loanbook" else set(READING))
 
 
 # Rows r = 1..6: A a rate, B a period count, C and D dates, E an error,
@@ -152,22 +151,22 @@ def _edge_grid() -> dict[tuple[int, int], str]:
 
 def test_readers_of_defaults_errors_wrong_counts_and_slot_shapes():
     grid = _edge_grid()
-    sheet = Sheet(_rows(grid))
-    assert run_rules(sheet) == run_rules(_per_cell(grid))
+    sheet = Sheet(grid_rows(grid))
+    assert run_rules(sheet) == run_rules(per_cell(grid))
     # the oracle is loaded as the sheet was, from an empty table: a second
     # load would parse the keys that the sheet read through a slot key
     sheet._values.clear()
     shapes._table.clear()
     counts = collections.Counter()
-    _compare_reads(sheet, Sheet(_rows(grid)), counts)
-    assert counts["R5", True, "SlotShape"] == 5 and counts["R4", True, "Shape"] == 15
+    _compare_reads(sheet, Sheet(grid_rows(grid)), counts)
+    # every row's cell, the first of each key too, is read through a template
+    assert counts["R5", "SlotShape"] == 5 and counts["R4", "Shape"] == 18
     values = Evaluator(sheet)
 
     def reads(address: str, rule_id: str) -> list:
         cell = sheet.cells[address]
-        shape = cell.shape
-        [read] = [read for spec, _, read, _ in shape.rules if spec.rule_id == rule_id]
-        return read(values, (shape.refs(cell.source), shape.slots))
+        [readers] = [readers for spec, _, readers, _ in cell.shape.rules if spec.rule_id == rule_id]
+        return _reads(values, cell, readers)
 
     assert reads("G2", "R4") == reads("H2", "R4") == [12]
     assert reads("I2", "R3")[2] is DayCountBasis.US_30_360
@@ -193,9 +192,9 @@ def test_r8_fires_on_360_alone_when_360_and_365_share_a_slot_key(first, other):
             grid.update({(1, r): "2024-01-31", (2, r): "2025-03-01",
                          (3, r): f"=(B{r}-A{r})/{divisor}"})
         grids.append(grid)
-    sheets = [Sheet(_rows(grid)) for grid in grids]
+    sheets = [Sheet(grid_rows(grid)) for grid in grids]
     findings = [run_rules(sheet) for sheet in sheets]
-    assert findings == [run_rules(_per_cell(grid)) for grid in grids]
+    assert findings == [run_rules(per_cell(grid)) for grid in grids]
     fired = [f.cell for found in findings for f in found if f.rule_id == "R8"]
     assert fired == [f"C{r}" for offset, divisors in books
                      for r, divisor in enumerate(divisors, start=offset) if divisor == 360]
@@ -220,7 +219,7 @@ def test_r1_keeps_its_additive_verdicts_across_slot_keys():
             grid[2, r] = f"=NPV({rate},A{r}:A{r + 2})+{r}"  # the period-0 flow outside
             grid[3, r] = f"=NPV({rate},A{r}:A{r + 2})"
         grids.append(grid)
-    findings = [run_rules(Sheet(_rows(grid))) for grid in grids]
-    assert findings == [run_rules(_per_cell(grid)) for grid in grids]
+    findings = [run_rules(Sheet(grid_rows(grid))) for grid in grids]
+    assert findings == [run_rules(per_cell(grid)) for grid in grids]
     fired = [f.cell for found in findings for f in found if f.rule_id == "R1"]
     assert fired == ["C1", "C3", "C21", "C23"]

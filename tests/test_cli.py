@@ -256,6 +256,23 @@ class TestAudit:
         else:
             assert finding_keys(lines) == [(cell, "R0") for cell in cells]
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_date_chain_of_year_0_evaluates_to_div0(self, tmp_path, capsys, fmt):
+        """R6 prints the chain's value, here an error value, by format_value."""
+        book = tmp_path / "book.csv"
+        book.write_text("=1/1/0\n", encoding="utf-8")
+        assert main(["audit", str(book), "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "structured":
+            [record] = [json.loads(line) for line in out.splitlines()]
+            assert (record["cell"], record["rule_id"], record["evidence"]) == ("A1", "R6", [])
+            message = record["message"]
+        else:
+            [line] = out.splitlines()
+            assert line.startswith(f"{book}:A1 R6 error ")
+            message = line
+        assert "1/1/0 is a division chain evaluating to #DIV0!, not a date;" in message
+
     def test_the_rule_config_turns_the_parse_rule_off_or_down(self, tmp_path, capsys):
         book = tmp_path / "book.csv"
         book.write_text("=PMT(5,12,1000)\n", encoding="utf-8")
@@ -592,6 +609,55 @@ class TestDepr:
 
 SCHEDULE = ["schedule", "--principal", "1000", "--rate", "0.1", "--term", "12"]
 DEPR = ["depr", "--cost", "1000", "--salvage", "100", "--life", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        pytest.param(
+            "schedule --principal 1000 --rate 0.1 --term 3",
+            b"month,opening,interest,payment,closing\r\n"
+            b"1,1000.0,7.974140428903764,338.66350118903614,669.3106392398677\r\n"
+            b"2,669.3106392398677,5.337177027858051,338.66350118903614,335.9843150786896\r\n"
+            b"3,335.9843150786896,2.679186110346519,338.6635011890361,0.0\r\n",
+            id="schedule",
+        ),
+        pytest.param(
+            "schedule --principal 2500 --rate 7.5% --term 4 --holiday 1 --convention us",
+            b"month,opening,interest,payment,closing\r\n"
+            b"1,2500.0,15.624999999999998,0.0,2515.625\r\n"
+            b"2,2515.625,15.722656249999998,849.0452064240402,1682.3024498259597\r\n"
+            b"3,1682.3024498259597,10.514390311412248,849.0452064240402,843.7716337133317\r\n"
+            b"4,843.7716337133317,5.273572710708322,849.04520642404,0.0\r\n",
+            id="schedule with a holiday",
+        ),
+        pytest.param(
+            "depr --cost 1000 --salvage 100 --life 3 --month 7",
+            b"period,depreciation,book_value_end\r\n"
+            b"1,312.5739847059212,687.4260152940788\r\n"
+            b"2,368.35112364168634,319.0748916523924\r\n"
+            b"3,170.9734462343972,148.10144541799522\r\n"
+            b"4,33.066184953578045,115.03526046441718\r\n"
+            b"reconciliation: total_depreciation=884.9647395355828 "
+            b"residual_book_value=115.0352604644172 gap=15.035260464417206 FLAGGED\n",
+            id="depr with a partial first year",
+        ),
+        pytest.param(
+            "depr --cost 5000 --salvage 250 --life 2 --mode exact",
+            b"period,depreciation,book_value_end\r\n"
+            b"1,3881.9660112501056,1118.0339887498944\r\n"
+            b"2,868.0339887498945,249.9999999999999\r\n"
+            b"reconciliation: total_depreciation=4750 residual_book_value=250 gap=0\n",
+            id="depr exact",
+        ),
+    ],
+)
+def test_schedule_files_keep_their_bytes(argv, expected, tmp_path):
+    """schedule -o and depr -o write a header, then each field by repr, with
+    '\r\n' line ends (depr's reconciliation line ends in '\n')."""
+    out_file = tmp_path / "out.csv"
+    assert main(argv.split() + ["-o", str(out_file)]) == 0
+    assert out_file.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

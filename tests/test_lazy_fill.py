@@ -9,49 +9,16 @@ scans of a formula's text for its shape key and its references.
 
 import csv
 import gc
-import importlib.util
 import pickle
-import sys
-from pathlib import Path
 
 import pytest
+from workbooks import assert_read_through_templates, grid_rows, load_workloads, per_cell
 
 from ledgerlint import audit
 from ledgerlint.audit import RuleConfig, run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
-from ledgerlint.formula import Cell, Sheet, parse, shapes
+from ledgerlint.formula import Sheet, parse, shapes
 from ledgerlint.formula.ast import format_number, index_to_column
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _rows(grid: dict[tuple[int, int], str]):
-    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
-        rows.setdefault(row, []).append((col, text))
-    return rows.items()
-
-
-def _per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
-    """The sheet of grid with every formula parsed on its own, sharing nothing."""
-    oracle = Sheet(_rows(grid))
-    for (col, row), text in grid.items():
-        if text.startswith("="):
-            address = f"{index_to_column(col)}{row}"
-            oracle.cells[address] = Cell(address, formula=parse(text))
-    return oracle
 
 
 @pytest.fixture
@@ -122,10 +89,10 @@ def test_a_sheet_of_filled_cells_pickles_as_its_trees():
 
 
 def test_the_audit_walks_each_shape_once_and_fills_only_what_it_checks(fills, walks):
-    book = _load_workloads().loanbook(1, rows=80).books[0]
-    expected = run_rules(_per_cell(book.grid))
+    book = load_workloads().loanbook(1, rows=80).books[0]
+    expected = run_rules(per_cell(book.grid))
     walks.clear()
-    sheet = Sheet(_rows(book.grid))
+    sheet = Sheet(grid_rows(book.grid))
     assert run_rules(sheet) == expected
     run_rules(sheet, RuleConfig(enabled=frozenset({"R5"})))
     # the checks read each shape's template, and each cell's references from
@@ -137,19 +104,23 @@ def test_the_audit_walks_each_shape_once_and_fills_only_what_it_checks(fills, wa
 
 
 def test_evaluation_fills_no_tree_and_a_later_read_fills_once(fills):
-    book = _load_workloads().loanbook(1, rows=80).books[0]
-    sheet = Sheet(_rows(book.grid))
-    assert sheet.evaluate_all() == _per_cell(book.grid).evaluate_all()
+    book = load_workloads().loanbook(1, rows=80).books[0]
+    sheet = Sheet(grid_rows(book.grid))
+    assert sheet.evaluate_all() == per_cell(book.grid).evaluate_all()
     assert fills == []
     texts = {f"{index_to_column(col)}{row}": text for (col, row), text in book.grid.items()}
+    # the first cell of each key keeps the tree its text was parsed to
+    parsed = {address for address, cell in sheet.cells.items() if cell._formula is not None}
+    assert len(parsed) == len({id(cell.shape) for cell in sheet.cells.values() if cell.shape})
     trees = {}
     for address, cell in sheet.cells.items():
         if cell.source is not None:
             trees[address] = cell.formula
             assert trees[address] == parse(texts[address])
-    assert trees and sorted(fills) == sorted(texts[address] for address in trees)
+    assert parsed < set(trees)
+    assert sorted(fills) == sorted(texts[address] for address in trees if address not in parsed)
     assert all(sheet.cells[address].formula is tree for address, tree in trees.items())
-    assert len(fills) == len(trees)
+    assert len(fills) == len(trees) - len(parsed)
 
 
 @pytest.mark.parametrize(
@@ -158,11 +129,11 @@ def test_evaluation_fills_no_tree_and_a_later_read_fills_once(fills):
     ids=["loanbook", "trapmix", "sparse_wide"],
 )
 def test_the_audit_and_evaluation_parse_no_cell_s_tree(fills, name, size):
-    workload = _load_workloads().GENERATORS[name](7, **size)
+    workload = load_workloads().GENERATORS[name](7, **size)
     shared = 0
     for book in workload.books + workload.probe:
-        run_rules(Sheet(_rows(book.grid)))
-        sheet = Sheet(_rows(book.grid))
+        run_rules(Sheet(grid_rows(book.grid)))
+        sheet = Sheet(grid_rows(book.grid))
         sheet.evaluate_all()
         shared += sum(cell.source is not None for cell in sheet.cells.values())
     assert shared and fills == []
@@ -189,8 +160,8 @@ def scans(monkeypatch):
 
 
 def test_a_formula_is_scanned_once_for_its_key_and_a_shared_cell_once_for_its_references(scans):
-    book = _load_workloads().loanbook(7, rows=120).books[0]
-    sheet = Sheet(_rows(book.grid))
+    book = load_workloads().loanbook(7, rows=120).books[0]
+    sheet = Sheet(grid_rows(book.grid))
     formulas = sum(text.startswith("=") for text in book.grid.values())
     shared = [cell for cell in sheet.cells.values() if cell.source is not None]
     # each reference key's shape has a template (slot keys' shapes scan with their own refs)
@@ -250,9 +221,10 @@ def _slot_case(texts: list[str]) -> dict[tuple[int, int], str]:
 def test_a_shared_shape_reads_each_cell_s_own_references(fills, case):
     texts = SLOT_CASES[case]
     grid = _slot_case(texts)
-    sheet, oracle = Sheet(_rows(grid)), _per_cell(grid)
-    later = [sheet.cells[f"F{row}"] for row in range(2, len(texts) + 1)]
-    assert all((cell.source is not None) == (case != "reversed first range") for cell in later)
+    sheet, oracle = Sheet(grid_rows(grid)), per_cell(grid)
+    assert_read_through_templates(sheet)
+    formulas = [sheet.cells[f"F{row}"] for row in range(1, len(texts) + 1)]
+    assert all((cell.source is not None) == (case != "reversed first range") for cell in formulas)
     values = sheet.evaluate_all()
     assert values == oracle.evaluate_all()
     findings = run_rules(sheet)
@@ -269,7 +241,8 @@ def test_a_shared_shape_reads_each_cell_s_own_references(fills, case):
 
 def test_a_key_whose_sheets_are_gone_is_not_parsed_again(monkeypatch):
     # an audit run drops each sheet before the next but one: a key that comes
-    # once per sheet keeps the first sheet's tree as its template
+    # once per sheet keeps the first sheet's tree as its template, and each
+    # sheet's cell, the first one too, is read through it
     parsed = []
 
     def counted(text):
@@ -279,8 +252,10 @@ def test_a_key_whose_sheets_are_gone_is_not_parsed_again(monkeypatch):
     monkeypatch.setattr(shapes, "parse", counted)
     for row in range(1, 7):
         sheet = Sheet([(row, [(1, "0.05"), (2, PMT_COLUMN.format(r=row))])])
-        assert sheet.cells[f"B{row}"].formula == parse(PMT_COLUMN.format(r=row))
-        assert (sheet.cells[f"B{row}"].source is None) == (row == 1)
+        cell = sheet.cells[f"B{row}"]
+        assert cell.source is not None and cell.shape.template is not None
+        assert cell.formula == parse(PMT_COLUMN.format(r=row))
+        del cell
         del sheet
         gc.collect()
     assert parsed == [PMT_COLUMN.format(r=1)]
@@ -305,7 +280,7 @@ def _shared_shape_books() -> list[tuple[dict, Sheet]]:
             grid[3, r], grid[4, r] = "2024-01-31", "2025-03-01"
             for col, template in enumerate(templates, start=5):
                 grid[col, r] = template.format(r=r, s=r + 2)
-        books.append((grid, Sheet(_rows(grid))))
+        books.append((grid, Sheet(grid_rows(grid))))
     return books
 
 
@@ -317,7 +292,7 @@ def test_per_shape_findings_equal_a_per_cell_audit_across_sheets(walks, enabled)
     config = RuleConfig() if enabled is None else RuleConfig(enabled=frozenset(enabled))
     for grid, sheet in books:
         findings = run_rules(sheet, config)
-        assert findings == run_rules(_per_cell(grid), config)
+        assert findings == run_rules(per_cell(grid), config)
         if enabled is None:
             assert {f.rule_id for f in findings} >= {"R2", "R6", "R7"}
     (_, first), (_, last) = books[0], books[-1]

@@ -10,10 +10,8 @@ empty.
 
 import collections
 import gc
-import importlib.util
 import json
 import random
-import sys
 import time
 import weakref
 from pathlib import Path
@@ -21,15 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from sheet_strategies import sheets
+from workbooks import assert_read_through_templates, grid_rows, load_workloads, per_cell
 
 from ledgerlint.audit import run_rules
 from ledgerlint.cli import RULES_ENV_VAR, main
 from ledgerlint.formula import (
     Binary,
     Call,
-    Cell,
-    ErrorKind,
-    ErrorValue,
     ParseError,
     Sheet,
     TokenKind,
@@ -47,41 +43,9 @@ CORPUS = [
 ]
 
 
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _rows(grid: dict[tuple[int, int], str]):
-    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
-        rows.setdefault(row, []).append((col, text))
-    return rows.items()
-
-
-def _sheets(grid: dict[tuple[int, int], str]) -> tuple[Sheet, Sheet]:
-    """The sheet of grid ((column, row) -> text) and its per-cell parse oracle."""
-    sheet, oracle = Sheet(_rows(grid)), Sheet(_rows(grid))
-    for (col, row), raw in grid.items():
-        text = raw.strip()
-        if text.startswith("="):
-            address = f"{index_to_column(col)}{row}"
-            try:
-                oracle.cells[address] = Cell(address, formula=parse(text))
-            except ParseError as exc:
-                oracle.cells[address] = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
-    return sheet, oracle
-
-
 def assert_as_parsed_per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
-    sheet, oracle = _sheets(grid)
+    sheet, oracle = Sheet(grid_rows(grid)), per_cell(grid)
+    assert_read_through_templates(sheet)
     assert list(sheet.cells.items()) == list(oracle.cells.items())
     # repr, so that nan values compare equal
     assert repr(list(sheet.evaluate_all().items())) == repr(list(oracle.evaluate_all().items()))
@@ -197,7 +161,7 @@ def test_keys_keep_the_boundaries_between_references(texts):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_benchmark_books(seed):
-    workloads = _load_workloads()
+    workloads = load_workloads()
     loanbook = workloads.loanbook(seed, rows=80)
     trapmix = workloads.trapmix(seed, books=40)
     books = loanbook.books + trapmix.books + trapmix.probe
@@ -284,15 +248,15 @@ def test_a_filled_column_parses_once(parsed):
 
 def test_formulas_that_differ_only_in_references_parse_once(parsed):
     grid = {(5, row): "=A1+B1" if row % 2 else "=C7+$D$9" for row in range(1, 21)}
-    Sheet(_rows(grid))
+    Sheet(grid_rows(grid))
     assert parsed == ["=A1+B1"]
     assert_as_parsed_per_cell(grid)
 
 
 def test_the_loan_book_makes_at_most_10_parses(parsed):
-    for book in _load_workloads().loanbook(1, rows=80).books:
+    for book in load_workloads().loanbook(1, rows=80).books:
         parsed.clear()
-        Sheet(_rows(book.grid))
+        Sheet(grid_rows(book.grid))
         assert 0 < len(parsed) <= 10, parsed
 
 
@@ -312,11 +276,13 @@ def shaped(monkeypatch):
 
 def test_template_hits_make_no_parse_and_no_shape(parsed, shaped):
     # the full seed-5 loan book: 21,004 formulas, 20,996 of them template hits;
-    # the 8 parses make 8 reference-key shapes and 3 slot-key shapes, each with its template
-    book = _load_workloads().loanbook(5).books[0]
-    sheet = Sheet(_rows(book.grid))
-    hits = sum(cell.source is not None for cell in sheet.cells.values())
-    assert (len(parsed), len(shaped), hits) == (8, 11, 20_996)
+    # the 8 parses make 8 reference-key shapes and 3 slot-key shapes, each with
+    # its template, and every formula, the 8 parsed ones too, is read through one
+    book = load_workloads().loanbook(5).books[0]
+    sheet = Sheet(grid_rows(book.grid))
+    shared = [cell for cell in sheet.cells.values() if cell.source is not None]
+    hits = sum(cell._formula is None for cell in shared)
+    assert (len(parsed), len(shaped), len(shared), hits) == (8, 11, 21_004, 20_996)
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,7 +299,7 @@ def test_a_load_parses_each_formula_at_most_once(rows):
         patch.setattr(shapes, "parse", counted)
         sheet = Sheet.from_rows(rows)
     formulas = [text.strip() for row in rows for text in row if text.strip().startswith("=")]
-    hits = sum(cell.source is not None for cell in sheet.cells.values())
+    hits = sum(cell.source is not None and cell._formula is None for cell in sheet.cells.values())
     # a template hit parses nothing, and any other formula parses at most once
     assert len(texts) + hits <= len(formulas)
     assert not collections.Counter(texts) - collections.Counter(formulas)
@@ -431,7 +397,7 @@ def test_a_plan_holds_only_nodes_of_its_shapes_template():
                 texts.append("=EFFECT(A1,12)+NPV(A1,B1:B3)")  # a key seen once
             grid.update({(col, r): text for col, text in enumerate(texts, start=1)})
         grids.append(grid)
-        sheets.append(Sheet(_rows(grid)))
+        sheets.append(Sheet(grid_rows(grid)))
         findings.append(run_rules(sheets[-1]))
     once = sheets[0].cells[f"{index_to_column(len(PLANNED) + 5)}1"]
     assert once.shape.template is once.formula and once.shape.rules
@@ -442,7 +408,7 @@ def test_a_plan_holds_only_nodes_of_its_shapes_template():
         assert shape.template is not None and shape.rules
         nodes = {id(node) for node in _branches(shape.template)}
         assert all(id(node) in nodes for _, node, _, _ in shape.rules)
-    assert findings == [run_rules(_sheets(grid)[1]) for grid in grids]
+    assert findings == [run_rules(per_cell(grid)) for grid in grids]
 
 
 def test_parse_errors_keep_their_own_columns_across_sheets():
@@ -464,6 +430,9 @@ def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, kee
     for text in texts:
         sheet = Sheet([(1, [(4, text)])])
         assert sheet.cells["D1"].formula == parse(text)
+        # no cell gets the unshareable reference key's shape: each, the first
+        # too, is read through the slot key's template
+        assert type(sheet.cells["D1"].shape) is shapes.SlotShape
         if keep:
             kept.append(sheet)
         del sheet
@@ -477,7 +446,7 @@ def test_a_reference_inside_a_string_stays_unshareable_across_sheets(parsed, kee
 @pytest.fixture(scope="module")
 def audit_books(tmp_path_factory):
     """trapmix books at two seeds, their anchored probe books, then the fixtures."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     paths = []
     for seed in (1, 2):
         directory = tmp_path_factory.mktemp(f"trapmix{seed}")

@@ -9,30 +9,14 @@ loads through a table at any bound read as loads from an empty one: trees,
 
 import collections
 import contextlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sheet_strategies import sheets
+from workbooks import grid_rows, load_workloads, per_cell
 
 from ledgerlint.audit import run_rules
-from ledgerlint.formula import Cell, Sheet, evaluator, load_workbook, parse, shapes
-from ledgerlint.formula.ast import index_to_column
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from ledgerlint.formula import Sheet, evaluator, load_workbook, parse, shapes
 
 
 @contextlib.contextmanager
@@ -62,7 +46,7 @@ def parsed(monkeypatch):
 @pytest.fixture(scope="module")
 def trapmix_paths(tmp_path_factory):
     """The seed-5 trapmix books and their anchored probe books, written as CSV files."""
-    trapmix = _load_workloads().trapmix(5)
+    trapmix = load_workloads().trapmix(5)
     directory = tmp_path_factory.mktemp("trapmix5")
     books = trapmix.books + trapmix.probe
     for book in books:
@@ -121,26 +105,8 @@ GRID = {
 }
 
 
-def _rows(grid):
-    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
-    rows = collections.defaultdict(list)
-    for (col, row), text in sorted(grid.items(), key=lambda item: item[0][::-1]):
-        rows[row].append((col, text))
-    return rows.items()
-
-
-def _per_cell(grid) -> Sheet:
-    """The sheet of grid with every formula parsed on its own, sharing nothing."""
-    oracle = Sheet(_rows(grid))
-    for (col, row), text in grid.items():
-        if text.startswith("="):
-            address = f"{index_to_column(col)}{row}"
-            oracle.cells[address] = Cell(address, formula=parse(text))
-    return oracle
-
-
 def test_at_the_bound_the_oldest_key_goes_first(parsed):
-    sheet = Sheet(_rows(GRID))
+    sheet = Sheet(grid_rows(GRID))
     pmt, npv = sheet.cells["C1"].shape, sheet.cells["D1"].shape
     assert pmt.template is not None and npv.template is not None
     assert sheet.evaluate_all() and run_rules(sheet)  # each shape's kernel and plan, built
@@ -157,9 +123,9 @@ def test_at_the_bound_the_oldest_key_goes_first(parsed):
     assert ("=NPV(", ",", ":", ")") not in shapes._table  # the PMT key and the NPV key next
     # the cells of a dropped shape keep it, and read as each formula parsed on its own
     assert sheet.cells["C3"].shape is pmt and sheet.cells["D3"].shape is npv
-    again = Sheet(_rows(GRID))  # the PMT key starts again, parsed as a first text
+    again = Sheet(grid_rows(GRID))  # the PMT key starts again, parsed as a first text
     assert again.cells["C1"].shape is not pmt and parsed["=PMT(A1/12,60,B1)"] == 2
-    oracle = _per_cell(GRID)
+    oracle = per_cell(GRID)
     for loaded in (sheet, again):
         assert loaded.evaluate_all() == oracle.evaluate_all()
         assert run_rules(loaded) == run_rules(oracle)
@@ -232,3 +198,27 @@ def test_after_two_passes_every_trapmix_cell_reads_through_its_reference_key(tra
                     assert type(cell.shape) is shapes.Shape and cell.source is not None
                     assert cell.shape is shapes._table[tuple(shapes._REFS.split(cell.source))]
     assert formulas == 7536
+
+
+def test_a_book_s_findings_do_not_depend_on_the_books_audited_before_it(trapmix_paths):
+    """The seed-5 trapmix books, probe books included, audited from an empty
+    table forward, reversed and with a table of their own each: a cell is read
+    through its key's template whichever text of the key came first, so each
+    book's findings are the same all three ways."""
+    _, paths = trapmix_paths
+
+    def audit(order) -> dict:
+        findings = {}
+        for path in order:
+            findings[path] = run_rules(load_workbook(path))
+        return findings
+
+    forward = audit(paths)
+    shapes._table.clear()
+    assert audit(paths[::-1]) == forward
+    alone = {}
+    for path in paths:
+        shapes._table.clear()
+        alone.update(audit([path]))
+    assert alone == forward
+    assert sum(map(len, forward.values())) > len(paths)

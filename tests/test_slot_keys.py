@@ -15,45 +15,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 from sheet_strategies import sheets
+from workbooks import assert_read_through_templates, grid_rows, per_cell
 
 from ledgerlint.audit import run_rules
-from ledgerlint.formula import (
-    Cell,
-    ErrorKind,
-    ErrorValue,
-    ParseError,
-    PercentLit,
-    Sheet,
-    parse,
-    shapes,
-)
-from ledgerlint.formula.ast import index_to_column
-
-
-def _rows(grid: dict[tuple[int, int], str]):
-    """grid ((column, row) -> text) as the (row, [(column, text), ...]) a Sheet places."""
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), text in sorted(grid.items(), key=lambda item: (item[0][1], item[0][0])):
-        rows.setdefault(row, []).append((col, text))
-    return rows.items()
-
-
-def _per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
-    """The sheet of grid with every formula parsed on its own, sharing nothing."""
-    oracle = Sheet(_rows(grid))
-    for (col, row), text in grid.items():
-        text = text.strip()
-        if text.startswith("="):
-            address = f"{index_to_column(col)}{row}"
-            try:
-                oracle.cells[address] = Cell(address, formula=parse(text))
-            except ParseError as exc:
-                oracle.cells[address] = Cell(address, error=ErrorValue(ErrorKind.PARSE, str(exc)))
-    return oracle
+from ledgerlint.formula import ErrorKind, ErrorValue, PercentLit, Sheet, parse, shapes
 
 
 def assert_as_parsed_per_cell(grid: dict[tuple[int, int], str]) -> Sheet:
-    sheet, oracle = Sheet(_rows(grid)), _per_cell(grid)
+    sheet, oracle = Sheet(grid_rows(grid)), per_cell(grid)
+    assert_read_through_templates(sheet)
     # repr, so that nan values compare equal
     assert repr(list(sheet.evaluate_all().items())) == repr(list(oracle.evaluate_all().items()))
     assert run_rules(sheet) == run_rules(oracle)
@@ -80,7 +50,7 @@ def test_a_label_with_a_reference_in_it_parses_at_most_twice_in_three_books(pars
     for _ in range(3):
         grid = {(1, r): str(r) for r in range(1, 1001)}
         grid.update({(2, r): f'="Q1 "&A{r}' for r in range(1, 1001)})
-        sheet = Sheet(_rows(grid))
+        sheet = Sheet(grid_rows(grid))
         assert sheet.cells["B1000"].formula == parse('="Q1 "&A1000')
         assert sheet.evaluate_all()["B7"] == "Q1 7"
     assert sum(parsed.values()) <= 2
@@ -199,7 +169,7 @@ def test_sheets_with_random_literals_read_as_parsed_per_cell(rows, seed, fresh, 
         assert len(shapes._table) <= size
     finally:
         shapes._TABLE_SIZE = bound
-    oracle = _per_cell(
+    oracle = per_cell(
         {(col, row): text for row, texts in enumerate(rows, 1) for col, text in enumerate(texts, 1)}
     )
     assert repr(list(sheet.evaluate_all().items())) == repr(list(oracle.evaluate_all().items()))

@@ -10,27 +10,12 @@ Work is counted, not timed: the calls of parse in the shapes module.
 import collections
 import csv
 import gc
-import importlib.util
 import io
-import sys
-from pathlib import Path
 
 import pytest
+from workbooks import load_workloads
 
 from ledgerlint.formula import Sheet, parse, shapes
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded workbook generators (stdlib only)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -63,7 +48,7 @@ def _keys(texts) -> set:
 
 
 def test_fresh_cache_loads_parse_a_recurring_text_at_most_twice(parsed):
-    books = _load_workloads().trapmix(5, books=300).books
+    books = load_workloads().trapmix(5, books=300).books
     texts = _formulas(books)
     assert len(_keys(texts)) < shapes._TABLE_SIZE  # no key leaves the table
     for book in books:
@@ -76,7 +61,7 @@ def test_fresh_cache_loads_parse_a_recurring_text_at_most_twice(parsed):
 
 
 def test_trapmix_parse_counts(parsed):
-    books = _load_workloads().trapmix(5).books
+    books = load_workloads().trapmix(5).books
     texts = _formulas(books)
     assert (sum(texts.values()), len(texts)) == (7160, 1153)  # each one parsed at the seed
     for book in books:
@@ -105,7 +90,8 @@ def test_trapmix_parse_counts(parsed):
 def test_a_text_s_first_tree_is_its_key_s_template(parsed):
     text = "=PMT(A1/12,60,B1)"
     tree, shape, source = shapes.parse_shared(text)
-    assert source is None and shape.template is tree
+    # the text is read through the template its tree became, and keeps the tree
+    assert source == text and shape.template is tree
     # the reference key and the slot key, whose tokens are a reference, two numbers and a reference
     slot_key = (None, "rnnr", "=PMT(", "/", ",", ",", ")")
     assert list(shapes._table) == [slot_key, tuple(shapes._REFS.split(text))]
