@@ -27,17 +27,15 @@ from __future__ import annotations
 import datetime as dt
 import os
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Mapping
 
-from .daycount import year_fraction
+from .daycount import format_number, year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
 from .formula.shapes import Shape
-from .formula.ast import format_number
 from .formula.evaluator import FUNCTION_CATALOG, Evaluator, Role, argument_readers, literal, ref
 from .formula.sheet import ErrorValue, format_value
+from .record import Record, _set
 
 __all__ = [
     "RULE_IDS",
@@ -60,13 +58,17 @@ class Severity(str, Enum):
 Evidence = tuple[tuple[str, str], ...]  # (cell address, value as printed) pairs
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule_id: str
-    severity: Severity
-    cell: str
-    message: str
-    evidence: Evidence = ()
+class Finding(Record):
+    __slots__ = _fields = ("rule_id", "severity", "cell", "message", "evidence")
+
+    def __init__(
+        self, rule_id: str, severity: Severity, cell: str, message: str, evidence: Evidence = ()
+    ) -> None:
+        _set(self, "rule_id", rule_id)
+        _set(self, "severity", severity)
+        _set(self, "cell", cell)
+        _set(self, "message", message)
+        _set(self, "evidence", evidence)
 
 
 def _positions(*roles: Role) -> dict[str, int]:
@@ -277,8 +279,7 @@ def _rule_r8(node: Binary, values: Evaluator, threshold: None, at=None):
     )
 
 
-@dataclass(frozen=True)
-class _RuleSpec:
+class _RuleSpec(Record):
     """check(node, values, threshold, at=None, *arguments) gets each node whose
     call name or operator is in triggers and that gate, when set, lets through,
     the sheet's one Evaluator, RuleConfig.threshold (threshold here unless
@@ -293,15 +294,32 @@ class _RuleSpec:
     A per_shape check reads only the node and its numbers, so it runs once per
     shape too, but per cell on a shape whose numbers are slots."""
 
-    rule_id: str
-    default_severity: Severity
-    explanation: str
-    triggers: frozenset[str]
-    check: Callable[..., tuple[str, Evidence] | None]
-    threshold: float | None = None
-    per_shape: bool = False
-    gate: Callable[[FormulaNode, bool, bool], bool] | None = None
-    arguments: Mapping[str, tuple[int, ...]] | None = None
+    __slots__ = _fields = (
+        "rule_id", "default_severity", "explanation", "triggers", "check",
+        "threshold", "per_shape", "gate", "arguments",
+    )
+
+    def __init__(
+        self,
+        rule_id: str,
+        default_severity: Severity,
+        explanation: str,
+        triggers: frozenset[str],
+        check: Callable[..., tuple[str, Evidence] | None],
+        threshold: float | None = None,
+        per_shape: bool = False,
+        gate: Callable[[FormulaNode, bool, bool], bool] | None = None,
+        arguments: Mapping[str, tuple[int, ...]] | None = None,
+    ) -> None:
+        _set(self, "rule_id", rule_id)
+        _set(self, "default_severity", default_severity)
+        _set(self, "explanation", explanation)
+        _set(self, "triggers", triggers)
+        _set(self, "check", check)
+        _set(self, "threshold", threshold)
+        _set(self, "per_shape", per_shape)
+        _set(self, "gate", gate)
+        _set(self, "arguments", arguments)
 
 
 _RULES: dict[str, _RuleSpec] = {
@@ -427,13 +445,27 @@ RULE_IDS = tuple(_RULES)
 _TRIGGER_KEYS = frozenset().union(*(spec.triggers for spec in _RULES.values()))
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Which rules run, their thresholds, and their severities."""
+class RuleConfig(Record):
+    """Which rules run, their thresholds, and their severities.  _active holds
+    the (severity, threshold) of each enabled rule, by id, built once per config."""
 
-    enabled: frozenset[str] = frozenset(RULE_IDS)
-    thresholds: Mapping[str, float] = field(default_factory=dict)
-    severities: Mapping[str, Severity] = field(default_factory=dict)
+    _fields = ("enabled", "thresholds", "severities")
+    __slots__ = (*_fields, "_active")
+
+    def __init__(
+        self,
+        enabled: frozenset[str] = frozenset(RULE_IDS),
+        thresholds: Mapping[str, float] | None = None,
+        severities: Mapping[str, Severity] | None = None,
+    ) -> None:
+        _set(self, "enabled", enabled)
+        _set(self, "thresholds", {} if thresholds is None else thresholds)
+        _set(self, "severities", {} if severities is None else severities)
+        _set(self, "_active", {
+            rule_id: (self.severity(rule_id), self.threshold(rule_id))
+            for rule_id in _RULES
+            if rule_id in enabled
+        })
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RuleConfig":
@@ -490,15 +522,6 @@ class RuleConfig:
 
     def severity(self, rule_id: str) -> Severity:
         return self.severities.get(rule_id, _RULES[rule_id].default_severity)
-
-    @cached_property
-    def _active(self) -> dict[str, tuple[Severity, float | None]]:
-        """(severity, threshold) of each enabled rule, by id, built once per config."""
-        return {
-            rule_id: (self.severity(rule_id), self.threshold(rule_id))
-            for rule_id in _RULES
-            if rule_id in self.enabled
-        }
 
 
 _DEFAULT_CONFIG = RuleConfig()

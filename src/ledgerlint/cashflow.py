@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from .record import Record, _set
 
 XNPV_DAYS_PER_YEAR = 365.0  # fixed denominator, leap years ignored on purpose
 
 
-@dataclass(frozen=True)
-class CashFlowSeries:
+class CashFlowSeries(Record):
     """Signed cash flows, optionally paired with strictly increasing dates."""
 
-    values: tuple[float, ...]
-    dates: tuple[dt.date, ...] | None = None
+    __slots__ = _fields = ("values", "dates")
 
     def __init__(self, values: Sequence[float], dates: Sequence[dt.date] | None = None):
         if len(values) == 0:
@@ -32,10 +31,10 @@ class CashFlowSeries:
             for earlier, later in zip(dates, dates[1:]):
                 if later <= earlier:
                     raise ValueError("dates must be strictly increasing")
-            object.__setattr__(self, "dates", tuple(dates))
+            _set(self, "dates", tuple(dates))
         else:
-            object.__setattr__(self, "dates", None)
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+            _set(self, "dates", None)
+        _set(self, "values", tuple(float(v) for v in values))
 
 
 def _undated_values(series: Sequence[float] | CashFlowSeries) -> tuple[float, ...]:

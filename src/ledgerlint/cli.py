@@ -19,17 +19,17 @@ import sys
 import warnings
 from typing import Sequence
 
-from .audit import RuleConfig, Severity, render_text, run_rules, to_record
+from .daycount import format_number
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile
-from .formula import ErrorValue, ParseError, Sheet, evaluate, load_workbook, parse, parse_address
-from .formula.ast import column_to_index, format_number
-from .formula.sheet import format_value
 from .rates import PeriodicConvention, parse_rate
 
 RULES_ENV_VAR = "LEDGERLINT_RULES"
 
 
-def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
+def _sheet_from_bindings(bindings: Sequence[str]):
+    from .formula import Sheet, parse_address
+    from .formula.ast import column_to_index
+
     placed: dict[int, dict[int, str]] = {}  # row -> column -> text
     for binding in bindings:
         address, sep, text = binding.partition("=")
@@ -41,6 +41,10 @@ def _sheet_from_bindings(bindings: Sequence[str]) -> Sheet:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # imported here, as in _cmd_audit, so that depr and schedule never load the formula package
+    from .formula import ErrorValue, ParseError, evaluate, parse
+    from .formula.sheet import format_value
+
     sheet = _sheet_from_bindings(args.bind or [])
     try:
         node = parse(args.expr)
@@ -65,6 +69,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import RuleConfig, Severity, render_text, run_rules, to_record
+    from .formula import load_workbook
+
     rules_path = args.rules or os.environ.get(RULES_ENV_VAR)
     try:
         config = RuleConfig.from_json_file(rules_path) if rules_path else RuleConfig()

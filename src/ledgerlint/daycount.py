@@ -16,6 +16,7 @@ Gregorian ``datetime.date`` values within 1900-01-01 .. 2199-12-31.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import re
 from enum import Enum
 
@@ -39,6 +40,13 @@ def read_number(text: str, kind: type = float) -> float | int | None:
         except ValueError:
             pass
     return None
+
+
+def format_number(value: float) -> str:
+    """Shortest float form; integral values drop the trailing .0."""
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 class DayCountBasis(str, Enum):

@@ -14,9 +14,10 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+
+from .record import Record, _set
 
 __all__ = [
     "PrecisionMode",
@@ -45,8 +46,7 @@ class FullWriteOffWarning(UserWarning):
     """A zero salvage value forces the declining-balance rate to 1."""
 
 
-@dataclass(frozen=True)
-class DepreciationSpec:
+class DepreciationSpec(Record):
     """Asset parameters for a depreciation schedule.
 
     month is the number of months of depreciation taken in the first year;
@@ -54,22 +54,21 @@ class DepreciationSpec:
     remaining months.
     """
 
-    cost: float
-    salvage: float
-    life: int
-    month: int = 12
+    __slots__ = _fields = ("cost", "salvage", "life", "month")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.cost < math.inf:  # nan fails too
-            raise ValueError(f"cost must be positive and finite, got {self.cost}")
-        if not 0 <= self.salvage <= self.cost:
-            raise ValueError(
-                f"salvage must be between 0 and cost ({self.cost}), got {self.salvage}"
-            )
-        if self.life < 1:
-            raise ValueError(f"life must be at least 1 period, got {self.life}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be in 1..12, got {self.month}")
+    def __init__(self, cost: float, salvage: float, life: int, month: int = 12) -> None:
+        if not 0 < cost < math.inf:  # nan fails too
+            raise ValueError(f"cost must be positive and finite, got {cost}")
+        if not 0 <= salvage <= cost:
+            raise ValueError(f"salvage must be between 0 and cost ({cost}), got {salvage}")
+        if life < 1:
+            raise ValueError(f"life must be at least 1 period, got {life}")
+        if not 1 <= month <= 12:
+            raise ValueError(f"month must be in 1..12, got {month}")
+        _set(self, "cost", cost)
+        _set(self, "salvage", salvage)
+        _set(self, "life", life)
+        _set(self, "month", month)
 
     @property
     def periods(self) -> int:
@@ -77,33 +76,54 @@ class DepreciationSpec:
         return self.life if self.month == 12 else self.life + 1
 
 
-@dataclass(frozen=True)
-class ScheduleRow:
-    period: int
-    depreciation: float
-    book_value_end: float
+class ScheduleRow(Record):
+    __slots__ = _fields = ("period", "depreciation", "book_value_end")
+
+    def __init__(self, period: int, depreciation: float, book_value_end: float) -> None:
+        _set(self, "period", period)
+        _set(self, "depreciation", depreciation)
+        _set(self, "book_value_end", book_value_end)
 
 
-@dataclass(frozen=True)
-class DepreciationSchedule:
-    spec: DepreciationSpec
-    mode: PrecisionMode
-    rate: float
-    rows: tuple[ScheduleRow, ...]
+class DepreciationSchedule(Record):
+    __slots__ = _fields = ("spec", "mode", "rate", "rows")
+
+    def __init__(
+        self,
+        spec: DepreciationSpec,
+        mode: PrecisionMode,
+        rate: float,
+        rows: tuple[ScheduleRow, ...],
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "mode", mode)
+        _set(self, "rate", rate)
+        _set(self, "rows", rows)
 
     def to_csv(self) -> str:
-        return _schedule_csv(self.rows, ("period", "depreciation", "book_value_end"))
+        return _schedule_csv(self.rows, ScheduleRow._fields)
 
 
-@dataclass(frozen=True)
-class ReconcileReport:
+class ReconcileReport(Record):
     """How far a schedule's residual book value is from the target salvage."""
 
-    total_depreciation: float
-    residual_book_value: float
-    gap: float
-    tolerance: float
-    flagged: bool = field(default=False)
+    __slots__ = _fields = (
+        "total_depreciation", "residual_book_value", "gap", "tolerance", "flagged"
+    )
+
+    def __init__(
+        self,
+        total_depreciation: float,
+        residual_book_value: float,
+        gap: float,
+        tolerance: float,
+        flagged: bool = False,
+    ) -> None:
+        _set(self, "total_depreciation", total_depreciation)
+        _set(self, "residual_book_value", residual_book_value)
+        _set(self, "gap", gap)
+        _set(self, "tolerance", tolerance)
+        _set(self, "flagged", flagged)
 
 
 def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:

@@ -7,9 +7,10 @@ minimal parentheses needed for the source to reparse to an identical tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
+
+from ..daycount import format_number
 
 __all__ = [
     "FormulaNode",
@@ -184,13 +185,6 @@ def _precedence(node: FormulaNode) -> int:
     if isinstance(node, PercentLit):
         return _PREC_POSTFIX
     return _PREC_ATOM
-
-
-def format_number(value: float) -> str:
-    """Shortest float form; integral values drop the trailing .0."""
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
 
 
 def _render(node: FormulaNode) -> str:

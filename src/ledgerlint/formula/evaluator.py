@@ -48,7 +48,6 @@ import datetime as dt
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -56,6 +55,7 @@ from ..cashflow import CashFlowSeries, npv_legacy, pmt, xnpv
 from ..daycount import DayCountBasis, days_between
 from ..depreciation import DepreciationSpec, FullWriteOffWarning, PrecisionMode, db_period, sln
 from ..rates import accrint, effective_rate, intrate, nominal_rate
+from ..record import Record, _set
 from .ast import (
     Binary,
     Call,
@@ -554,35 +554,41 @@ _COLLECTS = {
 }
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    role: Role
-    optional: bool = False
-    default: object = None  # the coerced value an omitted or empty slot takes
+class Param(Record):
+    __slots__ = _fields = ("name", "role", "optional", "default")
+
+    def __init__(
+        self, name: str, role: Role, optional: bool = False, default: object = None
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "role", role)
+        _set(self, "optional", optional)
+        _set(self, "default", default)  # the coerced value an omitted or empty slot takes
 
 
-@dataclass
-class _FunctionSpec:
+class _FunctionSpec(Record):
     """One function: its parameters in call order, and the library function
-    that receives their coerced values."""
+    that receives their coerced values.  min_args, max_args (None =
+    unlimited) and steps follow from params."""
 
-    name: str
-    params: tuple[Param, ...]
-    compute: Callable[..., float]
-    min_args: int = field(init=False)
-    max_args: int | None = field(init=False)  # None = unlimited
-    steps: tuple[tuple, ...] = field(init=False)
+    __slots__ = _fields = ("name", "params", "compute", "min_args", "max_args", "steps")
+    __hash__ = None  # a catalog entry is looked up by name, never hashed
 
-    def __post_init__(self):
-        self.min_args = sum(not param.optional for param in self.params)
-        variadic = self.params[-1].role is Role.VALUES
-        self.max_args = None if variadic else len(self.params)
+    def __init__(self, name: str, params: tuple[Param, ...], compute: Callable[..., float]) -> None:
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "compute", compute)
+        _set(self, "min_args", sum(not param.optional for param in params))
+        variadic = params[-1].role is Role.VALUES
+        _set(self, "max_args", None if variadic else len(params))
         # bound once here: looking roles up per call costs more than the coercion
-        self.steps = tuple(
+        _set(self, "steps", tuple(
             (index, p.name, _CHECKS.get(p.role), _COLLECTS.get(p.role), p.optional, p.default)
-            for index, p in enumerate(self.params)
-        )
+            for index, p in enumerate(params)
+        ))
+
+    def __reduce__(self) -> tuple:
+        return _FunctionSpec, (self.name, self.params, self.compute)
 
     def apply(self, values: list) -> CellValue:
         """compute over the coerced values, its failures as ErrorValues."""

@@ -137,8 +137,8 @@ def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | Non
     and a hit does no bookkeeping.  Any other text gets tree parse(text),
     which becomes the template of each of its keys that is new or noted; the
     text is read through its reference key's, or, when that key is
-    unshareable, through its new slot key's, with source text, else it gets
-    shape and source None.  A new key past _TABLE_SIZE drops the oldest
+    unshareable, through its slot key's, new or not, with source text, else
+    it gets shape and source None.  A new key past _TABLE_SIZE drops the oldest
     inserted one: its cells keep their shape, and its next text is parsed as
     a first text."""
     key = tuple(_REFS.split(text))
@@ -146,19 +146,20 @@ def parse_shared(text: str) -> tuple[FormulaNode | None, Shape | None, str | Non
     if shape is not None and shape.template is not None:
         return None, shape, text
     slot_key = slot = None
-    if shape is not None or key not in _table:  # an unshareable key or a new one: not a noted one
-        tokens = _SLOTS.findall(text)
-        kinds = "".join([_KINDS.get(token[0], "r") for token in tokens])
-        if "n" in kinds or "s" in kinds:
-            # None first: no reference key holds it
-            slot_key = (None, kinds, *_SLOTS.split(text))
-            slot = _table.get(slot_key)
-            # a number the lexer rejects (1E400) leaves the text to parse
-            numbers = [float(token) for token, kind in zip(tokens, kinds) if kind == "n"]
-            if slot is not None and slot.template is not None and math.inf not in numbers:
-                if shape is None:
-                    _insert(key, None)
-                return None, slot, text
+    tokens = _SLOTS.findall(text)
+    kinds = "".join([_KINDS.get(token[0], "r") for token in tokens])
+    if "n" in kinds or "s" in kinds:
+        # None first: no reference key holds it
+        slot_key = (None, kinds, *_SLOTS.split(text))
+        slot = _table.get(slot_key)
+        # a noted key's text is parsed, to become its template; a number the
+        # lexer rejects (1E400) leaves the text to parse too
+        noted = shape is None and key in _table
+        numbers = [float(token) for token, kind in zip(tokens, kinds) if kind == "n"]
+        if slot is not None and slot.template is not None and not noted and math.inf not in numbers:
+            if shape is None:
+                _insert(key, None)
+            return None, slot, text
     tree = parse(text)  # a ParseError leaves the keys as they were
     if slot_key is not None and slot is None:
         _insert(slot_key, slot := SlotShape(tree, text))

@@ -24,14 +24,14 @@ import datetime as dt
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
-from ..daycount import ISO_DATE_RE, parse_date, read_number
-from .ast import FormulaNode, column_to_index, format_number, index_to_column
+from ..daycount import ISO_DATE_RE, format_number, parse_date, read_number
+from ..record import Record, _set
+from .ast import FormulaNode, column_to_index, index_to_column
 from .parser import ParseError, parse, parse_address
 from .shapes import Shape, parse_shared
 
@@ -59,10 +59,12 @@ class ErrorKind(str, Enum):
     VALUE = "value"
 
 
-@dataclass(frozen=True)
-class ErrorValue:
-    kind: ErrorKind
-    message: str
+class ErrorValue(Record):
+    __slots__ = _fields = ("kind", "message")
+
+    def __init__(self, kind: ErrorKind, message: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "message", message)
 
     @property
     def code(self) -> str:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cashflow import pmt
 from .daycount import read_number
 from .depreciation import _check_finite, _check_rows, _schedule_csv
 from .rates import PeriodicConvention, periodic_rate
+from .record import Record, _set
 
 __all__ = [
     "LoanSpec",
@@ -37,59 +37,86 @@ __all__ = [
 _VALUE_FIELDS = ("opening", "interest", "payment", "principal_paid", "closing")
 
 
-@dataclass(frozen=True)
-class LoanSpec:
+class LoanSpec(Record):
     """Terms of a monthly repayment loan.
 
     annual_rate is the quoted annual rate; convention controls how it is
     turned into a monthly rate (dividing by 12 versus taking the 12th root).
     """
 
-    principal: float
-    annual_rate: float
-    term_months: int
-    holiday_months: int = 0
-    convention: PeriodicConvention = PeriodicConvention.UK_EFFECTIVE_ROOT
+    __slots__ = _fields = (
+        "principal", "annual_rate", "term_months", "holiday_months", "convention"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        principal: float,
+        annual_rate: float,
+        term_months: int,
+        holiday_months: int = 0,
+        convention: PeriodicConvention = PeriodicConvention.UK_EFFECTIVE_ROOT,
+    ) -> None:
         # chained comparisons, so that nan fails them too
-        if not 0 < self.principal < math.inf:
-            raise ValueError(f"principal must be positive and finite, got {self.principal}")
-        if not -1.0 < self.annual_rate < math.inf:
-            raise ValueError(f"annual_rate must be finite and exceed -1, got {self.annual_rate}")
-        if self.term_months < 1:
-            raise ValueError(f"term_months must be at least 1, got {self.term_months}")
-        if self.holiday_months < 0:
-            raise ValueError(f"holiday_months cannot be negative, got {self.holiday_months}")
-        if self.holiday_months >= self.term_months:
+        if not 0 < principal < math.inf:
+            raise ValueError(f"principal must be positive and finite, got {principal}")
+        if not -1.0 < annual_rate < math.inf:
+            raise ValueError(f"annual_rate must be finite and exceed -1, got {annual_rate}")
+        if term_months < 1:
+            raise ValueError(f"term_months must be at least 1, got {term_months}")
+        if holiday_months < 0:
+            raise ValueError(f"holiday_months cannot be negative, got {holiday_months}")
+        if holiday_months >= term_months:
             raise ValueError(
-                f"holiday_months ({self.holiday_months}) must leave at least one "
-                f"repayment month within the {self.term_months}-month term"
+                f"holiday_months ({holiday_months}) must leave at least one "
+                f"repayment month within the {term_months}-month term"
             )
+        _set(self, "principal", principal)
+        _set(self, "annual_rate", annual_rate)
+        _set(self, "term_months", term_months)
+        _set(self, "holiday_months", holiday_months)
+        _set(self, "convention", convention)
 
     @property
     def monthly_rate(self) -> float:
         return periodic_rate(self.annual_rate, 12, self.convention)
 
 
-@dataclass(frozen=True)
-class AmortizationRow:
+class AmortizationRow(Record):
     """One month of a repayment table.  None means the field was not stated."""
 
-    month: int
-    opening: float | None = None
-    interest: float | None = None
-    payment: float | None = None
-    principal_paid: float | None = None
-    closing: float | None = None
+    __slots__ = _fields = ("month", *_VALUE_FIELDS)
+
+    def __init__(
+        self,
+        month: int,
+        opening: float | None = None,
+        interest: float | None = None,
+        payment: float | None = None,
+        principal_paid: float | None = None,
+        closing: float | None = None,
+    ) -> None:
+        _set(self, "month", month)
+        _set(self, "opening", opening)
+        _set(self, "interest", interest)
+        _set(self, "payment", payment)
+        _set(self, "principal_paid", principal_paid)
+        _set(self, "closing", closing)
 
 
-@dataclass(frozen=True)
-class AmortizationSchedule:
-    spec: LoanSpec
-    monthly_rate: float
-    level_payment: float
-    rows: tuple[AmortizationRow, ...]
+class AmortizationSchedule(Record):
+    __slots__ = _fields = ("spec", "monthly_rate", "level_payment", "rows")
+
+    def __init__(
+        self,
+        spec: LoanSpec,
+        monthly_rate: float,
+        level_payment: float,
+        rows: tuple[AmortizationRow, ...],
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "monthly_rate", monthly_rate)
+        _set(self, "level_payment", level_payment)
+        _set(self, "rows", rows)
 
     @property
     def total_paid(self) -> float:
@@ -103,13 +130,17 @@ class AmortizationSchedule:
         return _schedule_csv(self.rows, ("month", "opening", "interest", "payment", "closing"))
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    month: int
-    field: str
-    expected: float
-    actual: float
-    difference: float
+class Discrepancy(Record):
+    __slots__ = _fields = ("month", "field", "expected", "actual", "difference")
+
+    def __init__(
+        self, month: int, field: str, expected: float, actual: float, difference: float
+    ) -> None:
+        _set(self, "month", month)
+        _set(self, "field", field)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "difference", difference)
 
 
 class ImpliedRate(NamedTuple):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .daycount import DayCountBasis, read_number, year_fraction
+from .record import Record, _set
 
 RATE_TOLERANCE = 1e-12
 
@@ -31,12 +31,14 @@ class ComplianceStatus(str, Enum):
     UNDERSTATED_BEYOND_RULE = "understated-beyond-rule"
 
 
-@dataclass(frozen=True)
-class AdvertisedVerdict:
+class AdvertisedVerdict(Record):
     """Outcome of checking an advertised rate against the truncation rule."""
 
-    status: ComplianceStatus
-    gap_basis_points: float
+    __slots__ = _fields = ("status", "gap_basis_points")
+
+    def __init__(self, status: ComplianceStatus, gap_basis_points: float) -> None:
+        _set(self, "status", status)
+        _set(self, "gap_basis_points", gap_basis_points)
 
 
 def _check_periods(periods_per_year: int) -> None:

@@ -912,7 +912,8 @@ def test_a_diagnostic_is_one_line_whatever_it_quotes(where, text):
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
-# Runs the CLI as `python -m ledgerlint.cli` does, then lists every module loaded.
+# Runs the CLI as `python -m ledgerlint.cli` does, then lists the module of
+# each dataclass that a loaded ledgerlint module holds, and every module loaded.
 RUN_CLI = """
 import runpy, sys
 sys.argv[0] = "ledgerlint"
@@ -920,34 +921,75 @@ try:
     runpy.run_module("ledgerlint.cli", run_name="__main__", alter_sys=True)
 finally:
     sys.stdout.flush()
-    sys.stderr.write("\\nmodules: " + " ".join(sys.modules))
+    modules = " ".join(sys.modules)
+    is_dataclass = getattr(sys.modules.get("dataclasses"), "is_dataclass", None)
+    homes = is_dataclass and {
+        value.__module__
+        for name, module in list(sys.modules.items()) if name.startswith("ledgerlint")
+        for value in vars(module).values()
+        if isinstance(value, type) and is_dataclass(value)
+    }
+    sys.stderr.write("\\ndataclasses in: " + " ".join(sorted(homes or ())))
+    sys.stderr.write("\\nmodules: " + modules)
 """
+
+
+def _fresh(flags: list[str], code: str, *args: str):
+    """A fresh interpreter's run of code with args, and the modules it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(RULES_ENV_VAR, None)
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return result, set(result.stderr.rsplit("modules: ", 1)[1].split())
+
+
+def _bare(flags: list[str]) -> set[str]:
+    """What the interpreter loads on its own (site may load pathlib): not the CLI's doing."""
+    return _fresh(flags, "import sys; sys.stderr.write('modules: ' + ' '.join(sys.modules))")[1]
 
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no_site"])
 def test_a_text_audit_loads_only_what_it_uses(flags):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop(RULES_ENV_VAR, None)
-
-    def loaded(code, *args):
-        result = subprocess.run(
-            [sys.executable, *flags, "-c", code, *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        return result, set(result.stderr.rsplit("modules: ", 1)[1].split())
-
     books = sorted(str(path) for path in FIXTURES.rglob("*.csv"))
-    audit, modules = loaded(RUN_CLI, "audit", *books)
+    audit, modules = _fresh(flags, RUN_CLI, "audit", *books)
     assert audit.returncode == 1, audit.stderr
     assert " R1 " in audit.stdout
     assert "ledgerlint.audit" in modules
-    _, bare = loaded("import sys; sys.stderr.write('modules: ' + ' '.join(sys.modules))")
-    # what the interpreter loads on its own (site may load pathlib) is not the audit's doing
-    unused = {"json", "calendar", "decimal", "ledgerlint.loan", "pathlib"} - bare
+    unused = {"json", "calendar", "decimal", "ledgerlint.loan", "pathlib"} - _bare(flags)
     if flags == ["-S"]:
         assert "pathlib" in unused
     assert modules & unused == set()
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no_site"])
+@pytest.mark.parametrize("args", [
+    ["depr", "--cost", "1000", "--salvage", "100", "--life", "5", "--month", "6"],
+    ["schedule", "--principal", "1000", "--rate", "5%", "--term", "12", "--holiday", "2"],
+], ids=["depr", "schedule"])
+def test_a_schedule_loads_no_formula_package_and_no_dataclasses(flags, args):
+    run, modules = _fresh(flags, RUN_CLI, *args)
+    assert run.returncode == 0, run.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0
+    assert run.stdout.splitlines() == out.getvalue().splitlines()  # the child's '\r\n' reads as '\n'
+    unused = {"dataclasses", "inspect", "ledgerlint.audit", "ledgerlint.formula"} - _bare(flags)
+    if flags == ["-S"]:
+        assert unused == {"dataclasses", "inspect", "ledgerlint.audit", "ledgerlint.formula"}
+    assert modules & unused == set()
+
+
+def test_an_audit_builds_no_dataclass_outside_the_ast():
+    books = sorted(str(path) for path in FIXTURES.rglob("*.csv"))
+    audit, modules = _fresh([], RUN_CLI, "audit", *books)
+    assert audit.returncode == 1, audit.stderr
+    homes = audit.stderr.rsplit("dataclasses in: ", 1)[1].split("\n", 1)[0].split()
+    # the AST nodes alone are still dataclasses; every other record is a record.Record
+    assert homes == ["ledgerlint.formula.ast"]
+    assert "ledgerlint.record" in modules
 
 
 def test_an_audit_into_a_closed_pipe_exits_2_with_one_error_line(tmp_path):

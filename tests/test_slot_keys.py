@@ -57,6 +57,19 @@ def test_a_label_with_a_reference_in_it_parses_at_most_twice_in_three_books(pars
     assert_as_parsed_per_cell({(1, 1): "3", (2, 1): '="Q1 "&A1', (2, 2): '="Q2 "&A1'})
 
 
+def test_a_noted_key_whose_parse_is_no_template_reads_through_its_slot_key(parsed):
+    # B2 notes the reference key that "A1" inside its string makes; B3 has
+    # that key, so it is parsed, and its tree fails the template check
+    grid = {(1, r): str(r) for r in range(1, 5)}
+    grid.update({(2, 1): '="x"&A1', (2, 2): '="A1"&A2', (2, 3): '="A2"&A3', (2, 4): '="A3"&A4'})
+    sheet = Sheet(grid_rows(grid))
+    assert sum(parsed.values()) == 2  # B1, then the noted key's B3
+    kinds = [type(sheet.cells[f"B{r}"].shape) for r in range(1, 5)]
+    assert kinds == [shapes.Shape, shapes.SlotShape, shapes.SlotShape, shapes.SlotShape]
+    assert [sheet.value(f"B{r}") for r in range(1, 5)] == ["x1", "A12", "A23", "A34"]
+    assert_as_parsed_per_cell(grid)
+
+
 def test_a_number_the_lexer_rejects_stays_a_parse_error():
     sheet = assert_as_parsed_per_cell({(2, 1): "=1+A1", (2, 2): "=1E400+A2", (2, 3): "=7+A3"})
     assert sheet.cells["B2"].error == ErrorValue(
