@@ -27,8 +27,8 @@ from __future__ import annotations
 import datetime as dt
 import os
 import sys
+from collections.abc import Mapping
 from enum import Enum
-from typing import Callable, Mapping
 
 from .daycount import format_number, year_fraction
 from .formula import Binary, Call, CellRef, EmptyArg, FormulaNode, NumberLit, RangeRef, Sheet, Unary
@@ -60,15 +60,7 @@ Evidence = tuple[tuple[str, str], ...]  # (cell address, value as printed) pairs
 
 class Finding(Record):
     __slots__ = _fields = ("rule_id", "severity", "cell", "message", "evidence")
-
-    def __init__(
-        self, rule_id: str, severity: Severity, cell: str, message: str, evidence: Evidence = ()
-    ) -> None:
-        _set(self, "rule_id", rule_id)
-        _set(self, "severity", severity)
-        _set(self, "cell", cell)
-        _set(self, "message", message)
-        _set(self, "evidence", evidence)
+    _defaults = ((),)
 
 
 def _positions(*roles: Role) -> dict[str, int]:
@@ -298,28 +290,7 @@ class _RuleSpec(Record):
         "rule_id", "default_severity", "explanation", "triggers", "check",
         "threshold", "per_shape", "gate", "arguments",
     )
-
-    def __init__(
-        self,
-        rule_id: str,
-        default_severity: Severity,
-        explanation: str,
-        triggers: frozenset[str],
-        check: Callable[..., tuple[str, Evidence] | None],
-        threshold: float | None = None,
-        per_shape: bool = False,
-        gate: Callable[[FormulaNode, bool, bool], bool] | None = None,
-        arguments: Mapping[str, tuple[int, ...]] | None = None,
-    ) -> None:
-        _set(self, "rule_id", rule_id)
-        _set(self, "default_severity", default_severity)
-        _set(self, "explanation", explanation)
-        _set(self, "triggers", triggers)
-        _set(self, "check", check)
-        _set(self, "threshold", threshold)
-        _set(self, "per_shape", per_shape)
-        _set(self, "gate", gate)
-        _set(self, "arguments", arguments)
+    _defaults = (None, False, None, None)
 
 
 _RULES: dict[str, _RuleSpec] = {

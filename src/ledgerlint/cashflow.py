@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .record import Record, _set
 

@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 from .daycount import format_number
 from .depreciation import DepreciationSpec, PrecisionMode, db_schedule, reconcile

@@ -79,26 +79,9 @@ class DepreciationSpec(Record):
 class ScheduleRow(Record):
     __slots__ = _fields = ("period", "depreciation", "book_value_end")
 
-    def __init__(self, period: int, depreciation: float, book_value_end: float) -> None:
-        _set(self, "period", period)
-        _set(self, "depreciation", depreciation)
-        _set(self, "book_value_end", book_value_end)
-
 
 class DepreciationSchedule(Record):
     __slots__ = _fields = ("spec", "mode", "rate", "rows")
-
-    def __init__(
-        self,
-        spec: DepreciationSpec,
-        mode: PrecisionMode,
-        rate: float,
-        rows: tuple[ScheduleRow, ...],
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "mode", mode)
-        _set(self, "rate", rate)
-        _set(self, "rows", rows)
 
     def to_csv(self) -> str:
         return _schedule_csv(self.rows, ScheduleRow._fields)
@@ -110,20 +93,7 @@ class ReconcileReport(Record):
     __slots__ = _fields = (
         "total_depreciation", "residual_book_value", "gap", "tolerance", "flagged"
     )
-
-    def __init__(
-        self,
-        total_depreciation: float,
-        residual_book_value: float,
-        gap: float,
-        tolerance: float,
-        flagged: bool = False,
-    ) -> None:
-        _set(self, "total_depreciation", total_depreciation)
-        _set(self, "residual_book_value", residual_book_value)
-        _set(self, "gap", gap)
-        _set(self, "tolerance", tolerance)
-        _set(self, "flagged", flagged)
+    _defaults = (False,)
 
 
 def db_rate(spec: DepreciationSpec, mode: PrecisionMode) -> float:

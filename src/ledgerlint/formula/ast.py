@@ -8,7 +8,6 @@ minimal parentheses needed for the source to reparse to an identical tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from ..daycount import format_number
 
@@ -148,9 +147,7 @@ class Call:
     args: tuple["FormulaNode", ...]
 
 
-FormulaNode = Union[
-    NumberLit, PercentLit, TextLit, CellRef, RangeRef, Unary, Binary, Call, EmptyArg
-]
+FormulaNode = NumberLit | PercentLit | TextLit | CellRef | RangeRef | Unary | Binary | Call | EmptyArg
 
 _PREC_COMPARE = 1
 _PREC_CONCAT = 2

@@ -48,8 +48,8 @@ import datetime as dt
 import math
 import operator
 import warnings
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Callable, Sequence
 
 from ..cashflow import CashFlowSeries, npv_legacy, pmt, xnpv
 from ..daycount import DayCountBasis, days_between
@@ -555,15 +555,10 @@ _COLLECTS = {
 
 
 class Param(Record):
-    __slots__ = _fields = ("name", "role", "optional", "default")
+    """default is the coerced value an omitted or empty slot takes."""
 
-    def __init__(
-        self, name: str, role: Role, optional: bool = False, default: object = None
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "role", role)
-        _set(self, "optional", optional)
-        _set(self, "default", default)  # the coerced value an omitted or empty slot takes
+    __slots__ = _fields = ("name", "role", "optional", "default")
+    _defaults = (False, None)
 
 
 class _FunctionSpec(Record):

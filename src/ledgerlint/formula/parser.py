@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .ast import (
     _BINARY_PREC,
@@ -95,11 +95,7 @@ _NUMBER, _STRING, _REF, _IDENT, _OP, _LPAREN, _RPAREN, _COMMA, _COLON = TokenKin
 _ARG_ENDS = (_COMMA, _RPAREN)  # what follows an absent argument
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    pos: int
-    value: float | None = None
+Token = namedtuple("Token", ("kind", "text", "pos", "value"), defaults=(None,))
 
 
 class ParseError(ValueError):

@@ -24,13 +24,13 @@ import datetime as dt
 import math
 import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Union
 
 from ..daycount import ISO_DATE_RE, format_number, parse_date, read_number
-from ..record import Record, _set
+from ..record import Record
 from .ast import FormulaNode, column_to_index, index_to_column
 from .parser import ParseError, parse, parse_address
 from .shapes import Shape, parse_shared
@@ -62,10 +62,6 @@ class ErrorKind(str, Enum):
 class ErrorValue(Record):
     __slots__ = _fields = ("kind", "message")
 
-    def __init__(self, kind: ErrorKind, message: str) -> None:
-        _set(self, "kind", kind)
-        _set(self, "message", message)
-
     @property
     def code(self) -> str:
         return f"#{self.kind.name}!"
@@ -74,7 +70,7 @@ class ErrorValue(Record):
         return f"{self.code} {self.message}"
 
 
-CellValue = Union[float, dt.date, str, ErrorValue]
+CellValue = float | dt.date | str | ErrorValue
 
 
 def format_value(value: CellValue) -> str:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .cashflow import pmt
 from .daycount import read_number
@@ -85,38 +86,11 @@ class AmortizationRow(Record):
     """One month of a repayment table.  None means the field was not stated."""
 
     __slots__ = _fields = ("month", *_VALUE_FIELDS)
-
-    def __init__(
-        self,
-        month: int,
-        opening: float | None = None,
-        interest: float | None = None,
-        payment: float | None = None,
-        principal_paid: float | None = None,
-        closing: float | None = None,
-    ) -> None:
-        _set(self, "month", month)
-        _set(self, "opening", opening)
-        _set(self, "interest", interest)
-        _set(self, "payment", payment)
-        _set(self, "principal_paid", principal_paid)
-        _set(self, "closing", closing)
+    _defaults = (None,) * len(_VALUE_FIELDS)
 
 
 class AmortizationSchedule(Record):
     __slots__ = _fields = ("spec", "monthly_rate", "level_payment", "rows")
-
-    def __init__(
-        self,
-        spec: LoanSpec,
-        monthly_rate: float,
-        level_payment: float,
-        rows: tuple[AmortizationRow, ...],
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "monthly_rate", monthly_rate)
-        _set(self, "level_payment", level_payment)
-        _set(self, "rows", rows)
 
     @property
     def total_paid(self) -> float:
@@ -133,20 +107,8 @@ class AmortizationSchedule(Record):
 class Discrepancy(Record):
     __slots__ = _fields = ("month", "field", "expected", "actual", "difference")
 
-    def __init__(
-        self, month: int, field: str, expected: float, actual: float, difference: float
-    ) -> None:
-        _set(self, "month", month)
-        _set(self, "field", field)
-        _set(self, "expected", expected)
-        _set(self, "actual", actual)
-        _set(self, "difference", difference)
 
-
-class ImpliedRate(NamedTuple):
-    rate: float
-    iterations: int
-    residual: float
+ImpliedRate = namedtuple("ImpliedRate", ("rate", "iterations", "residual"))
 
 
 def build_schedule(spec: LoanSpec) -> AmortizationSchedule:

@@ -13,7 +13,7 @@ import math
 from enum import Enum
 
 from .daycount import DayCountBasis, read_number, year_fraction
-from .record import Record, _set
+from .record import Record
 
 RATE_TOLERANCE = 1e-12
 
@@ -35,10 +35,6 @@ class AdvertisedVerdict(Record):
     """Outcome of checking an advertised rate against the truncation rule."""
 
     __slots__ = _fields = ("status", "gap_basis_points")
-
-    def __init__(self, status: ComplianceStatus, gap_basis_points: float) -> None:
-        _set(self, "status", status)
-        _set(self, "gap_basis_points", gap_basis_points)
 
 
 def _check_periods(periods_per_year: int) -> None:

@@ -12,6 +12,7 @@ from ledgerlint.cashflow import CashFlowSeries, npv_legacy, pmt, xnpv
 from ledgerlint.daycount import DayCountBasis, days_between
 from ledgerlint.depreciation import DepreciationSpec, PrecisionMode, db_period, sln
 from ledgerlint.formula import (
+    EMPTY,
     ErrorKind,
     ErrorValue,
     Sheet,
@@ -163,6 +164,9 @@ def test_error_values_never_raise():
     assert run("=PMT(0.01,1.5,100)").kind is ErrorKind.ARGUMENT
     assert run("=A1:B2+1").kind is ErrorKind.VALUE
     assert run("=SUM(1,,2)").kind is ErrorKind.ARGUMENT
+    assert evaluate(EMPTY, EMPTY_SHEET) == ErrorValue(
+        ErrorKind.ARGUMENT, "empty argument slot outside a call"
+    )
     overflow = ErrorValue(ErrorKind.VALUE, "numeric overflow in '*'")
     assert run("=PMT(0.1,1e308*10,100)") == overflow
     assert run("=PMT(0.1,1e308*10-1e308*10,100)") == overflow

@@ -142,6 +142,9 @@ def test_parse_empty_argument_slots():
     assert parse("=F()") == Call("F", ())
     assert parse("=F(,)") == Call("F", (EMPTY, EMPTY))
     assert parse("=NPV(,1)") == Call("NPV", (EMPTY, NumberLit(1.0)))
+    assert to_source(parse("=F(,)")) == "=F(,)"
+    with pytest.raises(ValueError, match="^empty argument slot outside a call$"):
+        to_source(EMPTY)
 
 
 def test_parse_function_names_case_insensitive():

@@ -12,6 +12,7 @@ from ledgerlint.depreciation import MAX_SCHEDULE_ROWS
 from ledgerlint.loan import (
     AmortizationRow,
     LoanSpec,
+    _annuity_pv,
     build_schedule,
     implied_monthly_rate,
     load_published,
@@ -233,6 +234,9 @@ def test_implied_monthly_rate_recovers_pmt_rate():
 def test_implied_monthly_rate_zero_rate():
     result = implied_monthly_rate(principal=1200.0, payment=100.0, months=12)
     assert result.rate == pytest.approx(0.0, abs=1e-10)
+    # below float resolution 1 + rate is 1, and the present value is the plain sum
+    assert _annuity_pv(1e-17, 12, 100.0) == _annuity_pv(-1e-17, 12, 100.0) == 1200.0
+    assert _annuity_pv(1e-12, 12, 100.0) == pytest.approx(1200.0, rel=1e-10)
 
 
 def test_implied_monthly_rate_unbracketable():

@@ -2,13 +2,20 @@
 
 The expected reprs and messages were printed by those dataclasses: a repr,
 equality only with a record of the same class, hashing, no assignment,
-keyword construction with defaults, the checks' messages, and pickling.
+keyword construction with defaults, the checks' messages, and pickling.  The
+__init__ that Record generates takes and refuses arguments as the hand-written
+one did: the same signature and the same TypeError texts.
 """
 
 import datetime as dt
+import inspect
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +168,99 @@ def test_every_record_class_has_a_golden_repr():
     assert set(map(type, RECORDS)) | rows == CLASSES
     for cls in CLASSES:
         assert issubclass(cls, Record) and cls.__slots__ and "__dict__" not in dir(cls)
+        # a subclass of a record class would find its parent's generated __init__
+        assert cls.__bases__ == (Record,)
+        # Record writes the __init__ of each class in GENERATED; the others check their arguments
+        written = cls.__init__.__code__.co_filename
+        assert written == ("<string>" if cls in {c for c, *_ in GENERATED} else inspect.getfile(cls))
+
+
+# (class, its signature, and what its __init__ said to no argument, to one
+# positional too many and to its first field twice), as the hand-written
+# __init__ printed them, annotations stripped from the signature
+GENERATED = [
+    (ErrorValue, "(kind, message)",
+     "missing 2 required positional arguments: 'kind' and 'message'",
+     "takes 3 positional arguments but 4 were given", "'kind'"),
+    (Param, "(name, role, optional=False, default=None)",
+     "missing 2 required positional arguments: 'name' and 'role'",
+     "takes from 3 to 5 positional arguments but 6 were given", "'name'"),
+    (Finding, "(rule_id, severity, cell, message, evidence=())",
+     "missing 4 required positional arguments: 'rule_id', 'severity', 'cell', and 'message'",
+     "takes from 5 to 6 positional arguments but 7 were given", "'rule_id'"),
+    (_RuleSpec, "(rule_id, default_severity, explanation, triggers, check, threshold=None, "
+     "per_shape=False, gate=None, arguments=None)",
+     "missing 5 required positional arguments: 'rule_id', 'default_severity', 'explanation', "
+     "'triggers', and 'check'",
+     "takes from 6 to 10 positional arguments but 11 were given", "'rule_id'"),
+    (ScheduleRow, "(period, depreciation, book_value_end)",
+     "missing 3 required positional arguments: 'period', 'depreciation', and 'book_value_end'",
+     "takes 4 positional arguments but 5 were given", "'period'"),
+    (DepreciationSchedule, "(spec, mode, rate, rows)",
+     "missing 4 required positional arguments: 'spec', 'mode', 'rate', and 'rows'",
+     "takes 5 positional arguments but 6 were given", "'spec'"),
+    (ReconcileReport, "(total_depreciation, residual_book_value, gap, tolerance, flagged=False)",
+     "missing 4 required positional arguments: 'total_depreciation', 'residual_book_value', "
+     "'gap', and 'tolerance'",
+     "takes from 5 to 6 positional arguments but 7 were given", "'total_depreciation'"),
+    (AdvertisedVerdict, "(status, gap_basis_points)",
+     "missing 2 required positional arguments: 'status' and 'gap_basis_points'",
+     "takes 3 positional arguments but 4 were given", "'status'"),
+    (AmortizationRow,
+     "(month, opening=None, interest=None, payment=None, principal_paid=None, closing=None)",
+     "missing 1 required positional argument: 'month'",
+     "takes from 2 to 7 positional arguments but 8 were given", "'month'"),
+    (AmortizationSchedule, "(spec, monthly_rate, level_payment, rows)",
+     "missing 4 required positional arguments: 'spec', 'monthly_rate', 'level_payment', and 'rows'",
+     "takes 5 positional arguments but 6 were given", "'spec'"),
+    (Discrepancy, "(month, field, expected, actual, difference)",
+     "missing 5 required positional arguments: 'month', 'field', 'expected', 'actual', and "
+     "'difference'",
+     "takes 6 positional arguments but 7 were given", "'month'"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "signature", "missing", "too_many", "first"), GENERATED,
+    ids=[cls.__name__ for cls, *_ in GENERATED],
+)
+def test_a_generated_init_takes_and_refuses_what_the_hand_written_one_did(
+    cls, signature, missing, too_many, first
+):
+    calls = [
+        (lambda: cls(), missing),
+        (lambda: cls(*range(len(cls._fields) + 1)), too_many),
+        (lambda: cls(0, **{cls._fields[0]: 0}), f"got multiple values for argument {first}"),
+    ]
+    for call, message in calls:
+        with pytest.raises(TypeError) as refused:
+            call()
+        assert str(refused.value) == f"{cls.__name__}.__init__() {message}"
+    bare = inspect.signature(cls).replace(return_annotation=inspect.Signature.empty)
+    params = [param.replace(annotation=param.empty) for param in bare.parameters.values()]
+    assert str(bare.replace(parameters=params)) == signature
+
+
+def test_a_class_builds_its_init_with_its_first_record():
+    script = (
+        "import ledgerlint.audit, ledgerlint.cli, ledgerlint.loan\n"
+        "from ledgerlint.record import Record\n"
+        "def built():\n"
+        "    return sorted(c.__name__ for c in Record.__subclasses__() if '__init__' in vars(c)"
+        " and c.__init__.__code__.co_filename == '<string>')\n"
+        "print(built())\n"
+        "ledgerlint.loan.build_schedule(ledgerlint.loan.LoanSpec(1000.0, 0.05, 2))\n"
+        "print(built())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines() == [
+        "['Param', '_RuleSpec']",  # the function catalog and the rule table, at import
+        "['AmortizationRow', 'AmortizationSchedule', 'Param', '_RuleSpec']",
+    ]
 
 
 @pytest.mark.parametrize(("record", "golden"), GOLDEN, ids=IDS)
